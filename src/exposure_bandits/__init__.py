@@ -9,6 +9,7 @@ validation, and a command-line front end.
 
 from .core import (
     NEG_INF,
+    ContractError,
     GammaResult,
     Instance,
     InfeasibleError,
@@ -23,7 +24,6 @@ from .env import (
     NO_PULL,
     Policy,
     RunRecord,
-    departure_update,
     recompute_expected_reward,
     run_episode,
     sample_arrivals,
@@ -45,12 +45,11 @@ from .learn import (
     baseline_policy,
     concentration_radii,
     default_exploration_phases,
-    ees,
     estimate,
     explore_phase_step,
     relaxed_exploration_phases,
 )
-from .lmatch import LlcbPolicy, LmatchPlan, llcb_policy, lmatch
+from .lmatch import LlcbPolicy, LmatchPlan, lmatch
 from .matching import (
     Aggregate,
     Matching,
@@ -65,6 +64,7 @@ __all__ = [
     "NO_PULL",
     "Aggregate",
     "AlcbPolicy",
+    "ContractError",
     "DpPolicy",
     "EesConfig",
     "EesPolicy",
@@ -89,12 +89,10 @@ __all__ = [
     "compute_gamma",
     "concentration_radii",
     "default_exploration_phases",
-    "departure_update",
     "doalg",
     "doalg_graph_reference",
     "dp_star",
     "dp_step",
-    "ees",
     "enumerate_phase_policies",
     "estimate",
     "exact_opt",
@@ -104,7 +102,6 @@ __all__ = [
     "iter_subsets",
     "lcb_policy_step",
     "lcb_star",
-    "llcb_policy",
     "lmatch",
     "mer_table",
     "planned_total_value",

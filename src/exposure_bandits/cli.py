@@ -45,25 +45,28 @@ from .core import (
 )
 from .dp import DpPolicy, dp_star, planned_total_value
 from .env import Policy, run_episode
-from .lcb import AlcbPolicy, LcbPolicy, lcb_star
-from .learn import EesConfig, EesPolicy, Observables, baseline_policy
+from .lcb import LcbPolicy, lcb_star
+from .learn import PLANNERS, EesConfig, EesPolicy, Observables, baseline_policy
 from .lmatch import LlcbPolicy
-from .matching import build_lcb_aggregate, doalg
+from .matching import build_lcb_aggregate
 
 __all__ = ["main", "entry", "load_instance", "save_instance", "make_policy"]
 
-SOLVERS = ("dp-star", "lcb-star", "a-lcb-star", "l-lcb")
-BASELINES = ("myopic", "never-subsidize", "blind")
-LEARNERS = ("ees-dp-star", "ees-lcb-star", "ees-a-lcb-star", "ees-l-lcb",
-            "greedy-bandit")
-ALGORITHMS = SOLVERS + BASELINES + LEARNERS
-
-_EES_SSO = {
-    "ees-dp-star": "dp_star",
-    "ees-lcb-star": "lcb_star",
-    "ees-a-lcb-star": "alcb_star",
-    "ees-l-lcb": "llcb",
+# algorithm id -> library kind: a key of learn.PLANNERS or learn.BASELINES.
+# "ees-<planner id>" explores, estimates, then plans with that planner.
+KINDS = {
+    "dp-star": "dp_star",
+    "lcb-star": "lcb_star",
+    "a-lcb-star": "alcb_star",
+    "l-lcb": "llcb",
+    "myopic": "myopic",
+    "never-subsidize": "never_subsidize",
+    "blind": "blind_subsidize",
+    "greedy-bandit": "greedy_bandit",
 }
+ALGORITHMS = tuple(KINDS) + tuple(
+    f"ees-{algo}" for algo, kind in KINDS.items() if kind in PLANNERS
+)
 
 _INT_KEYS = ("n", "k", "tau", "T", "seed")
 _LIST_KEYS = ("P", "delta", "mu")
@@ -132,38 +135,51 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def make_policy(algo: str, instance: Instance, explore_override: int | None = None) -> tuple[Policy, str]:
-    """Build the policy for an algorithm id.
-
-    Returns (policy, default reward mode): planners and informed
-    baselines are scored in expectation, learners on sampled feedback.
-    """
-    if algo == "dp-star":
-        return DpPolicy(instance), "expected"
-    if algo == "lcb-star":
-        return LcbPolicy(instance), "expected"
-    if algo == "a-lcb-star":
-        return AlcbPolicy(instance), "expected"
-    if algo == "l-lcb":
-        return LlcbPolicy(instance), "expected"
-    if algo == "myopic":
-        return baseline_policy("myopic", instance), "expected"
-    if algo == "never-subsidize":
-        return baseline_policy("never_subsidize", instance), "expected"
-    if algo == "blind":
-        return baseline_policy("blind_subsidize", instance), "expected"
-    if algo == "greedy-bandit":
-        return baseline_policy("greedy_bandit", instance), "sampled"
-    if algo in _EES_SSO:
-        config = EesConfig(
-            sso=_EES_SSO[algo], exploration_phases=explore_override
-        )
-        return EesPolicy(Observables.from_instance(instance), config), "sampled"
+def make_policy(algo: str, instance: Instance, explore_override: int | None = None) -> Policy:
+    """Build the policy for an algorithm id (see ``KINDS``)."""
+    if algo.startswith("ees-") and KINDS.get(algo[4:]) in PLANNERS:
+        config = EesConfig(sso=KINDS[algo[4:]], exploration_phases=explore_override)
+        return EesPolicy(Observables.from_instance(instance), config)
+    kind = KINDS.get(algo)
+    if kind in PLANNERS:
+        return PLANNERS[kind](instance)
+    if kind is not None:
+        return baseline_policy(kind, instance)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
-def _resolve_mode(mode: str, default: str) -> str:
-    return default if mode == "auto" else mode
+def _reward_mode(mode: str, policy: Policy) -> str:
+    """``auto`` scores learners (policies that take feedback) on sampled
+    rewards and everything else in expectation."""
+    if mode != "auto":
+        return mode
+    return "sampled" if policy.wants_feedback else "expected"
+
+
+def _run_seeds(instance: Instance, policy: Policy, seeds, mode: str) -> list[tuple]:
+    """Run one episode per seed with the same policy object; one row of
+    (expected reward, departures, fallback phases, wall time) per seed.
+    The wall time covers ``run_episode`` only."""
+    rows = []
+    for seed in seeds:
+        t0 = time.perf_counter()
+        record = run_episode(instance, policy, seed, mode)
+        wall = time.perf_counter() - t0
+        rows.append((
+            record.expected_reward,
+            len(record.departure_events),
+            len(getattr(policy, "bad_event_phases", ())),
+            wall,
+        ))
+    return rows
+
+
+def _run_group(group) -> list[tuple]:
+    """One (algorithm, horizon) group of an experiment: build the policy
+    once, then :func:`_run_seeds`."""
+    instance, algo, seeds, mode, explore_override = group
+    policy = make_policy(algo, instance, explore_override)
+    return _run_seeds(instance, policy, seeds, _reward_mode(mode, policy))
 
 
 def _mean_stderr(xs):
@@ -190,20 +206,17 @@ def _policy_diag(policy: Policy):
 
 def cmd_solve(args) -> int:
     instance, file_seed = load_instance(args.instance)
-    policy, default_mode = make_policy(args.algo, instance, args.explore_override)
-    mode = _resolve_mode(args.reward_mode, default_mode)
+    policy = make_policy(args.algo, instance, args.explore_override)
+    mode = _reward_mode(args.reward_mode, policy)
     commitment, per_phase = _policy_diag(policy)
     print(f"algorithm: {args.algo}")
     if commitment is not None:
         print(f"commitment: {commitment}")
         print(f"per-phase value: {_fmt(per_phase)}")
     base = args.seed_base if args.seed_base is not None else file_seed
-    rewards = []
-    departures = []
-    for i in range(args.seeds):
-        record = run_episode(instance, policy, base + i, reward_mode=mode)
-        rewards.append(record.expected_reward)
-        departures.append(len(record.departure_events))
+    rewards, departures, _, _ = zip(
+        *_run_seeds(instance, policy, range(base, base + args.seeds), mode)
+    )
     m, se = _mean_stderr(rewards)
     print(f"episodes: {args.seeds} (seeds {base}..{base + args.seeds - 1}, "
           f"reward_mode={mode})")
@@ -214,18 +227,15 @@ def cmd_solve(args) -> int:
 
 def cmd_learn(args) -> int:
     instance, file_seed = load_instance(args.instance)
-    policy, default_mode = make_policy(args.algo, instance, args.explore_override)
-    mode = _resolve_mode(args.reward_mode, default_mode)
+    policy = make_policy(args.algo, instance, args.explore_override)
+    mode = _reward_mode(args.reward_mode, policy)
     if isinstance(policy, EesPolicy):
         print(f"exploration phases: {policy.exploration_phases}")
         print(f"exploration rounds: {policy.T0}")
     base = args.seed_base if args.seed_base is not None else file_seed
-    rewards = []
-    bad = []
-    for i in range(args.seeds):
-        record = run_episode(instance, policy, base + i, reward_mode=mode)
-        rewards.append(record.expected_reward)
-        bad.append(len(getattr(policy, "bad_event_phases", ())))
+    rewards, _, bad, _ = zip(
+        *_run_seeds(instance, policy, range(base, base + args.seeds), mode)
+    )
     m, se = _mean_stderr(rewards)
     print(f"algorithm: {args.algo}")
     print(f"episodes: {args.seeds} (seeds {base}..{base + args.seeds - 1}, "
@@ -245,20 +255,6 @@ def _benchmark_value(kind: str, instance: Instance) -> float:
 
         return exact_opt(instance).value
     raise ValueError(f"unknown benchmark {kind!r}")
-
-
-def _run_cell(instance: Instance, algo: str, seed: int, mode: str,
-              explore_override: int | None):
-    policy, default_mode = make_policy(algo, instance, explore_override)
-    t0 = time.perf_counter()
-    record = run_episode(instance, policy, seed, _resolve_mode(mode, default_mode))
-    wall = time.perf_counter() - t0
-    return (
-        record.expected_reward,
-        len(record.departure_events),
-        len(getattr(policy, "bad_event_phases", ())),
-        wall,
-    )
 
 
 def cmd_experiment(args) -> int:
@@ -286,69 +282,38 @@ def cmd_experiment(args) -> int:
     for T in sweep:
         benchmarks[T] = _benchmark_value(args.benchmark, replace(instance, T=T))
 
-    cells = [
-        (algo, T, base + i)
-        for algo in sorted(algos)
-        for T in sorted(sweep)
-        for i in range(args.seeds)
+    seeds = range(base, base + args.seeds)
+    keys = [(algo, T) for algo in sorted(algos) for T in sorted(sweep)]
+    groups = [
+        (replace(instance, T=T), algo, seeds, args.reward_mode, args.explore_override)
+        for algo, T in keys
     ]
-    results = {}
-    if args.workers and args.workers > 1:
+    if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futs = {
-                (algo, T, seed): pool.submit(
-                    _run_cell, replace(instance, T=T), algo, seed,
-                    args.reward_mode, args.explore_override,
-                )
-                for algo, T, seed in cells
-            }
-            for key, fut in futs.items():
-                results[key] = fut.result()
+            results = dict(zip(keys, pool.map(_run_group, groups)))
     else:
-        current = None  # (algo, T) -> policy, rebuilt per group
-        policy = default_mode = None
-        for algo, T, seed in cells:
-            if current != (algo, T):
-                current = (algo, T)
-                policy, default_mode = make_policy(
-                    algo, replace(instance, T=T), args.explore_override
-                )
-            t0 = time.perf_counter()
-            record = run_episode(
-                replace(instance, T=T), policy, seed,
-                _resolve_mode(args.reward_mode, default_mode),
-            )
-            wall = time.perf_counter() - t0
-            results[(algo, T, seed)] = (
-                record.expected_reward,
-                len(record.departure_events),
-                len(getattr(policy, "bad_event_phases", ())),
-                wall,
-            )
+        results = dict(zip(keys, map(_run_group, groups)))
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out)
         w.writerow(["algorithm", "T", "seed", "reward", "benchmark", "regret",
                     "departures", "bad_events", "wall_time_s"])
-        for algo in sorted(algos):
-            for T in sorted(sweep):
-                rows = []
-                for i in range(args.seeds):
-                    seed = base + i
-                    reward, deps, bad, wall = results[(algo, T, seed)]
-                    bench = benchmarks[T]
-                    rows.append((reward, bench, bench - reward, deps, bad, wall))
-                    w.writerow([algo, T, seed] + [_fmt(x) for x in rows[-1][:3]]
-                               + [deps, bad, format(wall, ".6f")])
-                cols = list(zip(*rows))
-                means = [_mean_stderr(c) for c in cols]
-                w.writerow([algo, T, "mean"] + [_fmt(m) for m, _ in means[:5]]
-                           + [format(means[5][0], ".6f")])
-                w.writerow([algo, T, "stderr"] + [_fmt(s) for _, s in means[:5]]
-                           + [format(means[5][1], ".6f")])
+        for algo, T in keys:
+            bench = benchmarks[T]
+            rows = []
+            for seed, (reward, deps, bad, wall) in zip(seeds, results[(algo, T)]):
+                rows.append((reward, bench, bench - reward, deps, bad, wall))
+                w.writerow([algo, T, seed] + [_fmt(x) for x in rows[-1][:3]]
+                           + [deps, bad, format(wall, ".6f")])
+            cols = list(zip(*rows))
+            means = [_mean_stderr(c) for c in cols]
+            w.writerow([algo, T, "mean"] + [_fmt(m) for m, _ in means[:5]]
+                       + [format(means[5][0], ".6f")])
+            w.writerow([algo, T, "stderr"] + [_fmt(s) for _, s in means[:5]]
+                       + [format(means[5][1], ".6f")])
     finally:
         if args.out:
             out.close()
@@ -414,11 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="plan on a known instance")
     common(sp, algo_default="dp-star",
-           algo_help=f"one of {SOLVERS + BASELINES}")
+           algo_help=f"one of {tuple(KINDS)}")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("learn", help="run a learning policy")
-    common(sp, algo_default="ees-dp-star", algo_help=f"one of {LEARNERS}")
+    common(sp, algo_default="ees-dp-star", algo_help=f"one of {ALGORITHMS}")
     sp.set_defaults(func=cmd_learn)
 
     sp = sub.add_parser("experiment", help="sweep cells into a CSV")
@@ -429,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--benchmark", default="pico",
                     choices=["pico", "oracle-opt"])
     sp.add_argument("--out", default=None, help="CSV output path")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="processes running the (algorithm, horizon) groups")
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("match", help="aggregate + optimal matching")

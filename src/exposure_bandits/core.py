@@ -27,6 +27,7 @@ __all__ = [
     "GammaResult",
     "InfeasibleError",
     "ResourceGuardError",
+    "ContractError",
     "validate",
     "gamma_from_parts",
     "compute_gamma",
@@ -44,6 +45,13 @@ class InfeasibleError(Exception):
 
 class ResourceGuardError(Exception):
     """A configured state/size cap would be exceeded by this request."""
+
+
+class ContractError(RuntimeError):
+    """A guarantee one component relies on from another did not hold.
+
+    Raised instead of ``assert``, which ``python -O`` strips.
+    """
 
 
 class _NegInf:

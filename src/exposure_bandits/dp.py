@@ -24,6 +24,7 @@ from .env import Policy
 
 __all__ = [
     "MerTable",
+    "table_cells",
     "mer_table",
     "dp_step",
     "dp_star",
@@ -32,6 +33,15 @@ __all__ = [
 ]
 
 TABLE_CELL_CAP = 10**7
+
+
+def table_cells(tau: int, m: int) -> int:
+    """Cells of the MER table over m committed arms, (tau+1)^m; raises
+    ResourceGuardError when that exceeds TABLE_CELL_CAP."""
+    size = (tau + 1) ** m
+    if size > TABLE_CELL_CAP:
+        raise ResourceGuardError(f"table of {size} cells exceeds cap {TABLE_CELL_CAP}")
+    return size
 
 
 class MerTable:
@@ -84,9 +94,7 @@ def mer_table(Z, instance: Instance) -> MerTable:
         raise ValueError("arm index out of range")
     tau, n = instance.tau, instance.n
     m = len(Z)
-    size = (tau + 1) ** m
-    if size > TABLE_CELL_CAP:
-        raise ResourceGuardError(f"table of {size} cells exceeds cap {TABLE_CELL_CAP}")
+    size = table_cells(tau, m)
 
     strides = tuple((tau + 1) ** j for j in range(m))
     idx = np.arange(size, dtype=np.int64)
@@ -131,56 +139,71 @@ def mer_table(Z, instance: Instance) -> MerTable:
     return MerTable(Z, tau, values, strides, state_count, deltas, mu_cols)
 
 
-def dp_step(table: MerTable, counts, u: int) -> int:
-    """Arm to pull now: argmax of mu[u][a] + value(counts + e_a) over Z.
+def _best_moves(table: MerTable, states: np.ndarray) -> np.ndarray:
+    """The arm to pull at each of ``states`` for every arriving type u, as
+    an int8 array of indices into Z with one row per state and one column
+    per type.
 
-    Ties break toward the largest remaining deficit delta_a - counts[a],
-    then the smallest arm index.  Calling this on a sentinel state is a
-    contract violation.
+    ``states`` are flat indices of decision states (non-sentinel, fewer
+    than tau pulls).  The pull maximizes mu[u][a] + value(counts + e_a)
+    over Z; ties break toward the largest remaining deficit
+    delta_a - counts[a], then the smallest arm index.
+    """
+    m = len(table.Z)
+    succ = np.empty((states.size, m), dtype=np.float64)
+    tie_key = np.empty((states.size, m), dtype=np.int64)
+    for j, (stride, delta) in enumerate(zip(table.strides, table.deltas)):
+        succ[:, j] = table.values[states + stride]
+        deficit = np.maximum(delta - states // stride % (table.tau + 1), 0)
+        tie_key[:, j] = deficit * m + (m - 1 - j)
+    mu_cols = table._mu_cols
+    acts = np.empty((states.size, mu_cols.shape[0]), dtype=np.int8)
+    for u, mu_u in enumerate(mu_cols):
+        scores = succ + mu_u
+        cand = scores == scores.max(axis=1, keepdims=True)
+        acts[:, u] = np.where(cand, tie_key, -1).argmax(axis=1)
+    return acts
+
+
+def dp_step(table: MerTable, counts, u: int) -> int:
+    """Arm to pull now at within-phase counts over Z, by the rule of
+    :func:`_best_moves`.  Calling this on a sentinel state or an exhausted
+    phase raises ValueError.
     """
     base = table.index_of(counts)
     if table.values[base] == -np.inf:
         raise ValueError("dp_step called on an infeasible state")
     if sum(counts) >= table.tau:
         raise ValueError("phase already exhausted")
-    best = -np.inf
-    best_j = -1
-    best_deficit = -1
-    for j in range(len(table.Z)):
-        succ = table.values[base + table.strides[j]]
-        if succ == -np.inf:
-            continue
-        score = table._mu_cols[u][j] + succ
-        deficit = max(0, table.deltas[j] - counts[j])
-        if score > best or (score == best and deficit > best_deficit):
-            best, best_j, best_deficit = score, j, deficit
-    if best_j < 0:
-        raise ValueError("dp_step called on an infeasible state")
-    return table.Z[best_j]
+    return table.Z[int(_best_moves(table, np.array([base]))[0, u])]
 
 
 class DpPolicy(Policy):
     """Round-by-round policy committing to the best subset up front.
 
-    The per-(state, type) argmax is precomputed into an action table so
-    long simulations cost one array lookup per round.
+    The per-(state, type) choice of :func:`_best_moves` is precomputed for
+    every decision state into a flat action table, so long simulations
+    cost one list lookup per round.
     """
 
     wants_feedback = False
 
-    def __init__(self, instance: Instance, Z=None):
-        if Z is None:
-            Z, table = dp_star(instance)
-        else:
-            table = mer_table(Z, instance)
-            if table.root_value is NEG_INF:
-                raise InfeasibleError(f"commitment {sorted(Z)} cannot fit in a phase")
+    def __init__(self, instance: Instance):
+        Z, table = dp_star(instance)
         self.instance = instance
-        self.Z = frozenset(Z)
+        self.Z = Z
         self.table = table
-        self._acts = _action_table(table, instance).tolist()
+        n = instance.n
+        # decision states: feasible, with fewer than tau pulls so far
+        states = np.flatnonzero(table.values != -np.inf)
+        totals = sum(states // s % (table.tau + 1) for s in table.strides)
+        states = states[totals < table.tau]
+        acts = np.zeros((table.values.size, n), dtype=np.int8)
+        acts[states] = _best_moves(table, states)
+        # row-major: the entry of (state, u) sits at state * n + u
+        self._acts = acts.ravel().tolist()
         self._arms = list(table.Z)
-        self._strides = list(table.strides)
+        self._strides = [s * n for s in table.strides]
         self._tau = instance.tau
         self._state = 0
 
@@ -190,40 +213,9 @@ class DpPolicy(Policy):
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         if t % self._tau == 0:
             self._state = 0
-        j = self._acts[self._state][u]
+        j = self._acts[self._state + u]
         self._state += self._strides[j]
         return self._arms[j]
-
-
-def _action_table(table: MerTable, instance: Instance) -> np.ndarray:
-    """For every non-sentinel decision state and type, the index j into Z
-    chosen by dp_step, vectorized with the same tie rule."""
-    tau, n = table.tau, instance.n
-    m = len(table.Z)
-    size = table.values.size
-    idx = np.arange(size, dtype=np.int64)
-    digits = np.empty((m, size), dtype=np.int64)
-    rem = idx
-    for j in range(m):
-        rem, digits[j] = np.divmod(rem, tau + 1)
-    totals = digits.sum(axis=0)
-    decision = (totals <= tau - 1) & (table.values != -np.inf)
-
-    acts = np.zeros((size, n), dtype=np.int8)
-    dec_idx = np.nonzero(decision)[0]
-    succ = np.empty((dec_idx.size, m), dtype=np.float64)
-    tie_key = np.empty((dec_idx.size, m), dtype=np.int64)
-    for j, a in enumerate(table.Z):
-        succ[:, j] = table.values[dec_idx + table.strides[j]]
-        deficit = np.maximum(instance.delta[a] - digits[j][dec_idx], 0)
-        tie_key[:, j] = deficit * m + (m - 1 - j)
-    for u in range(n):
-        scores = succ + table._mu_cols[u]
-        best = scores.max(axis=1, keepdims=True)
-        cand = scores == best
-        keyed = np.where(cand, tie_key, -1)
-        acts[dec_idx, u] = keyed.argmax(axis=1)
-    return acts
 
 
 def dp_star(instance: Instance):

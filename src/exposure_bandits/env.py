@@ -25,13 +25,10 @@ __all__ = [
     "NO_PULL",
     "REWARD_MODES",
     "Policy",
-    "PhaseLedger",
     "RunRecord",
     "sample_arrivals",
-    "departure_update",
     "run_episode",
     "recompute_expected_reward",
-    "write_run_record",
 ]
 
 REWARD_MODES = ("sampled", "expected")
@@ -59,31 +56,6 @@ class Policy:
 
     def feedback(self, t: int, u: int, arm: int | None, value: float) -> None:
         """Observe the realized reward of this round's pull."""
-
-
-@dataclass
-class PhaseLedger:
-    """Within-phase pull counts and the surviving arm set.
-
-    ``viable`` only ever shrinks; ``counts`` resets at each phase start.
-    """
-
-    counts: list[int]
-    phase_index: int  # 1-based
-    viable: frozenset[int]
-
-
-def departure_update(ledger: PhaseLedger, delta) -> PhaseLedger:
-    """Apply the phase-boundary rule: arms with ``counts[a] < delta[a]``
-    depart (strictly fewer; meeting the threshold exactly is enough)."""
-    survivors = frozenset(
-        a for a in ledger.viable if ledger.counts[a] >= delta[a]
-    )
-    return PhaseLedger(
-        counts=[0] * len(ledger.counts),
-        phase_index=ledger.phase_index + 1,
-        viable=survivors,
-    )
 
 
 @dataclass
@@ -215,6 +187,8 @@ def run_episode(
                 v = 0.0
             if feedback is not None:
                 feedback(t, u, a, v)
+        # the departure rule: strictly fewer pulls than the threshold;
+        # meeting it exactly is enough
         gone = sorted(a for a in viable if counts[a] < delta[a])
         if gone:
             viable = viable.difference(gone)
@@ -234,34 +208,3 @@ def run_episode(
     record.expected_reward = recompute_expected_reward(record, instance)
     return record
 
-
-def viable_mask_per_round(record: RunRecord, instance: Instance) -> np.ndarray:
-    """Bitmask of viable arms at each round, reconstructed from the
-    departure events (bit ``a`` set means arm ``a`` is still available)."""
-    tau = instance.tau
-    T = len(record.arrivals)
-    masks = np.empty(T, dtype=np.int64)
-    mask = (1 << instance.k) - 1
-    drop_at = {}
-    for phase, arm in record.departure_events:
-        drop_at.setdefault(phase, []).append(arm)
-    for p in range(T // tau):
-        masks[p * tau : (p + 1) * tau] = mask
-        for arm in drop_at.get(p + 1, ()):
-            mask &= ~(1 << arm)
-    return masks
-
-
-def write_run_record(record: RunRecord, instance: Instance, path) -> None:
-    """Serialize a trajectory as one tab-separated row per round:
-    round, phase, type, arm, reward, viable bitmask."""
-    masks = viable_mask_per_round(record, instance)
-    tau = instance.tau
-    with open(path, "w") as fh:
-        fh.write("round\tphase\ttype\tarm\treward\tviable_mask\n")
-        for t in range(len(record.arrivals)):
-            fh.write(
-                f"{t}\t{t // tau + 1}\t{record.arrivals[t]}\t"
-                f"{record.pulls[t]}\t{record.realized_rewards[t]:.12g}\t"
-                f"{masks[t]}\n"
-            )

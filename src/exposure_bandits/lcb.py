@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .core import (
     NEG_INF,
+    ContractError,
     Instance,
     InfeasibleError,
     ResourceGuardError,
@@ -243,20 +244,12 @@ class LcbPolicy(Policy):
     wants_feedback = False
 
     def __init__(self, instance: Instance, Z=None, template: Matching | None = None):
+        """Commit to ``Z`` with its ``template`` matching when both are
+        given, else to the commitment :func:`lcb_star` finds."""
         validate(instance)
         self.instance = instance
         if Z is None:
             Z, template = lcb_star(instance)
-        else:
-            Z = frozenset(Z)
-            if template is None:
-                agg = build_lcb_aggregate(instance.P, instance.tau)
-                m = doalg(agg, Z, Z, instance)
-                if m is NEG_INF:
-                    raise InfeasibleError(
-                        f"commitment {sorted(Z)} cannot fit in a phase"
-                    )
-                template = m
         self.Z = frozenset(Z)
         self.template = template
         deltas_eff = [
@@ -294,6 +287,7 @@ class AlcbPolicy(LcbPolicy):
         if not trace.chosen:
             raise InfeasibleError("no viable commitment")
         template = doalg(oracle.aggregate, trace.chosen, trace.chosen, instance)
-        assert template is not NEG_INF
+        if template is NEG_INF:
+            raise ContractError("the greedy commitment has no feasible matching")
         super().__init__(instance, Z=trace.chosen, template=template)
         self.trace = trace

@@ -17,37 +17,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
+    ContractError,
     Instance,
     InfeasibleError,
     GammaResult,
     gamma_from_parts,
     validate,
 )
+from .dp import DpPolicy, table_cells
 from .env import Policy, RunRecord
+from .lcb import AlcbPolicy, LcbPolicy
+from .lmatch import LlcbPolicy
 
 __all__ = [
     "Observables",
     "Estimates",
     "EesConfig",
-    "SSO_KINDS",
+    "PLANNERS",
     "default_exploration_phases",
     "relaxed_exploration_phases",
     "explore_phase_step",
     "estimate",
     "concentration_radii",
-    "ees",
     "EesPolicy",
     "baseline_policy",
-    "BASELINE_KINDS",
+    "BASELINES",
     "MyopicPolicy",
     "NeverSubsidizePolicy",
     "BlindSubsidizePolicy",
     "GreedyBanditPolicy",
 ]
 
-SSO_KINDS = ("dp_star", "lcb_star", "alcb_star", "llcb")
-BASELINE_KINDS = ("myopic", "never_subsidize", "blind_subsidize", "greedy_bandit")
+# planner kind -> the planner the learner hands the horizon to
+PLANNERS = {
+    "dp_star": DpPolicy,
+    "lcb_star": LcbPolicy,
+    "alcb_star": AlcbPolicy,
+    "llcb": LlcbPolicy,
+}
 
 
 @dataclass(frozen=True)
@@ -107,8 +117,8 @@ class EesConfig:
     default_mu: float = 0.5
 
     def __post_init__(self):
-        if self.sso not in SSO_KINDS:
-            raise ValueError(f"sso must be one of {SSO_KINDS}")
+        if self.sso not in PLANNERS:
+            raise ValueError(f"sso must be one of {tuple(PLANNERS)}")
 
 
 def _icbrt(x: int) -> int:
@@ -159,36 +169,6 @@ def explore_phase_step(counts, gamma: GammaResult, delta, rng) -> int:
     return int(rng.integers(len(delta)))
 
 
-def _estimates_from_sums(
-    arrival_counts, reward_sums, obs_counts, pull_counts, T0, default_mu
-) -> Estimates:
-    n = len(arrival_counts)
-    k = len(obs_counts[0])
-    P_hat = [c / T0 for c in arrival_counts]
-    # a type that never arrived would make the estimated instance
-    # degenerate; give it half an arrival's worth of mass and renormalize
-    if any(p == 0.0 for p in P_hat):
-        P_hat = [max(p, 0.5 / T0) for p in P_hat]
-        s = sum(P_hat)
-        P_hat = [p / s for p in P_hat]
-    mu_hat = tuple(
-        tuple(
-            min(1.0, max(0.0, reward_sums[u][a] / obs_counts[u][a]))
-            if obs_counts[u][a]
-            else default_mu
-            for a in range(k)
-        )
-        for u in range(n)
-    )
-    return Estimates(
-        P_hat=tuple(P_hat),
-        mu_hat=mu_hat,
-        T0=T0,
-        pull_counts=tuple(tuple(row) for row in pull_counts),
-        observation_counts=tuple(tuple(row) for row in obs_counts),
-    )
-
-
 def estimate(record: RunRecord, T0: int, n: int, k: int, default_mu: float = 0.5) -> Estimates:
     """Empirical estimates from the first T0 rounds of a trajectory.
 
@@ -218,8 +198,28 @@ def estimate(record: RunRecord, T0: int, n: int, k: int, default_mu: float = 0.5
         if not dead[t]:
             obs_counts[u][a] += 1
             reward_sums[u][a] += rewards[t]
-    return _estimates_from_sums(
-        arrival_counts, reward_sums, obs_counts, pull_counts, T0, default_mu
+    P_hat = [c / T0 for c in arrival_counts]
+    # a type that never arrived would make the estimated instance
+    # degenerate; give it half an arrival's worth of mass and renormalize
+    if any(p == 0.0 for p in P_hat):
+        P_hat = [max(p, 0.5 / T0) for p in P_hat]
+        s = sum(P_hat)
+        P_hat = [p / s for p in P_hat]
+    mu_hat = tuple(
+        tuple(
+            min(1.0, max(0.0, reward_sums[u][a] / obs_counts[u][a]))
+            if obs_counts[u][a]
+            else default_mu
+            for a in range(k)
+        )
+        for u in range(n)
+    )
+    return Estimates(
+        P_hat=tuple(P_hat),
+        mu_hat=mu_hat,
+        T0=T0,
+        pull_counts=tuple(tuple(row) for row in pull_counts),
+        observation_counts=tuple(tuple(row) for row in obs_counts),
     )
 
 
@@ -253,7 +253,9 @@ class EesPolicy(Policy):
     """Explore in whole phases, estimate, then follow a planner.
 
     Construction fails if no positive quota exists (the exploration
-    schedule relies on it to keep every arm viable).
+    schedule relies on it to keep every arm viable), and with
+    ResourceGuardError if the dp_star planner's table would exceed its
+    cap, rather than after exploring.
     """
 
     wants_feedback = True
@@ -282,17 +284,16 @@ class EesPolicy(Policy):
             raise InfeasibleError(
                 f"exploration of {phases} phases does not fit the horizon"
             )
+        if config.sso == "dp_star":
+            # dp_star's largest table commits to all k arms
+            table_cells(observables.tau, observables.k)
         self.estimates: Estimates | None = None
         self.planner: Policy | None = None
 
     def start(self, rng) -> None:
         self._rng = rng
-        o = self.obs
-        self._phase_counts = [0] * o.k
-        self._arrival_counts = [0] * o.n
-        self._reward_sums = [[0.0] * o.k for _ in range(o.n)]
-        self._obs_counts = [[0] * o.k for _ in range(o.n)]
-        self._pull_counts = [[0] * o.k for _ in range(o.n)]
+        self._phase_counts = [0] * self.obs.k
+        self._log = []  # (type, arm, reward) of each exploration round
         self.estimates = None
         self.planner = None
 
@@ -301,7 +302,10 @@ class EesPolicy(Policy):
         if t < self.T0:
             if t % o.tau == 0:
                 # the quota schedule must have kept everything alive
-                assert len(viable) == o.k, "arm departed during exploration"
+                if len(viable) != o.k:
+                    raise ContractError(
+                        f"an arm departed during exploration (round {t})"
+                    )
                 self._phase_counts = [0] * o.k
             a = explore_phase_step(
                 self._phase_counts, self.gamma, o.delta, self._rng
@@ -313,23 +317,24 @@ class EesPolicy(Policy):
         return self.planner.choose(t - self.T0, u, viable)
 
     def feedback(self, t: int, u: int, arm, value: float) -> None:
-        if t >= self.T0 or arm is None:
-            return
-        self._arrival_counts[u] += 1
-        self._pull_counts[u][arm] += 1
-        self._obs_counts[u][arm] += 1
-        self._reward_sums[u][arm] += value
+        if t < self.T0:
+            self._log.append((u, arm, value))
 
     def _finish_exploration(self) -> None:
         o = self.obs
-        self.estimates = _estimates_from_sums(
-            self._arrival_counts,
-            self._reward_sums,
-            self._obs_counts,
-            self._pull_counts,
-            self.T0,
-            self.config.default_mu,
+        arrivals, pulls, rewards = zip(*self._log)
+        # estimate reads only the per-round arrays; no arm departs while
+        # exploring, so no pull is dead
+        explored = RunRecord(
+            arrivals=np.array(arrivals),
+            pulls=np.array(pulls),
+            realized_rewards=np.array(rewards, dtype=np.float64),
+            expected_reward=math.nan,
+            departure_events=[],
+            seed=-1,
+            dead_pulls=np.zeros(self.T0, dtype=bool),
         )
+        self.estimates = estimate(explored, self.T0, o.n, o.k, self.config.default_mu)
         est_instance = Instance(
             n=o.n,
             k=o.k,
@@ -340,29 +345,8 @@ class EesPolicy(Policy):
             mu=self.estimates.mu_hat,
         )
         validate(est_instance)
-        self.planner = _make_sso(self.config.sso, est_instance)
+        self.planner = PLANNERS[self.config.sso](est_instance)
         self.planner.start(self._rng)
-
-
-def _make_sso(kind: str, instance: Instance) -> Policy:
-    from .dp import DpPolicy
-    from .lcb import AlcbPolicy, LcbPolicy
-    from .lmatch import LlcbPolicy
-
-    if kind == "dp_star":
-        return DpPolicy(instance)
-    if kind == "lcb_star":
-        return LcbPolicy(instance)
-    if kind == "alcb_star":
-        return AlcbPolicy(instance)
-    if kind == "llcb":
-        return LlcbPolicy(instance)
-    raise ValueError(f"unknown sso kind {kind!r}")
-
-
-def ees(observables: Observables, config: EesConfig = EesConfig()) -> EesPolicy:
-    """Factory mirroring the other policy constructors."""
-    return EesPolicy(observables, config)
 
 
 class MyopicPolicy(Policy):
@@ -481,6 +465,14 @@ class GreedyBanditPolicy(Policy):
         self._counts[u][arm] += 1
 
 
+BASELINES = {
+    "myopic": MyopicPolicy,
+    "never_subsidize": NeverSubsidizePolicy,
+    "blind_subsidize": BlindSubsidizePolicy,
+    "greedy_bandit": GreedyBanditPolicy,
+}
+
+
 def baseline_policy(kind: str, instance: Instance | None = None,
                     observables: Observables | None = None) -> Policy:
     """Factory for the threshold-oblivious baselines.
@@ -488,18 +480,15 @@ def baseline_policy(kind: str, instance: Instance | None = None,
     The informed baselines need the instance; the bandit baseline needs
     only observables (pass either; observables are derived if missing).
     """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}")
-    if kind == "greedy_bandit":
+    if kind not in BASELINES:
+        raise ValueError(f"kind must be one of {tuple(BASELINES)}")
+    cls = BASELINES[kind]
+    if cls is GreedyBanditPolicy:
         if observables is None:
             if instance is None:
                 raise ValueError("greedy_bandit needs observables")
             observables = Observables.from_instance(instance)
-        return GreedyBanditPolicy(observables)
+        return cls(observables)
     if instance is None:
         raise ValueError(f"{kind} needs the instance")
-    if kind == "myopic":
-        return MyopicPolicy(instance)
-    if kind == "never_subsidize":
-        return NeverSubsidizePolicy(instance)
-    return BlindSubsidizePolicy(instance)
+    return cls(instance)

@@ -27,7 +27,7 @@ from .env import Policy
 from .lcb import LcbState, lcb_policy_step
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
 
-__all__ = ["LmatchPlan", "lmatch", "llcb_policy", "LlcbPolicy"]
+__all__ = ["LmatchPlan", "lmatch", "LlcbPolicy"]
 
 PAIR_CAP = 10**6
 
@@ -200,8 +200,3 @@ class LlcbPolicy(Policy):
         if state.bad_event_flag and not flagged:
             self.bad_event_phases.append(t // self._tau + 1)
         return arm
-
-
-def llcb_policy(instance: Instance) -> LlcbPolicy:
-    """Build the non-committed policy from the repeated shaved aggregate."""
-    return LlcbPolicy(instance)

@@ -32,7 +32,6 @@ __all__ = [
     "build_lcb_aggregate",
     "doalg",
     "doalg_graph_reference",
-    "write_matching",
 ]
 
 # bonus per mandatory unit; any value > max utility gap (1) forces the
@@ -339,11 +338,3 @@ def doalg_graph_reference(
     assert boosted_matched == sum(instance.delta[a] for a in arms)
     return result
 
-
-def write_matching(matching: Matching, path) -> None:
-    """Dense integer grid, one aggregate row per line, tab-separated,
-    with a trailing value line."""
-    with open(path, "w") as fh:
-        for row in matching.M:
-            fh.write("\t".join(str(x) for x in row) + "\n")
-        fh.write(f"value\t{matching.value:.12g}\n")

@@ -19,20 +19,20 @@ from exposure_bandits import (
     NEG_INF,
     Aggregate,
     DpPolicy,
+    EesPolicy,
     LcbPolicy,
+    LlcbPolicy,
     baseline_policy,
     brute_matching,
     build_lcb_aggregate,
     doalg,
     doalg_graph_reference,
     dp_star,
-    ees,
     enumerate_phase_policies,
     exact_opt,
     greedy_subset,
     iter_subsets,
     lcb_star,
-    llcb_policy,
     lmatch,
     mer_table,
     planned_total_value,
@@ -285,7 +285,7 @@ def test_10_multi_phase_plans_beat_static_commitments():
     agg = build_lcb_aggregate(inst.P, inst.tau)
     assert agg.counts == (1476, 276, 248)
     margins = []
-    lp = llcb_policy(inst)
+    lp = LlcbPolicy(inst)
     sp = LcbPolicy(inst)
     for seed in range(20):
         a = run_episode(inst, lp, seed, reward_mode="expected").expected_reward
@@ -309,7 +309,7 @@ def test_11_learning_closes_the_gap_the_baselines_cannot():
         obs = Observables.from_instance(inst)
         regrets = []
         for seed in seeds:
-            policy = ees(obs)
+            policy = EesPolicy(obs)
             rec = run_episode(inst, policy, seed, reward_mode="sampled")
             regrets.append((bench - rec.expected_reward) / T)
         ees_rates.append(sum(regrets) / len(regrets))

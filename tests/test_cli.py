@@ -119,18 +119,19 @@ def test_oversized_oracle_requests_exit_four(tmp_path):
 def test_experiment_writes_a_deterministic_csv(tiny_path, tmp_path, capsys):
     path, inst = tiny_path
     outs = []
-    for name in ("a.csv", "b.csv"):
+    for name, workers in (("a.csv", "1"), ("b.csv", "2")):
         out = tmp_path / name
         code = main([
             "experiment", "--instance", str(path),
             "--algo", "dp-star,myopic", "--seeds", "3",
             "--sweep", "20,40", "--benchmark", "pico",
-            "--out", str(out),
+            "--out", str(out), "--workers", workers,
         ])
         assert code == 0
         outs.append(out.read_text())
     strip = lambda text: [row[:-1] for row in csv.reader(text.splitlines())]
-    assert strip(outs[0]) == strip(outs[1])  # identical bar the timing column
+    # serial and parallel runs agree bar the timing column
+    assert strip(outs[0]) == strip(outs[1])
 
     rows = list(csv.reader(outs[0].splitlines()))
     header, body = rows[0], rows[1:]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     DpPolicy,
+    Instance,
     InfeasibleError,
     dp_star,
     dp_step,
@@ -121,3 +125,60 @@ def test_policy_realizes_the_planned_value_on_average():
     planned = planned_total_value(inst, policy.table)
     se = np.std(rewards, ddof=1) / np.sqrt(len(rewards))
     assert abs(mean - planned) < 4 * se + 1e-9
+
+
+@st.composite
+def tie_prone_instances(draw):
+    """Small instances whose utilities come from a four-value grid, so
+    equal scores (and the tie rule) are common."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    tau = draw(st.integers(2, 7))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    delta = []
+    left = tau
+    for _ in range(k):
+        delta.append(draw(st.integers(0, left)))
+        left -= delta[-1]
+    grid = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    mu = tuple(tuple(draw(st.lists(grid, min_size=k, max_size=k))) for _ in range(n))
+    P = tuple(w / sum(weights) for w in weights)
+    return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)
+
+
+def _expected_pull(table, counts, u, mu_u):
+    """The tie rule from the table's values: best mu + successor value over
+    feasible successors, then the larger deficit, then the smaller index."""
+    base = table.index_of(counts)
+    best = None
+    for j, a in enumerate(table.Z):
+        succ = table.values[base + table.strides[j]]
+        if succ == -np.inf:
+            continue
+        key = (mu_u[a] + succ, max(0, table.deltas[j] - counts[j]), -j)
+        if best is None or key > best[0]:
+            best = (key, a)
+    return best[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_prone_instances())
+def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
+    table = mer_table(range(inst.k), inst)
+    m = len(table.Z)
+    for counts in itertools.product(range(inst.tau), repeat=m):
+        if sum(counts) >= inst.tau or table.values[table.index_of(counts)] == -np.inf:
+            continue
+        for u in range(inst.n):
+            expected = _expected_pull(table, counts, u, inst.mu[u])
+            assert dp_step(table, counts, u) == expected
+
+    policy = DpPolicy(inst)
+    rec = run_episode(inst, policy, 0)
+    committed = policy.table.Z
+    for p in range(inst.phases):
+        counts = [0] * len(committed)
+        for t in range(p * inst.tau, (p + 1) * inst.tau):
+            arm = int(rec.pulls[t])
+            assert arm == dp_step(policy.table, counts, int(rec.arrivals[t]))
+            counts[committed.index(arm)] += 1

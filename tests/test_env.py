@@ -4,17 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     NO_PULL,
     Policy,
     baseline_policy,
-    departure_update,
     recompute_expected_reward,
     run_episode,
     sample_arrivals,
 )
-from exposure_bandits.env import PhaseLedger, viable_mask_per_round, write_run_record
 from conftest import IDENTITY2, make_instance
 
 
@@ -26,6 +25,16 @@ class FixedArmPolicy(Policy):
 
     def choose(self, t, u, viable):
         return self.arm
+
+
+class ScriptedPolicy(Policy):
+    """Pulls ``script[t]`` in round t (``None`` declines)."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def choose(self, t, u, viable):
+        return self.script[t]
 
 
 class OwnArmPolicy(Policy):
@@ -109,11 +118,43 @@ def test_neglected_arm_departs_and_later_pulls_are_dead():
 
 
 def test_meeting_the_threshold_exactly_is_enough():
-    ledger = PhaseLedger(counts=[3, 2], phase_index=1, viable=frozenset({0, 1}))
-    nxt = departure_update(ledger, (3, 3))
-    assert nxt.viable == frozenset({0})
-    assert nxt.counts == [0, 0]
-    assert nxt.phase_index == 2
+    inst = make_instance(tau=10, phases=2, delta=(3, 3))
+    # phase 1: arm 0 exactly three times, arm 1 only twice
+    script = [0, 0, 0, 1, 1] + [None] * 5 + [0, 0, 0, 1, 1, 1] + [None] * 4
+    rec = run_episode(inst, ScriptedPolicy(script), 0)
+    assert rec.departure_events == [(1, 1)]
+
+
+@st.composite
+def pull_scripts(draw):
+    k = draw(st.integers(1, 3))
+    tau = draw(st.integers(1, 6))
+    phases = draw(st.integers(1, 4))
+    delta = tuple(draw(st.lists(st.integers(0, tau), min_size=k, max_size=k)))
+    arms = st.one_of(st.none(), st.integers(0, k - 1))
+    script = draw(st.lists(arms, min_size=tau * phases, max_size=tau * phases))
+    inst = make_instance(n=1, k=k, tau=tau, phases=phases, P=(1.0,), delta=delta,
+                         mu=(tuple(0.5 for _ in range(k)),))
+    return inst, script
+
+
+@settings(max_examples=200, deadline=None)
+@given(pull_scripts())
+def test_arm_departs_exactly_when_viable_and_short_of_its_threshold(case):
+    inst, script = case
+    rec = run_episode(inst, ScriptedPolicy(script), 0)
+    viable = set(range(inst.k))
+    expected = []
+    for p in range(inst.phases):
+        phase = script[p * inst.tau : (p + 1) * inst.tau]
+        for t, a in enumerate(phase, start=p * inst.tau):
+            # a pull of a departed arm is dead, a pull of a viable one is not
+            assert rec.dead_pulls[t] == (a is not None and a not in viable)
+        for a in sorted(viable):
+            if phase.count(a) < inst.delta[a]:
+                expected.append((p + 1, a))
+                viable.discard(a)
+    assert rec.departure_events == expected
 
 
 def test_no_pull_rounds_are_recorded_as_such():
@@ -134,25 +175,6 @@ def test_out_of_range_arm_raises():
         run_episode(inst, FixedArmPolicy(2), 0)
     with pytest.raises(ValueError):
         run_episode(inst, FixedArmPolicy(-2), 0)
-
-
-def test_viable_mask_shrinks_only_at_phase_boundaries():
-    inst = make_instance(tau=10, phases=4, delta=(0, 4))
-    rec = run_episode(inst, FixedArmPolicy(0), 0)
-    mask = viable_mask_per_round(rec, inst)
-    assert mask.shape == (inst.T,)
-    assert (mask[: inst.tau] == 0b11).all()
-    assert (mask[inst.tau:] == 0b01).all()
-
-
-def test_run_record_round_trip_to_disk(tmp_path):
-    inst = make_instance(tau=10, phases=2, delta=(2, 2))
-    rec = run_episode(inst, OwnArmPolicy(), 5)
-    out = tmp_path / "trace.tsv"
-    write_run_record(rec, inst, out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == inst.T + 1
-    assert lines[0].split("\t")[0] == "round"
 
 
 def test_baseline_keeps_arm_alive_only_if_it_wants_to():

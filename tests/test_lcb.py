@@ -56,19 +56,31 @@ def test_policy_never_loses_a_committed_arm():
         assert rec.departure_events == []
 
 
-def test_fallback_fires_exactly_when_arrivals_undershoot_a_floor():
-    inst = make_instance(tau=100, phases=3000, delta=(40, 40))
-    policy = LcbPolicy(inst)
-    rec = run_episode(inst, policy, 12345, reward_mode="expected")
-    assert rec.departure_events == []
-    agg = build_lcb_aggregate(inst.P, inst.tau)
-    floors = agg.counts[:-1]
+def _shortfall_phases(inst, rec):
+    """1-based phases whose arrivals of some type fell below its floor."""
+    floors = build_lcb_aggregate(inst.P, inst.tau).counts[:-1]
     arr = rec.arrivals.reshape(-1, inst.tau)
     short = set()
     for p in range(arr.shape[0]):
         counts = np.bincount(arr[p], minlength=inst.n)
         if any(counts[u] < floors[u] for u in range(inst.n)):
             short.add(p + 1)
+    return short
+
+
+def test_fallback_fires_exactly_when_arrivals_undershoot_a_floor():
+    inst = make_instance(tau=100, phases=3000, delta=(40, 40))
+    policy = LcbPolicy(inst)
+    rec = run_episode(inst, policy, 12345, reward_mode="expected")
+    assert rec.departure_events == []
+    assert _shortfall_phases(inst, rec) == set(policy.bad_event_phases)
+    # at tau=100 the floors almost never fail; at tau=4 they often do
+    inst = make_instance(tau=4, phases=50_000, P=(0.84, 0.16), delta=(1, 1),
+                         mu=((0.9, 0.2), (0.1, 0.8)))
+    policy = LcbPolicy(inst)
+    rec = run_episode(inst, policy, 12345, reward_mode="expected")
+    short = _shortfall_phases(inst, rec)
+    assert short
     assert short == set(policy.bad_event_phases)
 
 

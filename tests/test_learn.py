@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from exposure_bandits import (
+    ContractError,
     EesConfig,
     EesPolicy,
     InfeasibleError,
     Observables,
+    ResourceGuardError,
     baseline_policy,
     concentration_radii,
     default_exploration_phases,
-    ees,
     estimate,
     explore_phase_step,
     relaxed_exploration_phases,
@@ -75,10 +76,11 @@ def test_exploration_pulls_fill_the_largest_gap_first():
 def test_estimates_recover_the_truth_on_clean_data():
     inst = make_instance(tau=100, phases=100, delta=(10, 60),
                          reward_kind="deterministic")
-    policy = ees(Observables.from_instance(inst), EesConfig(sso="lcb_star"))
+    policy = EesPolicy(Observables.from_instance(inst), EesConfig(sso="lcb_star"))
     rec = run_episode(inst, policy, 9, reward_mode="sampled")
     est = policy.estimates
     assert est.T0 == policy.T0
+    assert est == estimate(rec, policy.T0, inst.n, inst.k)
     for u in range(2):
         assert est.P_hat[u] == pytest.approx(0.5, abs=0.05)
     # deterministic rewards: observed pairs estimate exactly
@@ -128,7 +130,7 @@ def test_dead_pulls_are_excluded_from_reward_estimates():
 
 def test_concentration_radii_follow_the_advertised_formulas():
     inst = make_instance(tau=100, phases=80, delta=(10, 60))
-    policy = ees(Observables.from_instance(inst))
+    policy = EesPolicy(Observables.from_instance(inst))
     rec = run_episode(inst, policy, 3, reward_mode="sampled")
     est = concentration_radii(inst, policy.estimates)
     T = inst.T
@@ -141,7 +143,7 @@ def test_concentration_radii_follow_the_advertised_formulas():
 
 def test_exploration_keeps_every_arm_alive():
     inst = make_instance(tau=100, phases=200, delta=(10, 60))
-    policy = ees(Observables.from_instance(inst))
+    policy = EesPolicy(Observables.from_instance(inst))
     rec = run_episode(inst, policy, 5, reward_mode="sampled")
     T0 = policy.T0
     # no departures at all: exploration protects, then the planner does
@@ -157,8 +159,8 @@ def test_exploration_keeps_every_arm_alive():
 
 def test_explicit_phase_override_is_respected():
     inst = make_instance(tau=100, phases=200, delta=(10, 60))
-    policy = ees(Observables.from_instance(inst),
-                 EesConfig(exploration_phases=7))
+    policy = EesPolicy(Observables.from_instance(inst),
+                       EesConfig(exploration_phases=7))
     assert policy.exploration_phases == 7
     assert policy.T0 == 700
 
@@ -173,8 +175,25 @@ def test_zero_quota_instances_cannot_explore():
 def test_learning_needs_room_to_exploit():
     inst = make_instance(tau=100, phases=2, delta=(10, 60))
     with pytest.raises(InfeasibleError):
-        ees(Observables.from_instance(inst),
-            EesConfig(exploration_phases=2))
+        EesPolicy(Observables.from_instance(inst),
+                  EesConfig(exploration_phases=2))
+
+
+def test_an_oversized_dp_star_plan_fails_before_exploring():
+    # the k=4 plan needs a 101^4-cell table; refuse it at construction,
+    # not after 13,700 rounds of exploration
+    obs = Observables(n=4, k=4, tau=100, T=200_000, delta=(10, 10, 10, 10))
+    with pytest.raises(ResourceGuardError):
+        EesPolicy(obs, EesConfig(sso="dp_star"))
+    EesPolicy(obs, EesConfig(sso="lcb_star"))  # no table, no guard
+
+
+def test_a_departure_during_exploration_breaks_the_contract():
+    inst = make_instance(tau=100, phases=100, delta=(10, 60))
+    policy = EesPolicy(Observables.from_instance(inst))
+    policy.start(np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        policy.choose(0, 0, frozenset({0}))
 
 
 def test_subsidizing_blind_keeps_the_deterministic_ceiling():

@@ -12,7 +12,6 @@ from exposure_bandits import (
     build_lcb_aggregate,
     brute_matching,
     lcb_star,
-    llcb_policy,
     lmatch,
     planned_total_value,
     run_episode,
@@ -106,8 +105,7 @@ def test_aggregate_list_must_cover_every_phase():
 
 def test_policy_follows_the_plan_without_losing_planned_arms():
     inst = early_harvest(tau=200, phases=4)
-    policy = llcb_policy(inst)
-    assert isinstance(policy, LlcbPolicy)
+    policy = LlcbPolicy(inst)
     for seed in range(3):
         rec = run_episode(inst, policy, seed, reward_mode="expected")
         # arms may depart only once the plan stops protecting them
@@ -118,7 +116,7 @@ def test_policy_follows_the_plan_without_losing_planned_arms():
 
 def test_policy_outearns_the_static_template_on_average():
     inst = early_harvest(tau=200, phases=4)
-    policy = llcb_policy(inst)
+    policy = LlcbPolicy(inst)
     from exposure_bandits import LcbPolicy
 
     static = LcbPolicy(inst)
