@@ -182,8 +182,9 @@ class DpPolicy(Policy):
     """Round-by-round policy committing to the best subset up front.
 
     The per-(state, type) choice of :func:`_best_moves` is precomputed for
-    every decision state into a flat action table, so long simulations
-    cost one list lookup per round.
+    every decision state into one flat int8 action table, so a round costs
+    one table lookup; :meth:`play_phases` makes that lookup for every
+    phase of an episode at once.
     """
 
     wants_feedback = False
@@ -201,7 +202,7 @@ class DpPolicy(Policy):
         acts = np.zeros((table.values.size, n), dtype=np.int8)
         acts[states] = _best_moves(table, states)
         # row-major: the entry of (state, u) sits at state * n + u
-        self._acts = acts.ravel().tolist()
+        self._acts = acts.ravel()
         self._arms = list(table.Z)
         self._strides = [s * n for s in table.strides]
         self._tau = instance.tau
@@ -213,9 +214,22 @@ class DpPolicy(Policy):
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         if t % self._tau == 0:
             self._state = 0
-        j = self._acts[self._state + u]
+        j = self._acts.item(self._state + u)
         self._state += self._strides[j]
         return self._arms[j]
+
+    def play_phases(self, arrivals: np.ndarray) -> np.ndarray:
+        """Every phase's pulls, one vectorised table lookup per round of
+        the phase (see :class:`~exposure_bandits.env.Policy`)."""
+        strides = np.array(self._strides, dtype=np.intp)
+        arms = np.array(self._arms, dtype=np.int16)
+        state = np.zeros(arrivals.shape[0], dtype=np.intp)
+        pulls = np.empty(arrivals.shape[::-1], dtype=np.int16)
+        for r, u in enumerate(np.ascontiguousarray(arrivals.T)):
+            j = self._acts[state + u]
+            state += strides[j]
+            pulls[r] = arms[j]
+        return pulls.T
 
 
 def dp_star(instance: Instance):

@@ -6,6 +6,17 @@ within the phase fell short of their exposure threshold depart for good.
 Pulling a departed arm stays legal but yields 0 reward and is flagged, so
 threshold-oblivious baselines can run unmodified.
 
+Two paths run an episode.  The loop calls the policy's ``choose`` once
+per round and is the reference: learners, baselines, and every policy
+that reads the viable set or takes feedback run on it.  Committed
+planners (``DpPolicy``, ``LcbPolicy``, ``AlcbPolicy``, ``LlcbPolicy``)
+fix their play per phase and never read the viable set, so their pulls
+in a phase depend only on that phase's arrivals; they define
+``play_phases``, and the batched path advances all phases together, one
+NumPy step per round of a phase.  The policy's type alone picks the
+path.  Both paths end every phase with the same departure rule and
+share the reward accounting, and they produce identical records.
+
 One master seed splits into three independent streams (arrivals, reward
 noise, policy randomness), so changing the reward model never perturbs
 the arrival sequence.  Identical (instance, policy, seed) inputs produce
@@ -14,8 +25,8 @@ a bitwise-identical :class:`RunRecord`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,9 +54,18 @@ class Policy:
     all per-episode state so the same object can be reused across seeds.
     Learning policies set ``wants_feedback`` and override :meth:`feedback`
     to observe realized rewards; planners that know the instance ignore it.
+
+    A policy whose pulls in a phase depend only on that phase's arrivals
+    (it never reads ``viable`` and takes no feedback) may also define
+    ``play_phases(arrivals)``: given the episode's arrivals as an int16
+    array of shape ``(phases, tau)``, it returns the pulls of the same
+    shape that :meth:`choose` would make round by round (``NO_PULL`` for
+    a declined round).  :func:`run_episode` then calls it once, after
+    :meth:`start`, instead of calling :meth:`choose` every round.
     """
 
     wants_feedback = False
+    play_phases = None
 
     def start(self, rng: np.random.Generator) -> None:
         """Reset per-episode state; ``rng`` is the policy-private stream."""
@@ -62,7 +82,7 @@ class Policy:
 class RunRecord:
     """Complete trajectory of one simulated episode.
 
-    ``expected_reward`` is the exact (fsum) total of ``mu[u_t][a_t]`` over
+    ``expected_reward`` is the exact total of ``mu[u_t][a_t]`` over
     rounds whose pulled arm was still viable; ``dead_pulls`` flags pulls of
     departed arms, which realize 0.
     """
@@ -97,17 +117,42 @@ def sample_arrivals(P, length: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def recompute_expected_reward(record: RunRecord, instance: Instance) -> float:
-    """Re-derive the expected-reward total from the raw trajectory.
+    """The expected-reward total of a trajectory: ``mu[u_t][a_t]`` summed
+    over live pulls, exactly and rounded once.
 
-    Independent accounting path used by tests: exact fsum over
-    ``mu[u_t][a_t]`` restricted to live pulls, so it must equal
-    ``record.expected_reward`` bit for bit.
+    Live pulls are counted per (type, arm) cell; the cells' count times
+    ``mu`` products are summed as Fractions, which is exact, and rounded
+    to the nearest float.  That is the correctly rounded sum, the value
+    ``math.fsum`` gives over the per-round floats, at O(n*k) cost after
+    the count.
     """
-    alive = (record.pulls >= 0) & ~record.dead_pulls
-    idx = np.nonzero(alive)[0]
-    mu = np.asarray(instance.mu, dtype=np.float64)
-    vals = mu[record.arrivals[idx], record.pulls[idx]]
-    return math.fsum(vals.tolist())
+    n, k = instance.n, instance.k
+    live = (record.pulls >= 0) & ~record.dead_pulls
+    # non-live rounds land in an extra cell past the n*k real ones
+    cell = np.where(live, record.arrivals.astype(np.intp) * k + record.pulls, n * k)
+    counts = np.bincount(cell, minlength=n * k + 1)[: n * k].tolist()
+    mu = [m for row in instance.mu for m in row]
+    return float(sum(Fraction(c) * Fraction(m) for c, m in zip(counts, mu) if c))
+
+
+def _departures(counts, bar: list, first_phase: int) -> list[tuple[int, int]]:
+    """The departure rule at the end of consecutive phases.
+
+    ``counts`` holds one row per phase, from phase ``first_phase`` on, of
+    pulls per arm, dead pulls included; ``bar`` holds each arm's threshold
+    while it is viable and 0 once it has departed.  An arm departs at the
+    end of the first phase in which it got strictly fewer pulls than its
+    bar (meeting the threshold exactly is enough), and its bar drops to 0
+    in place.  Returns the departures as (phase, arm) pairs, ordered by
+    phase, then arm.
+    """
+    events = []
+    for phase, row in enumerate(counts, first_phase):
+        for a, (c, b) in enumerate(zip(row, bar)):
+            if c < b:
+                bar[a] = 0
+                events.append((phase, a))
+    return events
 
 
 def run_episode(
@@ -117,6 +162,9 @@ def run_episode(
     reward_mode: str = "expected",
 ) -> RunRecord:
     """Simulate ``instance.T`` rounds of ``policy`` against the instance.
+
+    Policies that define ``play_phases`` take the batched path, all
+    others the round-by-round loop; both give the same record.
 
     Parameters
     ----------
@@ -144,57 +192,15 @@ def run_episode(
     # choices cannot shift the reward stream
     noise = reward_rng.random(T) if sample_bernoulli else None
 
-    mu = [list(row) for row in instance.mu]
-    delta = instance.delta
-    pulls = np.full(T, NO_PULL, dtype=np.int16)
-    realized = np.zeros(T, dtype=np.float64)
-    dead = np.zeros(T, dtype=bool)
-    departures: list[tuple[int, int]] = []
-
     policy.start(policy_rng)
-    choose = policy.choose
-    feedback = policy.feedback if policy.wants_feedback else None
-    expected_mode = reward_mode == "expected"
-
-    viable = frozenset(range(k))
-    counts = [0] * k
-    phase = 1
-    for start in range(0, T, tau):
-        block = arrivals[start : start + tau].tolist()
-        for off, u in enumerate(block):
-            t = start + off
-            a = choose(t, u, viable)
-            if a is not None:
-                if not 0 <= a < k:
-                    raise ValueError(
-                        f"policy returned arm {a} outside [0, {k}) at round {t}"
-                    )
-                pulls[t] = a
-                counts[a] += 1
-                if a in viable:
-                    m = mu[u][a]
-                    if expected_mode:
-                        v = m
-                    elif sample_bernoulli:
-                        v = 1.0 if noise[t] < m else 0.0
-                    else:
-                        v = m
-                    realized[t] = v
-                else:
-                    dead[t] = True
-                    v = 0.0
-            else:
-                v = 0.0
-            if feedback is not None:
-                feedback(t, u, a, v)
-        # the departure rule: strictly fewer pulls than the threshold;
-        # meeting it exactly is enough
-        gone = sorted(a for a in viable if counts[a] < delta[a])
-        if gone:
-            viable = viable.difference(gone)
-            departures.extend((phase, a) for a in gone)
-        counts = [0] * k
-        phase += 1
+    if policy.play_phases is not None:
+        pulls, realized, dead, departures = _play_batched(
+            instance, policy, arrivals, noise
+        )
+    else:
+        pulls, realized, dead, departures = _play_loop(
+            instance, policy, arrivals, noise
+        )
 
     record = RunRecord(
         arrivals=arrivals,
@@ -208,3 +214,84 @@ def run_episode(
     record.expected_reward = recompute_expected_reward(record, instance)
     return record
 
+
+def _play_batched(instance: Instance, policy: Policy, arrivals, noise):
+    """All phases at once from ``policy.play_phases``."""
+    k, tau, phases = instance.k, instance.tau, instance.phases
+    pulls = np.asarray(policy.play_phases(arrivals.reshape(phases, tau)))
+    if pulls.shape != (phases, tau):
+        raise ValueError(
+            f"play_phases returned shape {pulls.shape}, not {(phases, tau)}"
+        )
+    wrong = (pulls < NO_PULL) | (pulls >= k)
+    if wrong.any():
+        t = int(np.flatnonzero(wrong.ravel())[0])
+        raise ValueError(
+            f"policy returned arm {int(pulls.flat[t])} outside [0, {k}) at round {t}"
+        )
+    pulls = pulls.astype(np.int16)
+    counts = np.stack([(pulls == a).sum(axis=1) for a in range(k)], axis=1)
+    departures = _departures(counts.tolist(), list(instance.delta), 1)
+    # a pull is dead once its arm's departure phase is over
+    dead = np.zeros(pulls.shape, dtype=bool)
+    for p, a in departures:
+        dead[p:] |= pulls[p:] == a
+    pulls, dead = pulls.ravel(), dead.ravel()
+    live = (pulls >= 0) & ~dead
+    mu = np.asarray(instance.mu, dtype=np.float64)
+    values = mu[arrivals, np.maximum(pulls, 0)]
+    if noise is not None:
+        realized = np.where(live & (noise < values), 1.0, 0.0)
+    else:
+        realized = np.where(live, values, 0.0)
+    return pulls, realized, dead, departures
+
+
+def _play_loop(instance: Instance, policy: Policy, arrivals, noise):
+    """Round by round through ``policy.choose``: the reference path."""
+    k, tau, T = instance.k, instance.tau, instance.T
+    mu = [list(row) for row in instance.mu]
+    bar = list(instance.delta)
+    pulls = np.full(T, NO_PULL, dtype=np.int16)
+    realized = np.zeros(T, dtype=np.float64)
+    dead = np.zeros(T, dtype=bool)
+    departures: list[tuple[int, int]] = []
+
+    choose = policy.choose
+    feedback = policy.feedback if policy.wants_feedback else None
+
+    viable = frozenset(range(k))
+    phase = 1
+    for start in range(0, T, tau):
+        block = arrivals[start : start + tau].tolist()
+        counts = [0] * k
+        for off, u in enumerate(block):
+            t = start + off
+            a = choose(t, u, viable)
+            if a is not None:
+                if not 0 <= a < k:
+                    raise ValueError(
+                        f"policy returned arm {a} outside [0, {k}) at round {t}"
+                    )
+                pulls[t] = a
+                counts[a] += 1
+                if a in viable:
+                    m = mu[u][a]
+                    if noise is not None:
+                        v = 1.0 if noise[t] < m else 0.0
+                    else:
+                        v = m
+                    realized[t] = v
+                else:
+                    dead[t] = True
+                    v = 0.0
+            else:
+                v = 0.0
+            if feedback is not None:
+                feedback(t, u, a, v)
+        gone = _departures([counts], bar, phase)
+        if gone:
+            viable = viable.difference(a for _, a in gone)
+            departures.extend(gone)
+        phase += 1
+    return pulls, realized, dead, departures

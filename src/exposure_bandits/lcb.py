@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     NEG_INF,
     ContractError,
@@ -32,6 +34,7 @@ __all__ = [
     "LcbState",
     "GreedyTrace",
     "lcb_policy_step",
+    "lcb_replay",
     "lcb_star",
     "greedy_subset",
     "LcbPolicy",
@@ -93,19 +96,7 @@ def lcb_policy_step(state: LcbState, u: int) -> int:
         row = state.ustar
     else:
         state.bad_event_flag = True
-        row = -1
-        best = -1.0
-        arm = -1
-        mu_u = state.mu[u]
-        for r in range(len(M)):
-            if mass[r] <= 0:
-                continue
-            Mr = M[r]
-            for a in range(state.k):
-                if Mr[a] > 0:
-                    s = mu_u[a]
-                    if s > best:
-                        best, row, arm = s, r, a
+        row, arm = _salvage(M, mass, state.mu[u])
         M[row][arm] -= 1
         mass[row] -= 1
         state.phase_pulls[arm] += 1
@@ -135,6 +126,85 @@ def lcb_policy_step(state: LcbState, u: int) -> int:
     mass[row] -= 1
     pulls[arm] += 1
     return arm
+
+
+def _salvage(M, mass, mu_u) -> tuple[int, int]:
+    """The bad-event pick: the live (row, arm) entry of the matching ``M``
+    with the highest utility ``mu_u[arm]``, ties toward the smallest row,
+    then the smallest arm."""
+    row = arm = -1
+    best = -1.0
+    for r in range(len(M)):
+        if mass[r] <= 0:
+            continue
+        Mr = M[r]
+        for a in range(len(Mr)):
+            if Mr[a] > 0:
+                s = mu_u[a]
+                if s > best:
+                    best, row, arm = s, r, a
+    return row, arm
+
+
+def lcb_replay(M, mu, deltas_eff, ustar: int, arrivals):
+    """:func:`lcb_policy_step` for every phase at once, one vectorised
+    step per round of the phase.
+
+    ``M`` is the matching each phase starts from, of shape
+    ``(phases, rows, k)``; ``deltas_eff`` holds the enforced thresholds,
+    one row for all phases or one per phase; ``arrivals`` has shape
+    ``(phases, tau)``.  Rows, arms and ties follow
+    :func:`lcb_policy_step`; the rare bad-event rounds go through its
+    salvage, phase by phase.  Returns the ``(phases, tau)`` pulls and the
+    1-based phases in which the salvage fired.
+    """
+    phases, rows, k = M.shape
+    # arm-major live matching: entry (phase p, row r, arm a) sits at
+    # live[a, p * rows + r]
+    live = np.array(np.moveaxis(M, 2, 0), dtype=np.int64, order="C")
+    live = live.reshape(k, phases * rows)
+    mass = live.sum(axis=0)
+    own_base = np.arange(phases) * rows
+    slack_cell = own_base + ustar
+    deficit = np.array(
+        np.broadcast_to(deltas_eff, (phases, k)).T, dtype=np.int64, order="C"
+    )
+    arm_base = np.arange(phases)
+    mu = np.asarray(mu, dtype=np.float64)
+    # an entry's key orders it like lcb_policy_step does: by utility (its
+    # rank among mu's distinct values), then by remaining deficit; arms
+    # are scanned upward and only a strictly larger key wins, so ties go
+    # to the smaller arm
+    _, rank = np.unique(mu, return_inverse=True)
+    util_key = rank.reshape(mu.shape).T * (int(deficit.max(initial=0)) + 1)
+    fired = np.zeros(phases, dtype=bool)
+    pulls = np.empty(arrivals.shape[::-1], dtype=np.int16)
+    for r, u in enumerate(np.ascontiguousarray(arrivals.T, dtype=np.intp)):
+        cell = own_base + u
+        own = mass[cell] > 0
+        bad = None
+        if not own.all():
+            bad = ~own
+            if ustar >= 0:
+                cell = np.where(own, cell, slack_cell)
+                bad &= mass[slack_cell] <= 0
+        best = np.where(live[0, cell] > 0, util_key[0, u] + deficit[0], -1)
+        arm = np.zeros(phases, dtype=np.intp)
+        for a in range(1, k):
+            key = np.where(live[a, cell] > 0, util_key[a, u] + deficit[a], -1)
+            arm[key > best] = a
+            np.maximum(best, key, out=best)
+        if bad is not None and bad.any():
+            fired |= bad
+            for p in np.flatnonzero(bad).tolist():
+                cells = slice(p * rows, (p + 1) * rows)
+                row, arm[p] = _salvage(live[:, cells].T, mass[cells], mu[u[p]])
+                cell[p] = own_base[p] + row
+        live[arm, cell] -= 1
+        mass[cell] -= 1
+        deficit[arm, arm_base] = np.maximum(deficit[arm, arm_base] - 1, 0)
+        pulls[r] = arm
+    return pulls.T, (np.flatnonzero(fired) + 1).tolist()
 
 
 def subset_value_oracle(instance: Instance, aggregate: Aggregate | None = None):
@@ -193,8 +263,11 @@ class GreedyTrace:
 
 def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
     """k rounds of marginal-gain greedy over arms, returning the best
-    prefix seen (the value function is not monotone: committing to an
-    expensive arm can hurt, so the full-size set may not be the best).
+    feasible nonempty prefix seen, ties toward the shorter prefix (the
+    value function is not monotone: committing to an expensive arm can
+    hurt, so the full-size set may not be the best).  A prefix worth 0
+    still counts, so the greedy commits wherever some commitment is
+    feasible, as :func:`lcb_star` does.
 
     Uses at most k(k+1)/2 <= k^2 + k oracle calls.  Candidates valued
     at the sentinel are treated as marginal -inf; once every remaining
@@ -206,7 +279,7 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
     chosen: list[int] = []
     prefix_values: list = [0.0]
     best_len = 0
-    best_value = 0.0
+    best_value = None
     remaining = list(range(k))
     while remaining:
         best_arm = None
@@ -223,7 +296,7 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
         chosen.append(best_arm)
         remaining.remove(best_arm)
         prefix_values.append(best_v)
-        if best_v > best_value:
+        if best_value is None or best_v > best_value:
             best_value = best_v
             best_len = len(chosen)
     return GreedyTrace(
@@ -273,6 +346,17 @@ class LcbPolicy(Policy):
         if state.bad_event_flag and not flagged:
             self.bad_event_phases.append(t // self._tau + 1)
         return arm
+
+    def play_phases(self, arrivals: np.ndarray) -> np.ndarray:
+        """Every phase's replay of the template at once, through
+        :func:`lcb_replay` (see :class:`~exposure_bandits.env.Policy`)."""
+        state = self.state
+        template = np.asarray(self.template.M)
+        M = np.broadcast_to(template, (arrivals.shape[0], *template.shape))
+        pulls, self.bad_event_phases = lcb_replay(
+            M, state.mu, state.deltas_eff, state.ustar, arrivals
+        )
+        return pulls
 
 
 class AlcbPolicy(LcbPolicy):

@@ -30,7 +30,7 @@ from .core import (
 from .dp import DpPolicy, table_cells
 from .env import Policy, RunRecord
 from .lcb import AlcbPolicy, LcbPolicy
-from .lmatch import LlcbPolicy
+from .lmatch import LlcbPolicy, plan_pairs
 
 __all__ = [
     "Observables",
@@ -254,8 +254,9 @@ class EesPolicy(Policy):
 
     Construction fails if no positive quota exists (the exploration
     schedule relies on it to keep every arm viable), and with
-    ResourceGuardError if the dp_star planner's table would exceed its
-    cap, rather than after exploring.
+    ResourceGuardError if the dp_star planner's table or the llcb
+    planner's subset pairs would exceed their cap, rather than after
+    exploring.
     """
 
     wants_feedback = True
@@ -287,6 +288,8 @@ class EesPolicy(Policy):
         if config.sso == "dp_star":
             # dp_star's largest table commits to all k arms
             table_cells(observables.tau, observables.k)
+        elif config.sso == "llcb":
+            plan_pairs(observables.k, (observables.T - self.T0) // observables.tau)
         self.estimates: Estimates | None = None
         self.planner: Policy | None = None
 

@@ -16,20 +16,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     NEG_INF,
+    ContractError,
     Instance,
     InfeasibleError,
     ResourceGuardError,
     validate,
 )
 from .env import Policy
-from .lcb import LcbState, lcb_policy_step
+from .lcb import LcbState, lcb_policy_step, lcb_replay
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
 
-__all__ = ["LmatchPlan", "lmatch", "LlcbPolicy"]
+__all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
 
 PAIR_CAP = 10**6
+
+
+def plan_pairs(k: int, phases: int) -> int:
+    """Ordered (available, kept) subset pairs the plan weighs over all
+    phases, 3^k per phase; raises ResourceGuardError when that exceeds
+    PAIR_CAP."""
+    pairs = 3**k * phases
+    if pairs > PAIR_CAP:
+        raise ResourceGuardError(
+            f"3^k pairs per phase over {phases} phases exceeds cap {PAIR_CAP}"
+        )
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -85,10 +100,7 @@ def lmatch(instance: Instance, phase_aggregates) -> LmatchPlan:
         if agg.total != instance.tau:
             raise ValueError("each phase aggregate must sum to tau")
     k = instance.k
-    if (3**k) * N > PAIR_CAP:
-        raise ResourceGuardError(
-            f"3^k pairs per phase over {N} phases exceeds cap {PAIR_CAP}"
-        )
+    plan_pairs(k, N)
     full = (1 << k) - 1
 
     # doalg is pure; identical (aggregate, Z1, Z2) triples repeat across
@@ -122,7 +134,11 @@ def lmatch(instance: Instance, phase_aggregates) -> LmatchPlan:
                     continue
                 # shrinking the kept set can only help the phase value
                 d = diag[m1]
-                assert d is NEG_INF or match.value >= d.value - 1e-9
+                if d is not NEG_INF and match.value < d.value - 1e-9:
+                    raise ContractError(
+                        f"keeping {_mask_set(m2, k)} of {_mask_set(m1, k)} "
+                        f"lowered the phase value below keeping them all"
+                    )
                 v = match.value + prev
                 if best is NEG_INF or v > best:
                     best, best_m1 = v, m1
@@ -200,3 +216,14 @@ class LlcbPolicy(Policy):
         if state.bad_event_flag and not flagged:
             self.bad_event_phases.append(t // self._tau + 1)
         return arm
+
+    def play_phases(self, arrivals: np.ndarray) -> np.ndarray:
+        """Every phase's replay of its own planned matching at once,
+        through :func:`~exposure_bandits.lcb.lcb_replay` (see
+        :class:`~exposure_bandits.env.Policy`)."""
+        M = np.array([m.M for m in self.plan.matchings])
+        deltas = [s.deltas_eff for s in self._states]
+        pulls, self.bad_event_phases = lcb_replay(
+            M, self.instance.mu, deltas, self.instance.n, arrivals
+        )
+        return pulls

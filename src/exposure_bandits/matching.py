@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, Instance, ResourceGuardError
+from .core import NEG_INF, ContractError, Instance, ResourceGuardError
 
 __all__ = [
     "Aggregate",
@@ -106,7 +106,8 @@ def build_lcb_aggregate(P, tau: int) -> Aggregate:
     width = math.sqrt(tau * math.log(tau))
     counts = [max(0, math.floor(p * tau - width)) for p in P]
     slack = tau - sum(counts)
-    assert slack >= 0
+    if slack < 0:
+        raise ContractError(f"shaved counts {counts} exceed the phase length {tau}")
     return Aggregate(counts=tuple(counts) + (slack,), has_slack=True)
 
 
@@ -335,6 +336,7 @@ def doalg_graph_reference(
     result = Matching.from_matrix(M, mu_eff)
     # every boosted copy must be matched or the thresholds went unmet
     boosted_matched = sum(1 for j in ci.tolist() if col_boosted[j])
-    assert boosted_matched == sum(instance.delta[a] for a in arms)
+    if boosted_matched != sum(instance.delta[a] for a in arms):
+        raise ContractError("the assignment left a threshold copy unmatched")
     return result
 

@@ -101,11 +101,13 @@ def test_nonpositive_counts_are_config_errors(tiny_path, capsys):
 
 def test_infeasible_instances_exit_three(tmp_path):
     path = tmp_path / "impossible.txt"
-    # both arms together outgrow the phase, and no single arm pays anything
+    # both arms together outgrow the phase, so exploring cannot keep them
+    # alive; a single arm still fits, so the planners commit to one
     path.write_text(
         "n = 1\nk = 2\ntau = 4\nT = 4\nP = 1\ndelta = 3 3\nmu = 0 0\n"
     )
-    assert main(["solve", "--instance", str(path), "--algo", "a-lcb-star"]) == 3
+    assert main(["learn", "--instance", str(path), "--algo", "ees-a-lcb-star"]) == 3
+    assert main(["solve", "--instance", str(path), "--algo", "a-lcb-star"]) == 0
 
 
 def test_oversized_oracle_requests_exit_four(tmp_path):

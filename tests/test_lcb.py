@@ -1,21 +1,23 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     NEG_INF,
     AlcbPolicy,
-    InfeasibleError,
     LcbPolicy,
     build_lcb_aggregate,
     greedy_subset,
+    lcb_policy_step,
     lcb_star,
     run_episode,
     subset_value_oracle,
 )
+from exposure_bandits.lcb import LcbState, lcb_replay
 from conftest import make_instance, random_instance
 
 
@@ -146,11 +148,25 @@ def test_greedy_keeps_only_the_best_prefix():
     assert trace.chosen == frozenset({0})
 
 
-def test_adaptive_policy_refuses_worthless_instances():
-    inst = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(0, 0),
-                         mu=((0.0, 0.0),))
-    with pytest.raises(InfeasibleError):
-        AlcbPolicy(inst)
+def test_adaptive_policy_commits_where_lcb_star_does_on_worthless_instances():
+    # every commitment is worth 0: utilities of 0 in the first, and in the
+    # second every confidence floor clamps to 0 at tau=50, so the template
+    # serves only the slack row; the greedy keeps the shortest best prefix
+    rng = np.random.default_rng(4)
+    worthless = [
+        make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(0, 0),
+                      mu=((0.0, 0.0),)),
+        make_instance(n=4, k=5, tau=50, phases=2, delta=(5,) * 5,
+                      mu=tuple(tuple(float(v) for v in rng.random(5)) for _ in range(4))),
+    ]
+    for inst in worthless:
+        Z, template = lcb_star(inst)
+        assert template.value == 0.0
+        policy = AlcbPolicy(inst)
+        assert policy.Z == Z == frozenset({0})
+        assert policy.template.value == 0.0
+        rec = run_episode(inst, policy, 0, reward_mode="expected")
+        assert not any(arm in policy.Z for _, arm in rec.departure_events)
 
 
 def test_adaptive_policy_matches_the_exhaustive_commitment_here():
@@ -159,3 +175,42 @@ def test_adaptive_policy_matches_the_exhaustive_commitment_here():
     assert policy.Z == frozenset({0, 1})
     rec = run_episode(inst, policy, 0, reward_mode="expected")
     assert rec.departure_events == []
+
+
+@st.composite
+def live_matchings(draw):
+    """Arbitrary per-phase matchings, thresholds and arrivals: any row may
+    run dry early, so the salvage fires in the middle of phases too."""
+    phases = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    slack = draw(st.booleans())
+    rows = n + slack
+    tau = draw(st.integers(1, 8))
+    M = np.zeros((phases, rows, k), dtype=np.int64)
+    for p in range(phases):
+        # tau units spread over the cells: the mass equals the phase length
+        for cell in draw(st.lists(st.integers(0, rows * k - 1), min_size=tau,
+                                  max_size=tau)):
+            M[p, cell // k, cell % k] += 1
+    unit = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    mu = [draw(st.lists(unit, min_size=k, max_size=k)) for _ in range(n)]
+    deltas = [draw(st.lists(st.integers(0, tau), min_size=k, max_size=k))
+              for _ in range(phases)]
+    arrivals = np.array(draw(st.lists(st.integers(0, n - 1), min_size=phases * tau,
+                                      max_size=phases * tau)), dtype=np.int16)
+    return M, mu, deltas, n if slack else -1, arrivals.reshape(phases, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_matchings())
+def test_vectorised_replay_follows_the_scalar_step(case):
+    M, mu, deltas, ustar, arrivals = case
+    pulls, fired = lcb_replay(M.copy(), mu, deltas, ustar, arrivals)
+    want_fired = []
+    for p, phase in enumerate(arrivals.tolist()):
+        state = LcbState(SimpleNamespace(M=M[p].tolist()), mu, deltas[p], ustar)
+        assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
+        if state.bad_event_flag:
+            want_fired.append(p + 1)
+    assert fired == want_fired

@@ -188,6 +188,18 @@ def test_an_oversized_dp_star_plan_fails_before_exploring():
     EesPolicy(obs, EesConfig(sso="lcb_star"))  # no table, no guard
 
 
+def test_an_oversized_llcb_plan_fails_before_exploring():
+    # the plan after T0=63,500 rounds spans 19,365 phases of 3^4 subset
+    # pairs each, over the pair cap; refuse it at construction, not at T0
+    obs = Observables(n=4, k=4, tau=100, T=2_000_000, delta=(10, 10, 10, 10))
+    with pytest.raises(ResourceGuardError):
+        EesPolicy(obs, EesConfig(sso="llcb"))
+    policy = EesPolicy(obs, EesConfig(sso="lcb_star"))  # no plan, no guard
+    assert policy.T0 == 63_500
+    EesPolicy(Observables(n=4, k=4, tau=100, T=200_000, delta=(10, 10, 10, 10)),
+              EesConfig(sso="llcb"))  # 1,863 phases fit under the cap
+
+
 def test_a_departure_during_exploration_breaks_the_contract():
     inst = make_instance(tau=100, phases=100, delta=(10, 60))
     policy = EesPolicy(Observables.from_instance(inst))
