@@ -22,6 +22,7 @@ from .core import (
 from .dp import DpPolicy, MerTable, dp_star, dp_step, mer_table, planned_total_value
 from .env import (
     NO_PULL,
+    CommittedPolicy,
     Policy,
     RunRecord,
     recompute_expected_reward,
@@ -64,6 +65,7 @@ __all__ = [
     "NO_PULL",
     "Aggregate",
     "AlcbPolicy",
+    "CommittedPolicy",
     "ContractError",
     "DpPolicy",
     "EesConfig",

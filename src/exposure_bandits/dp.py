@@ -20,7 +20,7 @@ from .core import (
     iter_subsets,
     validate,
 )
-from .env import Policy
+from .env import CommittedPolicy
 
 __all__ = [
     "MerTable",
@@ -178,12 +178,12 @@ def dp_step(table: MerTable, counts, u: int) -> int:
     return table.Z[int(_best_moves(table, np.array([base]))[0, u])]
 
 
-class DpPolicy(Policy):
+class DpPolicy(CommittedPolicy):
     """Round-by-round policy committing to the best subset up front.
 
     The per-(state, type) choice of :func:`_best_moves` is precomputed for
     every decision state into one flat int8 action table, so a round costs
-    one table lookup; :meth:`play_phases` makes that lookup for every
+    one table lookup; :meth:`plan_phases` makes that lookup for every
     phase of an episode at once.
     """
 
@@ -209,6 +209,7 @@ class DpPolicy(Policy):
         self._state = 0
 
     def start(self, rng) -> None:
+        super().start(rng)
         self._state = 0
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
@@ -218,9 +219,9 @@ class DpPolicy(Policy):
         self._state += self._strides[j]
         return self._arms[j]
 
-    def play_phases(self, arrivals: np.ndarray) -> np.ndarray:
+    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
         """Every phase's pulls, one vectorised table lookup per round of
-        the phase (see :class:`~exposure_bandits.env.Policy`)."""
+        the phase (see :class:`~exposure_bandits.env.CommittedPolicy`)."""
         strides = np.array(self._strides, dtype=np.intp)
         arms = np.array(self._arms, dtype=np.int16)
         state = np.zeros(arrivals.shape[0], dtype=np.intp)

@@ -6,16 +6,23 @@ within the phase fell short of their exposure threshold depart for good.
 Pulling a departed arm stays legal but yields 0 reward and is flagged, so
 threshold-oblivious baselines can run unmodified.
 
-Two paths run an episode.  The loop calls the policy's ``choose`` once
-per round and is the reference: learners, baselines, and every policy
-that reads the viable set or takes feedback run on it.  Committed
-planners (``DpPolicy``, ``LcbPolicy``, ``AlcbPolicy``, ``LlcbPolicy``)
-fix their play per phase and never read the viable set, so their pulls
-in a phase depend only on that phase's arrivals; they define
-``play_phases``, and the batched path advances all phases together, one
-NumPy step per round of a phase.  The policy's type alone picks the
-path.  Both paths end every phase with the same departure rule and
-share the reward accounting, and they produce identical records.
+Two paths run an episode.  An arm can depart only at a phase boundary,
+so the viable set is fixed for the whole of a phase, and a policy whose
+play depends only on that set, the phase's arrivals and the earlier
+phases can be played a phase segment at a time: it defines
+``play_phases`` (see :class:`Policy`), and the segment path asks it for
+the pulls of the phases not yet played, keeps them up to and including
+the first phase that ends with a departure, and asks again with the
+smaller viable set.  The committed planners (``DpPolicy``,
+``LcbPolicy``, ``AlcbPolicy``, ``LlcbPolicy``, all
+:class:`CommittedPolicy`), the explore-estimate-plan learner
+(``EesPolicy``) and the informed baselines (``MyopicPolicy``,
+``NeverSubsidizePolicy``, ``BlindSubsidizePolicy``) take it.  The loop
+calls the policy's ``choose`` once per round and is the reference; the
+round-by-round learner (``GreedyBanditPolicy``), which updates on every
+reward, runs on it.  The policy's type alone picks the path.  Both
+paths end every phase with the same departure rule and share the reward
+accounting, and they produce identical records.
 
 One master seed splits into three independent streams (arrivals, reward
 noise, policy randomness), so changing the reward model never perturbs
@@ -25,6 +32,7 @@ a bitwise-identical :class:`RunRecord`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +44,7 @@ __all__ = [
     "NO_PULL",
     "REWARD_MODES",
     "Policy",
+    "CommittedPolicy",
     "RunRecord",
     "sample_arrivals",
     "run_episode",
@@ -55,13 +64,27 @@ class Policy:
     Learning policies set ``wants_feedback`` and override :meth:`feedback`
     to observe realized rewards; planners that know the instance ignore it.
 
-    A policy whose pulls in a phase depend only on that phase's arrivals
-    (it never reads ``viable`` and takes no feedback) may also define
-    ``play_phases(arrivals)``: given the episode's arrivals as an int16
-    array of shape ``(phases, tau)``, it returns the pulls of the same
-    shape that :meth:`choose` would make round by round (``NO_PULL`` for
-    a declined round).  :func:`run_episode` then calls it once, after
-    :meth:`start`, instead of calling :meth:`choose` every round.
+    A policy whose play in a phase depends only on the viable set, that
+    phase's arrivals and the earlier phases may also define
+    ``play_phases(arrivals, viable, past)``, the segment contract:
+
+    - ``arrivals`` is the int16 ``(m, tau)`` block of the phases not yet
+      played;
+    - ``viable`` is the current viable set;
+    - ``past`` is the :class:`RunRecord` prefix of the rounds played so
+      far (``expected_reward`` is NaN there).
+
+    It returns the ``(m', tau)`` pulls, ``1 <= m' <= m``, that
+    :meth:`choose` would make round by round in the first ``m'`` of
+    those phases if ``viable`` stayed fixed (``NO_PULL`` for a declined
+    round).  :func:`run_episode` then calls it, after :meth:`start`,
+    instead of calling :meth:`choose` every round: it keeps the pulls up
+    to and including the first phase that ends with a departure, and
+    calls again with the rest.  Such a policy must not rely on
+    :meth:`feedback`, which the segment path never calls.  The committed
+    planners (:class:`CommittedPolicy`), ``EesPolicy`` and the informed
+    baselines define it; ``GreedyBanditPolicy``, which learns from every
+    reward, does not and runs on the loop.
     """
 
     wants_feedback = False
@@ -76,6 +99,32 @@ class Policy:
 
     def feedback(self, t: int, u: int, arm: int | None, value: float) -> None:
         """Observe the realized reward of this round's pull."""
+
+
+class CommittedPolicy(Policy):
+    """A policy whose pulls in a phase depend only on that phase's
+    arrivals: it reads neither the viable set nor feedback.
+
+    Subclasses define :meth:`plan_phases`.  The first :meth:`play_phases`
+    call of an episode plans every remaining phase at once; a later
+    call, made after a departure cut the segment short, slices that plan,
+    so no phase is planned twice.
+    """
+
+    _plan = None
+
+    def start(self, rng: np.random.Generator) -> None:
+        self._plan = None
+
+    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
+        """The ``(phases, tau)`` pulls for the ``(phases, tau)`` arrivals."""
+        raise NotImplementedError
+
+    def play_phases(self, arrivals: np.ndarray, viable: frozenset,
+                    past: RunRecord) -> np.ndarray:
+        if self._plan is None:
+            self._plan = self.plan_phases(arrivals)
+        return self._plan[len(self._plan) - len(arrivals):]
 
 
 @dataclass
@@ -163,7 +212,7 @@ def run_episode(
 ) -> RunRecord:
     """Simulate ``instance.T`` rounds of ``policy`` against the instance.
 
-    Policies that define ``play_phases`` take the batched path, all
+    Policies that define ``play_phases`` take the segment path, all
     others the round-by-round loop; both give the same record.
 
     Parameters
@@ -194,8 +243,8 @@ def run_episode(
 
     policy.start(policy_rng)
     if policy.play_phases is not None:
-        pulls, realized, dead, departures = _play_batched(
-            instance, policy, arrivals, noise
+        pulls, realized, dead, departures = _play_segments(
+            instance, policy, arrivals, noise, seed
         )
     else:
         pulls, realized, dead, departures = _play_loop(
@@ -215,35 +264,69 @@ def run_episode(
     return record
 
 
-def _play_batched(instance: Instance, policy: Policy, arrivals, noise):
-    """All phases at once from ``policy.play_phases``."""
+def _play_segments(instance: Instance, policy: Policy, arrivals, noise, seed: int):
+    """Phase segments from ``policy.play_phases``, each cut after the
+    first phase that ends with a departure."""
     k, tau, phases = instance.k, instance.tau, instance.phases
-    pulls = np.asarray(policy.play_phases(arrivals.reshape(phases, tau)))
-    if pulls.shape != (phases, tau):
-        raise ValueError(
-            f"play_phases returned shape {pulls.shape}, not {(phases, tau)}"
-        )
-    wrong = (pulls < NO_PULL) | (pulls >= k)
-    if wrong.any():
-        t = int(np.flatnonzero(wrong.ravel())[0])
-        raise ValueError(
-            f"policy returned arm {int(pulls.flat[t])} outside [0, {k}) at round {t}"
-        )
-    pulls = pulls.astype(np.int16)
-    counts = np.stack([(pulls == a).sum(axis=1) for a in range(k)], axis=1)
-    departures = _departures(counts.tolist(), list(instance.delta), 1)
-    # a pull is dead once its arm's departure phase is over
-    dead = np.zeros(pulls.shape, dtype=bool)
-    for p, a in departures:
-        dead[p:] |= pulls[p:] == a
-    pulls, dead = pulls.ravel(), dead.ravel()
-    live = (pulls >= 0) & ~dead
     mu = np.asarray(instance.mu, dtype=np.float64)
-    values = mu[arrivals, np.maximum(pulls, 0)]
-    if noise is not None:
-        realized = np.where(live & (noise < values), 1.0, 0.0)
-    else:
-        realized = np.where(live, values, 0.0)
+    blocks = arrivals.reshape(phases, tau)
+    bar = list(instance.delta)
+    pulls = np.empty(instance.T, dtype=np.int16)
+    realized = np.empty(instance.T, dtype=np.float64)
+    dead = np.empty(instance.T, dtype=bool)
+    departures: list[tuple[int, int]] = []
+    viable = frozenset(range(k))
+    done = 0
+    while done < phases:
+        lo = done * tau
+        past = RunRecord(
+            arrivals=arrivals[:lo],
+            pulls=pulls[:lo],
+            realized_rewards=realized[:lo],
+            expected_reward=math.nan,
+            departure_events=list(departures),
+            seed=seed,
+            dead_pulls=dead[:lo],
+        )
+        seg = np.asarray(policy.play_phases(blocks[done:], viable, past))
+        if seg.ndim != 2 or seg.shape[1] != tau or not 1 <= len(seg) <= phases - done:
+            raise ValueError(
+                f"play_phases returned shape {seg.shape} for {phases - done} "
+                f"phases of {tau} rounds"
+            )
+        wrong = (seg < NO_PULL) | (seg >= k)
+        if wrong.any():
+            t = lo + int(np.flatnonzero(wrong.ravel())[0])
+            raise ValueError(
+                f"policy returned arm {int(seg.flat[t - lo])} outside [0, {k}) "
+                f"at round {t}"
+            )
+        counts = np.stack([(seg == a).sum(axis=1) for a in range(k)], axis=1)
+        gone = _departures(counts.tolist(), list(bar), done + 1)
+        if gone:
+            # the viable set changes after this phase: keep up to it
+            last = gone[0][0]
+            gone = [(p, a) for p, a in gone if p == last]
+            seg = seg[: last - done]
+        hi = lo + seg.size
+        done += len(seg)
+        seg = seg.ravel()
+        pulls[lo:hi] = seg
+        # a pull is dead when its arm is not viable; NO_PULL never is
+        dead_arm = np.ones(k + 1, dtype=bool)
+        dead_arm[list(viable)] = False
+        dead_arm[NO_PULL] = False
+        dead[lo:hi] = dead_arm[seg]
+        live = (seg >= 0) & ~dead[lo:hi]
+        values = mu[arrivals[lo:hi], np.maximum(seg, 0)]
+        if noise is not None:
+            realized[lo:hi] = np.where(live & (noise[lo:hi] < values), 1.0, 0.0)
+        else:
+            realized[lo:hi] = np.where(live, values, 0.0)
+        for _, a in gone:
+            bar[a] = 0
+        viable = viable.difference(a for _, a in gone)
+        departures.extend(gone)
     return pulls, realized, dead, departures
 
 

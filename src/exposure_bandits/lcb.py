@@ -27,7 +27,7 @@ from .core import (
     iter_subsets,
     validate,
 )
-from .env import Policy
+from .env import CommittedPolicy
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
 
 __all__ = [
@@ -307,7 +307,7 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
     )
 
 
-class LcbPolicy(Policy):
+class LcbPolicy(CommittedPolicy):
     """Replay the committed-subset matching phase after phase.
 
     ``bad_event_phases`` collects the 1-based phases whose arrivals
@@ -334,6 +334,7 @@ class LcbPolicy(Policy):
         self.bad_event_phases: list[int] = []
 
     def start(self, rng) -> None:
+        super().start(rng)
         self.state.reset()
         self.bad_event_phases = []
 
@@ -347,9 +348,9 @@ class LcbPolicy(Policy):
             self.bad_event_phases.append(t // self._tau + 1)
         return arm
 
-    def play_phases(self, arrivals: np.ndarray) -> np.ndarray:
+    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
         """Every phase's replay of the template at once, through
-        :func:`lcb_replay` (see :class:`~exposure_bandits.env.Policy`)."""
+        :func:`lcb_replay` (see :class:`~exposure_bandits.env.CommittedPolicy`)."""
         state = self.state
         template = np.asarray(self.template.M)
         M = np.broadcast_to(template, (arrivals.shape[0], *template.shape))

@@ -28,7 +28,7 @@ from .core import (
     validate,
 )
 from .dp import DpPolicy, table_cells
-from .env import Policy, RunRecord
+from .env import NO_PULL, Policy, RunRecord
 from .lcb import AlcbPolicy, LcbPolicy
 from .lmatch import LlcbPolicy, plan_pairs
 
@@ -300,6 +300,13 @@ class EesPolicy(Policy):
         self.estimates = None
         self.planner = None
 
+    @property
+    def bad_event_phases(self) -> list[int]:
+        """The planner's fallback phases, counted from the start of the
+        episode (the planner counts from its own first phase)."""
+        planned = getattr(self.planner, "bad_event_phases", ())
+        return [p + self.exploration_phases for p in planned]
+
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         o = self.obs
         if t < self.T0:
@@ -323,12 +330,41 @@ class EesPolicy(Policy):
         if t < self.T0:
             self._log.append((u, arm, value))
 
-    def _finish_exploration(self) -> None:
+    def play_phases(self, arrivals: np.ndarray, viable: frozenset,
+                    past: RunRecord) -> np.ndarray:
+        """The exploration phases on the first call, then the planner's
+        segments (see :class:`~exposure_bandits.env.Policy`)."""
+        played = len(past.pulls)
+        if self.planner is None:
+            if played == 0:
+                return self._explore_phases()
+            if played < self.T0:
+                # where the loop's check at the next phase start fires
+                raise ContractError(
+                    f"an arm departed during exploration (round {played})"
+                )
+            self._plan(past)
+        return self.planner.play_phases(arrivals, viable, past)
+
+    def _explore_phases(self) -> np.ndarray:
+        """Every exploration phase's pulls, one :func:`explore_phase_step`
+        per round as :meth:`choose` makes them; the rule never reads the
+        arrival."""
         o = self.obs
+        pulls = []
+        for _ in range(self.exploration_phases):
+            counts = [0] * o.k
+            for _ in range(o.tau):
+                a = explore_phase_step(counts, self.gamma, o.delta, self._rng)
+                counts[a] += 1
+                pulls.append(a)
+        return np.array(pulls, dtype=np.int16).reshape(-1, o.tau)
+
+    def _finish_exploration(self) -> None:
         arrivals, pulls, rewards = zip(*self._log)
         # estimate reads only the per-round arrays; no arm departs while
         # exploring, so no pull is dead
-        explored = RunRecord(
+        self._plan(RunRecord(
             arrivals=np.array(arrivals),
             pulls=np.array(pulls),
             realized_rewards=np.array(rewards, dtype=np.float64),
@@ -336,8 +372,13 @@ class EesPolicy(Policy):
             departure_events=[],
             seed=-1,
             dead_pulls=np.zeros(self.T0, dtype=bool),
-        )
-        self.estimates = estimate(explored, self.T0, o.n, o.k, self.config.default_mu)
+        ))
+
+    def _plan(self, record: RunRecord) -> None:
+        """Estimate from the first T0 rounds of ``record`` and hand the
+        rest of the horizon to the planner built on the estimates."""
+        o = self.obs
+        self.estimates = estimate(record, self.T0, o.n, o.k, self.config.default_mu)
         est_instance = Instance(
             n=o.n,
             k=o.k,
@@ -370,58 +411,104 @@ class MyopicPolicy(Policy):
                 return a
         return None
 
+    def _lookup(self, viable: frozenset) -> np.ndarray:
+        """Each type's :meth:`choose` over ``viable``, ``NO_PULL`` for
+        a decline."""
+        return np.array(
+            [next((a for a in pref if a in viable), NO_PULL) for pref in self._pref],
+            dtype=np.int16,
+        )
 
-class NeverSubsidizePolicy(Policy):
+    def play_phases(self, arrivals: np.ndarray, viable: frozenset,
+                    past: RunRecord) -> np.ndarray:
+        """Every remaining phase through one per-type lookup over
+        ``viable`` (see :class:`~exposure_bandits.env.Policy`)."""
+        return self._lookup(viable)[arrivals]
+
+
+class NeverSubsidizePolicy(MyopicPolicy):
     """Pulls only the globally best arm for the arriving type; if that
     arm departed, it declines rather than settle for a worse one."""
 
-    wants_feedback = False
-
     def __init__(self, instance: Instance):
-        self._best = [
-            max(range(instance.k), key=lambda a: (instance.mu[u][a], -a))
-            for u in range(instance.n)
-        ]
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        a = self._best[u]
-        return a if a in viable else None
+        super().__init__(instance)
+        self._pref = [pref[:1] for pref in self._pref]
 
 
-class BlindSubsidizePolicy(Policy):
+class BlindSubsidizePolicy(MyopicPolicy):
     """Meets every viable arm's threshold first (round-robin over arms
     still in deficit), then plays myopic for the rest of the phase."""
 
-    wants_feedback = False
-
     def __init__(self, instance: Instance):
+        super().__init__(instance)
         self._delta = instance.delta
         self._tau = instance.tau
         self._k = instance.k
-        self._pref = [
-            sorted(range(instance.k), key=lambda a: (-instance.mu[u][a], a))
-            for u in range(instance.n)
-        ]
 
     def start(self, rng) -> None:
         self._counts = [0] * self._k
         self._cursor = 0
+        self._starts = None  # cursor at each phase start of the last segment
+
+    def _subsidy(self, counts, viable: frozenset) -> int | None:
+        """The next subsidy pull: the first viable arm from the cursor on
+        still short of its threshold, which the cursor then moves past;
+        ``None`` once every viable arm has met its threshold."""
+        k = self._k
+        for i in range(k):
+            a = (self._cursor + i) % k
+            if a in viable and counts[a] < self._delta[a]:
+                self._cursor = (a + 1) % k
+                return a
+        return None
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         if t % self._tau == 0:
             self._counts = [0] * self._k
-        k = self._k
-        for i in range(k):
-            a = (self._cursor + i) % k
-            if a in viable and self._counts[a] < self._delta[a]:
-                self._cursor = (a + 1) % k
-                self._counts[a] += 1
-                return a
-        for a in self._pref[u]:
-            if a in viable:
-                self._counts[a] += 1
-                return a
-        return None
+        a = self._subsidy(self._counts, viable)
+        if a is None:
+            a = super().choose(t, u, viable)
+        if a is not None:
+            self._counts[a] += 1
+        return a
+
+    def _prefix(self, viable: frozenset) -> list[int]:
+        """The subsidy rounds of a phase that starts at the cursor.  They
+        number min(tau, sum of the viable thresholds) from any cursor."""
+        counts = [0] * self._k
+        arms = []
+        while len(arms) < self._tau:
+            a = self._subsidy(counts, viable)
+            if a is None:
+                break
+            counts[a] += 1
+            arms.append(a)
+        return arms
+
+    def play_phases(self, arrivals: np.ndarray, viable: frozenset,
+                    past: RunRecord) -> np.ndarray:
+        """Every remaining phase: the subsidy prefix, which ignores the
+        arrivals and so depends only on the cursor the phase starts from
+        (one prefix per cursor value), then the myopic lookup (see
+        :class:`~exposure_bandits.env.Policy`)."""
+        if self._starts is not None:
+            # resume from the cursor at the end of the last kept phase
+            self._cursor = self._starts[-1 - len(arrivals)]
+        prefixes = {}  # phase-start cursor -> (subsidy arms, cursor after)
+        starts = [self._cursor]
+        for _ in range(len(arrivals)):
+            c = starts[-1]
+            if c not in prefixes:
+                self._cursor = c
+                prefixes[c] = (self._prefix(viable), self._cursor)
+            starts.append(prefixes[c][1])
+        self._starts = starts
+        pulls = self._lookup(viable)[arrivals]
+        table = np.zeros((self._k, len(prefixes[starts[0]][0])), dtype=np.int16)
+        for c, (arms, _) in prefixes.items():
+            table[c] = arms
+        pulls[:, : table.shape[1]] = table[starts[:-1]]
+        return pulls
 
 
 class GreedyBanditPolicy(Policy):

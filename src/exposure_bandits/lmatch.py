@@ -26,7 +26,7 @@ from .core import (
     ResourceGuardError,
     validate,
 )
-from .env import Policy
+from .env import CommittedPolicy
 from .lcb import LcbState, lcb_policy_step, lcb_replay
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
 
@@ -174,7 +174,7 @@ def lmatch(instance: Instance, phase_aggregates) -> LmatchPlan:
     )
 
 
-class LlcbPolicy(Policy):
+class LlcbPolicy(CommittedPolicy):
     """Phase-varying replay of the planner's matchings.
 
     Phase i uses matching i with thresholds enforced only for the arms
@@ -201,6 +201,7 @@ class LlcbPolicy(Policy):
         self.bad_event_phases: list[int] = []
 
     def start(self, rng) -> None:
+        super().start(rng)
         for s in self._states:
             s.reset()
         self.bad_event_phases = []
@@ -217,10 +218,10 @@ class LlcbPolicy(Policy):
             self.bad_event_phases.append(t // self._tau + 1)
         return arm
 
-    def play_phases(self, arrivals: np.ndarray) -> np.ndarray:
+    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
         """Every phase's replay of its own planned matching at once,
         through :func:`~exposure_bandits.lcb.lcb_replay` (see
-        :class:`~exposure_bandits.env.Policy`)."""
+        :class:`~exposure_bandits.env.CommittedPolicy`)."""
         M = np.array([m.M for m in self.plan.matchings])
         deltas = [s.deltas_eff for s in self._states]
         pulls, self.bad_event_phases = lcb_replay(

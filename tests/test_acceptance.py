@@ -169,13 +169,30 @@ def test_04_committed_arms_survive_100k_phases(long_runs):
 
 def test_05_fallback_fires_exactly_on_arrival_shortfalls(long_runs):
     """The template fallback fires iff some type undershoots its floor,
-    and the empirical rate respects the 2n/tau^2 bound."""
-    for name in EXAMPLES:
-        s = long_runs[(name, "lcb")]
+    and the empirical rate respects the 2n/tau^2 bound.  At tau=100 the
+    reference instances hardly ever fall short, so a tau=4 instance whose
+    type 0 misses its floor of 1 in about 0.07% of phases makes sure the
+    fallback does fire."""
+    shortfall = make_instance(tau=4, phases=50_000, P=(0.84, 0.16), delta=(1, 1),
+                              mu=((0.9, 0.2), (0.1, 0.8)))
+    policy = LcbPolicy(shortfall)
+    rec = run_episode(shortfall, policy, seed=12345, reward_mode="expected")
+    floors = build_lcb_aggregate(shortfall.P, shortfall.tau).counts[:-1]
+    arr = rec.arrivals.reshape(shortfall.phases, shortfall.tau)
+    short = set()
+    for u, floor in enumerate(floors):
+        short |= {int(p) + 1 for p in np.nonzero((arr == u).sum(axis=1) < floor)[0]}
+    runs = {name: long_runs[(name, "lcb")] for name in EXAMPLES}
+    runs["shortfall"] = {"bad_phases": set(policy.bad_event_phases), "short_phases": short,
+                         "n": shortfall.n, "tau": shortfall.tau,
+                         "phases": shortfall.phases}
+    assert runs["shortfall"]["bad_phases"], "the fallback never fired"
+    for name, s in runs.items():
+        phases = s.get("phases", BIG_PHASES)
         assert s["bad_phases"] == s["short_phases"], name
-        rate = len(s["bad_phases"]) / BIG_PHASES
+        rate = len(s["bad_phases"]) / phases
         bound = 2 * s["n"] / s["tau"] ** 2
-        stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / BIG_PHASES)
+        stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / phases)
         assert rate <= bound + 3 * stderr, name
 
 

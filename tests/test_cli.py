@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 
-from exposure_bandits.cli import load_instance, main, save_instance
+from exposure_bandits import run_episode
+from exposure_bandits.cli import load_instance, main, make_policy, save_instance
 from conftest import make_instance
 
 
@@ -152,3 +154,26 @@ def test_experiment_rejects_misaligned_sweeps(tiny_path):
     path, _ = tiny_path
     assert main(["experiment", "--instance", str(path), "--sweep", "25",
                  "--seeds", "1"]) == 2
+
+
+def test_ees_learners_report_their_planners_fallback_phases(tmp_path):
+    # at tau=4 the LCB planner's fallback fires in a few phases after
+    # exploration; the experiment rows must count them
+    inst = make_instance(tau=4, phases=20_000, P=(0.84, 0.16), delta=(1, 1),
+                         mu=((0.9, 0.2), (0.1, 0.8)))
+    path = tmp_path / "shortfall.txt"
+    save_instance(inst, path)
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--instance", str(path), "--algo", "ees-lcb-star",
+                 "--seeds", "2", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    policy = make_policy("ees-lcb-star", inst)
+    for row in rows[:2]:
+        run_episode(inst, policy, int(row["seed"]), reward_mode="sampled")
+        planned = policy.planner.bad_event_phases
+        assert int(row["bad_events"]) == len(planned)
+        # counted from the episode's first phase, not the planner's
+        assert policy.bad_event_phases == [p + policy.exploration_phases for p in planned]
+    assert int(rows[1]["bad_events"]) > 0
+    policy.start(np.random.default_rng(0))
+    assert policy.bad_event_phases == []

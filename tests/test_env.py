@@ -9,18 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     NO_PULL,
-    AlcbPolicy,
-    DpPolicy,
+    ContractError,
+    InfeasibleError,
     Instance,
-    LcbPolicy,
-    LlcbPolicy,
     Policy,
+    ResourceGuardError,
     RunRecord,
     baseline_policy,
     recompute_expected_reward,
     run_episode,
     sample_arrivals,
 )
+from exposure_bandits.cli import ALGORITHMS, make_policy
 from exposure_bandits.presets import subsidy_wasteful, subsidy_worthwhile, symmetric_tight
 from conftest import IDENTITY2, make_instance
 
@@ -209,9 +209,11 @@ def test_baseline_keeps_arm_alive_only_if_it_wants_to():
     assert rec2.departure_events == []
 
 
-# -- the batched path against the loop ----------------------------------------
+# -- the segment path against the loop ---------------------------------------
 
-COMMITTED = (DpPolicy, LcbPolicy, AlcbPolicy, LlcbPolicy)
+# every algorithm id but the round-by-round learner plays in phase segments;
+# a new id joins this harness, and fails it unless it has a segment path
+SEGMENT_IDS = tuple(a for a in ALGORITHMS if a != "greedy-bandit")
 # (reward mode, reward kind)
 REWARDS = [(mode, kind) for mode in ("expected", "sampled")
            for kind in ("bernoulli", "deterministic")]
@@ -223,6 +225,7 @@ class LoopOnly(Policy):
 
     def __init__(self, inner):
         self.inner = inner
+        self.wants_feedback = inner.wants_feedback
 
     def start(self, rng):
         self.inner.start(rng)
@@ -230,10 +233,13 @@ class LoopOnly(Policy):
     def choose(self, t, u, viable):
         return self.inner.choose(t, u, viable)
 
+    def feedback(self, t, u, arm, value):
+        self.inner.feedback(t, u, arm, value)
 
-def assert_same_record(batched, loop):
+
+def assert_same_record(segments, loop):
     for f in fields(RunRecord):
-        a, b = getattr(batched, f.name), getattr(loop, f.name)
+        a, b = getattr(segments, f.name), getattr(loop, f.name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, f.name
             assert np.array_equal(a, b), f.name
@@ -241,21 +247,38 @@ def assert_same_record(batched, loop):
             assert type(b) is float and a.hex() == b.hex(), f.name
         else:
             assert type(a) is type(b) and a == b, f.name
-    for event in batched.departure_events:
+    for event in segments.departure_events:
         assert type(event) is tuple and all(type(x) is int for x in event)
 
 
+def reported(policy):
+    """What a policy reports about its last episode besides the record:
+    fallback phases and, for the learners, the estimates."""
+    return getattr(policy, "bad_event_phases", None), getattr(policy, "estimates", None)
+
+
+def outcome(inst, policy, seed, mode):
+    """The record of one episode, or the type and text of what it raised."""
+    try:
+        return run_episode(inst, policy, seed, reward_mode=mode)
+    except Exception as exc:  # both paths must raise the same
+        return type(exc), str(exc)
+
+
 def run_both(inst, policy, seed, mode):
-    """The batched and the loop record of one episode, checked equal, and
-    the batched fallback phases (checked equal too)."""
+    """The segment and the loop record of one episode, checked equal, and
+    the segment run's fallback phases (checked equal too)."""
     assert policy.play_phases is not None
     assert LoopOnly(policy).play_phases is None
-    batched = run_episode(inst, policy, seed, reward_mode=mode)
-    fallbacks = getattr(policy, "bad_event_phases", None)
-    loop = run_episode(inst, LoopOnly(policy), seed, reward_mode=mode)
-    assert_same_record(batched, loop)
-    assert fallbacks == getattr(policy, "bad_event_phases", None)
-    return batched, fallbacks
+    segments = outcome(inst, policy, seed, mode)
+    seen = reported(policy)
+    loop = outcome(inst, LoopOnly(policy), seed, mode)
+    if isinstance(segments, RunRecord):
+        assert_same_record(segments, loop)
+    else:
+        assert segments == loop
+    assert seen == reported(policy)
+    return segments, seen[0]
 
 
 def indifferent_type(T):
@@ -265,28 +288,112 @@ def indifferent_type(T):
                          delta=(30, 30), mu=((0.5, 0.5), (1.0, 0.0), (0.0, 1.0)))
 
 
-@pytest.mark.parametrize("mode,kind", REWARDS)
+def shortfall(phases):
+    """At tau=4, type 0 misses its confidence floor of 1 in about 0.07%
+    of the phases, so the LCB fallback fires."""
+    return make_instance(tau=4, phases=phases, P=(0.84, 0.16), delta=(1, 1),
+                         mu=((0.9, 0.2), (0.1, 0.8)))
+
+
+def test_every_id_but_the_bandit_plays_in_segments():
+    inst = subsidy_worthwhile(T=100 * 40)
+    for algo in ALGORITHMS:
+        policy = make_policy(algo, inst)
+        assert (policy.play_phases is None) == (algo not in SEGMENT_IDS), algo
+
+
 @pytest.mark.parametrize("preset", [symmetric_tight, subsidy_worthwhile, subsidy_wasteful,
                                     indifferent_type])
-@pytest.mark.parametrize("factory", COMMITTED)
-def test_batched_path_matches_the_loop_on_the_presets(factory, preset, mode, kind):
-    inst = replace(preset(T=100 * 40), reward_kind=kind)
-    policy = factory(inst)
-    for seed in (0, 1):
-        rec, _ = run_both(inst, policy, seed, mode)
-        if preset is subsidy_wasteful:
-            # the committed planners let arm 1 go in phase 1
-            assert rec.departure_events == [(1, 1)]
+@pytest.mark.parametrize("algo", SEGMENT_IDS)
+def test_segments_match_the_loop_on_the_presets(algo, preset):
+    for mode, kind in REWARDS:
+        inst = replace(preset(T=100 * 40), reward_kind=kind)
+        policy = make_policy(algo, inst)
+        for seed in (0, 1):
+            rec, _ = run_both(inst, policy, seed, mode)
+            assert isinstance(rec, RunRecord)
+            if preset is subsidy_wasteful and not algo.startswith("ees-") and algo != "blind":
+                # the planners let arm 1 go in phase 1, and so do the
+                # baselines that never serve it
+                assert rec.departure_events == [(1, 1)]
 
 
-@pytest.mark.parametrize("factory", [LcbPolicy, AlcbPolicy, LlcbPolicy])
-def test_batched_fallback_phases_match_the_loop(factory):
-    # at tau=4, type 0 misses its floor of 1 in about 0.07% of phases
-    inst = make_instance(tau=4, phases=20_000, P=(0.84, 0.16), delta=(1, 1),
-                         mu=((0.9, 0.2), (0.1, 0.8)))
-    policy = factory(inst)
-    _, fallbacks = run_both(inst, policy, 12345, "expected")
-    assert fallbacks
+@pytest.mark.parametrize("algo", SEGMENT_IDS)
+def test_segments_match_the_loop_where_the_fallback_fires(algo):
+    inst = shortfall(20_000)
+    policy = make_policy(algo, inst)
+    mode = "sampled" if policy.wants_feedback else "expected"
+    rec, fallbacks = run_both(inst, policy, 12345, mode)
+    assert isinstance(rec, RunRecord)
+    if "lcb" in algo:
+        assert fallbacks
+        if algo.startswith("ees-"):
+            assert min(fallbacks) > policy.exploration_phases
+
+
+def test_never_subsidize_plays_three_segments_on_symmetric_tight():
+    inst = symmetric_tight(T=200_000)
+    policy = make_policy("never-subsidize", inst)
+    for mode in ("expected", "sampled"):
+        rec, _ = run_both(inst, policy, 2, mode)
+        assert rec.departure_events == [(52, 1), (85, 0)]
+
+
+@pytest.mark.parametrize("k,tau,delta,departures", [
+    # blind loses arms 1 and 2 in phase 1
+    (3, 10, (4, 4, 4), [(1, 1), (1, 2)]),
+    # blind loses arm 3 in phase 1; the other three then fit, in an order
+    # that depends on where the cursor stood at the end of phase 1
+    (4, 11, (3, 3, 3, 3), [(1, 3)]),
+])
+@pytest.mark.parametrize("algo", [a for a in SEGMENT_IDS if not a.startswith("ees-")])
+def test_segments_resume_after_a_departure(algo, k, tau, delta, departures):
+    # too tight for a learner to explore; every other id loses an arm in
+    # phase 1 and plays the remaining phases in a second segment
+    for mode, kind in REWARDS:
+        inst = make_instance(n=2, k=k, tau=tau, phases=3, delta=delta, reward_kind=kind,
+                             mu=((0.9, 0.2, 0.5, 0.1)[:k], (0.1, 0.8, 0.3, 0.2)[:k]))
+        policy = make_policy(algo, inst)
+        for seed in range(3):
+            rec, _ = run_both(inst, policy, seed, mode)
+            assert rec.departure_events[0][0] == 1
+            if algo == "blind":
+                assert rec.departure_events == departures
+
+
+def test_the_exploration_contract_breaks_where_the_loop_breaks_it():
+    # the quota schedule keeps every arm alive, so a departure during
+    # exploration is a broken contract: the loop raises at the start of
+    # the next phase, the segment path at the call that would play it
+    inst = make_instance(tau=100, phases=100, delta=(10, 60))
+    tau = inst.tau
+    arrivals = np.zeros((inst.phases, tau), dtype=np.int16)
+    for policy in (make_policy(a, inst) for a in SEGMENT_IDS if a.startswith("ees-")):
+        T0 = policy.T0
+        for played in range(tau, T0 + 1, tau):
+            policy.start(np.random.default_rng(0))
+            first = policy.play_phases(arrivals, frozenset({0, 1}), past_of(0))
+            assert first.shape == (T0 // tau, tau)
+            past = past_of(played)
+            rest = arrivals[played // tau:]
+            if played < T0:
+                with pytest.raises(ContractError, match=rf"\(round {played}\)$"):
+                    policy.play_phases(rest, frozenset({0}), past)
+                with pytest.raises(ContractError, match=rf"\(round {played}\)$"):
+                    policy.choose(played, 0, frozenset({0}))
+            else:
+                assert len(policy.play_phases(rest, frozenset({0}), past)) == len(rest)
+                assert policy.estimates is not None
+
+
+def past_of(rounds):
+    """A record of ``rounds`` played rounds: type 0 arrived every round
+    and each pull of arm 0 paid 1."""
+    return RunRecord(arrivals=np.zeros(rounds, dtype=np.int16),
+                     pulls=np.zeros(rounds, dtype=np.int16),
+                     realized_rewards=np.ones(rounds), expected_reward=math.nan,
+                     departure_events=[], seed=0,
+                     dead_pulls=np.zeros(rounds, dtype=bool))
 
 
 class StubbornPhases(Policy):
@@ -301,8 +408,8 @@ class StubbornPhases(Policy):
             return None
         return 0 if t < self.tau else (t + u) % self.k
 
-    def play_phases(self, arrivals):
-        t = np.arange(arrivals.size).reshape(arrivals.shape)
+    def play_phases(self, arrivals, viable, past):
+        t = np.arange(arrivals.size).reshape(arrivals.shape) + past.pulls.size
         pulls = np.where(t < self.tau, 0, (t + arrivals) % self.k)
         return np.where(t % 5 == 4, NO_PULL, pulls)
 
@@ -344,8 +451,13 @@ def small_instances(draw):
                     reward_kind=kind)
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_instances(), st.sampled_from(COMMITTED),
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.sampled_from(SEGMENT_IDS), st.integers(1, 24),
        st.sampled_from(("expected", "sampled")), st.integers(0, 2**32 - 1))
-def test_batched_path_matches_the_loop_on_random_instances(inst, factory, mode, seed):
-    run_both(inst, factory(inst), seed, mode)
+def test_segments_match_the_loop_on_random_instances(inst, algo, explore, mode, seed):
+    try:
+        # a learner explores for a drawn number of phases that leaves room
+        policy = make_policy(algo, inst, min(explore, inst.phases - 1) or None)
+    except (InfeasibleError, ResourceGuardError):
+        return
+    run_both(inst, policy, seed, mode)
