@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "NEG_INF",
@@ -32,6 +32,7 @@ __all__ = [
     "gamma_from_parts",
     "compute_gamma",
     "iter_subsets",
+    "best_subset",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -252,3 +253,40 @@ def iter_subsets(k: int) -> Iterator[tuple[int, ...]]:
     lexicographically.  The shared tie-break order for subset searches."""
     for size in range(1, k + 1):
         yield from combinations(range(k), size)
+
+
+def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
+    """The best commitment for ``instance``, a nonempty subset of its
+    arms, by best-first branch and bound.
+
+    A subset whose thresholds sum to more than tau is infeasible and is
+    never evaluated; every single arm fits, since each threshold is at
+    most tau.  ``evaluate(Z)`` returns ``(value, payload)`` for the
+    others, and ``bound(Z)`` is a cheap upper bound on that value.
+    Subsets are tried in decreasing order of their bound, and the walk
+    stops at the first whose bound is below
+    ``best - 1e-9 * max(1, |best|)``: that subset and every later one is
+    worth at most its bound, so none could match the incumbent, and the
+    margin is far wider than the rounding in either number.  The winner
+    is the subset of greatest value, ties going to the earliest in
+    :func:`iter_subsets` order, with its payload: what trying every
+    subset gives.  Returns ``(Z, payload)``; raises ResourceGuardError
+    for more than 16 arms.
+    """
+    if instance.k > 16:
+        raise ResourceGuardError("2^k subset enumeration limited to k <= 16")
+    subsets = [
+        Z for Z in iter_subsets(instance.k)
+        if sum(instance.delta[a] for a in Z) <= instance.tau
+    ]
+    bounds = [bound(Z) for Z in subsets]
+    best = None
+    # a stable sort: equal bounds keep the iter_subsets order
+    for i in sorted(range(len(subsets)), key=bounds.__getitem__, reverse=True):
+        if best is not None and bounds[i] < floor:
+            break
+        value, payload = evaluate(subsets[i])
+        if best is None or value > best_value or (value == best_value and i < best[0]):
+            best, best_value = (i, payload), value
+            floor = value - 1e-9 * max(1.0, abs(value))
+    return subsets[best[0]], best[1]

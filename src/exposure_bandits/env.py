@@ -302,12 +302,15 @@ def _play_segments(instance: Instance, policy: Policy, arrivals, noise, seed: in
                 f"at round {t}"
             )
         counts = np.stack([(seg == a).sum(axis=1) for a in range(k)], axis=1)
-        gone = _departures(counts.tolist(), list(bar), done + 1)
-        if gone:
-            # the viable set changes after this phase: keep up to it
-            last = gone[0][0]
-            gone = [(p, a) for p, a in gone if p == last]
-            seg = seg[: last - done]
+        short = (counts < np.array(bar)).any(axis=1)
+        gone = []
+        if short.any():
+            # the viable set changes after the first short phase: keep up
+            # to it, and let the departure rule name who leaves there
+            first = int(short.argmax())
+            gone = _departures(counts[first : first + 1].tolist(), bar,
+                               done + 1 + first)
+            seg = seg[: first + 1]
         hi = lo + seg.size
         done += len(seg)
         seg = seg.ravel()
@@ -323,8 +326,6 @@ def _play_segments(instance: Instance, policy: Policy, arrivals, noise, seed: in
             realized[lo:hi] = np.where(live & (noise[lo:hi] < values), 1.0, 0.0)
         else:
             realized[lo:hi] = np.where(live, values, 0.0)
-        for _, a in gone:
-            bar[a] = 0
         viable = viable.difference(a for _, a in gone)
         departures.extend(gone)
     return pulls, realized, dead, departures

@@ -23,12 +23,11 @@ from .core import (
     ContractError,
     Instance,
     InfeasibleError,
-    ResourceGuardError,
-    iter_subsets,
+    best_subset,
     validate,
 )
 from .env import CommittedPolicy
-from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
+from .matching import Aggregate, Matching, _mu_eff, build_lcb_aggregate, doalg
 
 __all__ = [
     "LcbState",
@@ -231,24 +230,27 @@ def lcb_star(instance: Instance):
     """Exhaustive committed-subset search against the shaved aggregate.
 
     Returns (Z*, template matching); ties prefer smaller subsets, then
-    lexicographic order.
+    lexicographic order.  The search is
+    :func:`~exposure_bandits.core.best_subset` with the bound
+    sum_r counts[r] * max_{a in Z} mu_eff[r][a] over the aggregate's rows
+    (the slack row earns 0): every pull of a row goes to some arm of Z,
+    so no matching committed to Z is worth more, a subset whose bound
+    falls below the best value found is never solved, and the result is
+    that of solving every subset.
     """
     validate(instance)
-    if instance.k > 16:
-        raise ResourceGuardError("2^k subset enumeration limited to k <= 16")
     aggregate = build_lcb_aggregate(instance.P, instance.tau)
-    best_Z = None
-    best_m = None
-    best_v = None
-    for Z in iter_subsets(instance.k):
+    weighted = list(zip(aggregate.counts, _mu_eff(aggregate, instance)))
+
+    def bound(Z):
+        return sum(c * max(row[a] for a in Z) for c, row in weighted)
+
+    def evaluate(Z):
         m = doalg(aggregate, frozenset(Z), frozenset(Z), instance)
-        if m is NEG_INF:
-            continue
-        if best_v is None or m.value > best_v:
-            best_Z, best_m, best_v = Z, m, m.value
-    if best_Z is None:
-        raise InfeasibleError("every commitment is infeasible for this instance")
-    return frozenset(best_Z), best_m
+        return m.value, m
+
+    Z, m = best_subset(instance, bound, evaluate)
+    return frozenset(Z), m
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from exposure_bandits import Instance
 
@@ -70,3 +71,22 @@ def random_counts(rng: np.random.Generator, n: int, tau: int) -> tuple:
         counts.append(c)
         left -= c
     return tuple(counts)
+
+
+@st.composite
+def tie_prone_instances(draw):
+    """Small instances whose utilities come from a four-value grid, so
+    equal scores (and the tie rule) are common."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    tau = draw(st.integers(2, 7))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    delta = []
+    left = tau
+    for _ in range(k):
+        delta.append(draw(st.integers(0, left)))
+        left -= delta[-1]
+    grid = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    mu = tuple(tuple(draw(st.lists(grid, min_size=k, max_size=k))) for _ in range(n))
+    P = tuple(w / sum(weights) for w in weights)
+    return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)

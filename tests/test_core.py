@@ -7,11 +7,13 @@ import pytest
 
 from exposure_bandits import (
     Instance,
+    ResourceGuardError,
     compute_gamma,
     gamma_from_parts,
     iter_subsets,
     validate,
 )
+from exposure_bandits.core import best_subset
 from conftest import IDENTITY2, make_instance
 
 
@@ -119,3 +121,48 @@ def test_instance_normalizes_sequences_to_tuples():
 def test_iter_subsets_cardinality_then_lex():
     got = list(iter_subsets(3))
     assert got == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def _search(instance, values, bounds, tried):
+    """best_subset with the given per-subset values and bounds, appending
+    each subset it evaluates to ``tried``; asking for a subset that has
+    neither raises KeyError."""
+
+    def evaluate(Z):
+        tried.append(Z)
+        return values[Z], f"payload {Z}"
+
+    return best_subset(instance, bounds.__getitem__, evaluate)
+
+
+TWO_FREE_ARMS = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(0, 0))
+
+
+def test_best_subset_keeps_a_subset_better_by_a_hair():
+    # {0, 1} has the highest bound and is tried first; {0} then beats it
+    # by far less than the pruning margin, with its bound equal to its
+    # value, so only a margin on the safe side keeps it
+    values = {(0,): 1.0 + 1e-13, (1,): 0.5, (0, 1): 1.0}
+    bounds = {(0,): 1.0 + 1e-13, (1,): 0.5, (0, 1): 2.0}
+    tried = []
+    assert _search(TWO_FREE_ARMS, values, bounds, tried) == ((0,), "payload (0,)")
+    assert tried == [(0, 1), (0,)]  # {1} is pruned
+
+
+def test_best_subset_gives_ties_to_the_earliest_subset():
+    values = {(0,): 1.0, (1,): 1.0, (0, 1): 1.0}
+    bounds = {(0,): 1.0, (1,): 3.0, (0, 1): 2.0}
+    tried = []
+    assert _search(TWO_FREE_ARMS, values, bounds, tried)[0] == (0,)
+    assert tried == [(1,), (0, 1), (0,)]
+
+
+def test_best_subset_never_tries_thresholds_that_overflow_the_phase():
+    inst = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(3, 3))
+    tried = []
+    Z, _ = _search(inst, {(0,): 1.0, (1,): 2.0}, {(0,): 1.0, (1,): 2.0}, tried)
+    assert Z == (1,)
+    assert tried == [(1,)]
+    with pytest.raises(ResourceGuardError):
+        best_subset(make_instance(n=1, k=17, tau=4, phases=1, P=(1.0,)),
+                    lambda Z: 0.0, lambda Z: (0.0, None))

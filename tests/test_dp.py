@@ -1,22 +1,25 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from exposure_bandits import (
     DpPolicy,
+    NEG_INF,
     Instance,
     InfeasibleError,
     dp_star,
     dp_step,
+    iter_subsets,
     mer_table,
     planned_total_value,
     run_episode,
 )
-from conftest import IDENTITY2, make_instance, random_instance
+from conftest import make_instance, random_instance, tie_prone_instances
 
 
 def test_two_round_identity_value():
@@ -29,8 +32,6 @@ def test_two_round_identity_value():
 def test_root_is_sentinel_when_demand_exceeds_the_phase():
     inst = make_instance(tau=4, phases=1, delta=(3, 3))
     table = mer_table((0, 1), inst)
-    from exposure_bandits import NEG_INF
-
     assert table.root_value is NEG_INF
 
 
@@ -127,33 +128,13 @@ def test_policy_realizes_the_planned_value_on_average():
     assert abs(mean - planned) < 4 * se + 1e-9
 
 
-@st.composite
-def tie_prone_instances(draw):
-    """Small instances whose utilities come from a four-value grid, so
-    equal scores (and the tie rule) are common."""
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 3))
-    tau = draw(st.integers(2, 7))
-    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    delta = []
-    left = tau
-    for _ in range(k):
-        delta.append(draw(st.integers(0, left)))
-        left -= delta[-1]
-    grid = st.sampled_from((0.0, 0.25, 0.5, 1.0))
-    mu = tuple(tuple(draw(st.lists(grid, min_size=k, max_size=k))) for _ in range(n))
-    P = tuple(w / sum(weights) for w in weights)
-    return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)
-
-
 def _expected_pull(table, counts, u, mu_u):
     """The tie rule from the table's values: best mu + successor value over
     feasible successors, then the larger deficit, then the smaller index."""
-    base = table.index_of(counts)
     best = None
     for j, a in enumerate(table.Z):
-        succ = table.values[base + table.strides[j]]
-        if succ == -np.inf:
+        succ = table.lookup([c + (i == j) for i, c in enumerate(counts)])
+        if succ is NEG_INF:
             continue
         key = (mu_u[a] + succ, max(0, table.deltas[j] - counts[j]), -j)
         if best is None or key > best[0]:
@@ -182,3 +163,119 @@ def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
             arm = int(rec.pulls[t])
             assert arm == dp_step(policy.table, counts, int(rec.arrivals[t]))
             counts[committed.index(arm)] += 1
+
+
+def _grid_reference(Z, inst):
+    """The MER table and action rule in the layout the ranked table
+    replaced: one slot per count vector of the (tau+1)^m grid, mixed radix
+    tau+1, filled by the same recursion in plain floats (the same
+    operations in the same order, so values compare bit for bit).
+    Returns the values, keyed by grid index, and the arm index into Z for
+    every (decision state, type)."""
+    tau, m = inst.tau, len(Z)
+    grid = lambda c: sum(x * (tau + 1) ** j for j, x in enumerate(c))
+    values = [-math.inf] * (tau + 1) ** m
+    acts = {}
+    states = [c for c in itertools.product(range(tau + 1), repeat=m) if sum(c) <= tau]
+    for c in sorted(states, key=sum, reverse=True):
+        deficit = [max(0, inst.delta[a] - x) for a, x in zip(Z, c)]
+        if tau - sum(c) < sum(deficit):
+            continue
+        if sum(c) == tau:
+            values[grid(c)] = 0.0
+            continue
+        succ = [values[grid(c) + (tau + 1) ** j] for j in range(m)]
+        exp = 0.0
+        for u in range(inst.n):
+            scores = [inst.mu[u][a] + v for a, v in zip(Z, succ)]
+            exp += inst.P[u] * max(scores)
+            acts[c, u] = max(range(m), key=lambda j: (scores[j], deficit[j], -j))
+        values[grid(c)] = exp
+    return [values[grid(c)] for c in states], states, acts
+
+
+def _check_against_the_grid(inst):
+    for Z in iter_subsets(inst.k):
+        table = mer_table(Z, inst)
+        ref_values, states, ref_acts = _grid_reference(Z, inst)
+        assert table.values.size == len(states)
+        ranked = [float(table.values[table.index_of(c)]).hex() for c in states]
+        assert ranked == [v.hex() for v in ref_values]
+        for (c, u), j in ref_acts.items():
+            assert dp_step(table, c, u) == Z[j]
+    policy = DpPolicy(inst)
+    table = policy.table
+    _, _, ref_acts = _grid_reference(table.Z, inst)
+    for (c, u), j in ref_acts.items():
+        assert policy._acts[table.index_of(c), u] == j
+
+
+@settings(max_examples=120, deadline=None)
+@given(tie_prone_instances())
+def test_ranked_table_matches_the_grid_layout_on_tie_prone_instances(inst):
+    _check_against_the_grid(inst)
+
+
+def test_ranked_table_matches_the_grid_layout_on_random_instances():
+    rng = np.random.default_rng(4242)
+    for _ in range(25):
+        _check_against_the_grid(random_instance(rng, n_max=3, k_max=4, tau_max=7))
+
+
+def test_ranked_table_counts_states_not_grid_cells():
+    inst = make_instance(n=1, k=3, tau=6, phases=1, P=(1.0,), delta=(1, 2, 0),
+                         mu=((0.5, 0.25, 1.0),))
+    table = mer_table((0, 1, 2), inst)
+    states = [c for c in itertools.product(range(7), repeat=3) if sum(c) <= 6]
+    assert table.values.size == len(states) == math.comb(6 + 3, 3)
+    assert table.state_count == math.comb(5 + 3, 3)
+    # ranks are a bijection onto the table, layer by layer of equal total
+    ranked = sorted((table.index_of(c), sum(c)) for c in states)
+    assert [r for r, _ in ranked] == list(range(len(states)))
+    totals = [s for _, s in ranked]
+    assert totals == sorted(totals)
+
+
+def _unpruned_dp_star(inst):
+    """dp_star without the bound: every subset's table, the first strict
+    maximum of the root value wins."""
+    best = None
+    for Z in iter_subsets(inst.k):
+        table = mer_table(Z, inst)
+        if table.root_value is NEG_INF:
+            continue
+        if best is None or table.root_value > best[1].root_value:
+            best = (frozenset(Z), table)
+    return best
+
+
+def _assert_same_search(inst, expected):
+    Z, table = dp_star(inst)
+    assert Z == expected[0]
+    assert float(table.root_value).hex() == float(expected[1].root_value).hex()
+    assert np.array_equal(table.values, expected[1].values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_prone_instances())
+def test_pruned_dp_star_matches_the_unpruned_search_on_tie_prone_instances(inst):
+    _assert_same_search(inst, _unpruned_dp_star(inst))
+
+
+def test_pruned_dp_star_matches_the_unpruned_search_on_wide_instances(monkeypatch):
+    import exposure_bandits.dp as dp
+
+    built = []
+    original = dp.mer_table
+    monkeypatch.setattr(dp, "mer_table", lambda Z, inst: built.append(Z) or original(Z, inst))
+    rng = np.random.default_rng(808)
+    for k in (8, 9, 10):
+        n, tau = 3, 4
+        inst = Instance(n=n, k=k, tau=tau, T=tau, P=(0.5, 0.25, 0.25),
+                        delta=tuple(int(d) for d in rng.integers(0, 2, size=k)),
+                        mu=tuple(tuple(float(v) for v in rng.random(k)) for _ in range(n)))
+        expected = _unpruned_dp_star(inst)
+        built.clear()
+        _assert_same_search(inst, expected)
+        # the bound must have skipped work, or this checks nothing
+        assert len(built) < 2**k - 1

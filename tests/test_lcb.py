@@ -9,16 +9,19 @@ from hypothesis import given, settings, strategies as st
 from exposure_bandits import (
     NEG_INF,
     AlcbPolicy,
+    Instance,
     LcbPolicy,
     build_lcb_aggregate,
+    doalg,
     greedy_subset,
+    iter_subsets,
     lcb_policy_step,
     lcb_star,
     run_episode,
     subset_value_oracle,
 )
 from exposure_bandits.lcb import LcbState, lcb_replay
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, tie_prone_instances
 
 
 def test_symmetric_template_protects_both_arms():
@@ -125,8 +128,6 @@ def test_greedy_matches_exhaustive_search_on_easy_instances():
         trace = greedy_subset(inst, oracle)
         greedy_val = oracle(trace.chosen) if trace.chosen else 0.0
         best = 0.0
-        from exposure_bandits import iter_subsets
-
         for Z in iter_subsets(inst.k):
             v = oracle(frozenset(Z))
             if v is not NEG_INF and v > best:
@@ -214,3 +215,48 @@ def test_vectorised_replay_follows_the_scalar_step(case):
         if state.bad_event_flag:
             want_fired.append(p + 1)
     assert fired == want_fired
+
+
+def _unpruned_lcb_star(inst):
+    """lcb_star without the bound: one solve per subset, the first strict
+    maximum of the matching value wins."""
+    aggregate = build_lcb_aggregate(inst.P, inst.tau)
+    best = None
+    for Z in iter_subsets(inst.k):
+        m = doalg(aggregate, frozenset(Z), frozenset(Z), inst)
+        if m is not NEG_INF and (best is None or m.value > best[1].value):
+            best = (frozenset(Z), m)
+    return best
+
+
+def _assert_same_lcb_search(inst, expected):
+    Z, template = lcb_star(inst)
+    assert Z == expected[0]
+    assert template.M == expected[1].M
+    assert template.value.hex() == expected[1].value.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_prone_instances())
+def test_pruned_lcb_star_matches_the_unpruned_search_on_tie_prone_instances(inst):
+    _assert_same_lcb_search(inst, _unpruned_lcb_star(inst))
+
+
+def test_pruned_lcb_star_matches_the_unpruned_search_on_wide_instances(monkeypatch):
+    import exposure_bandits.lcb as lcb
+
+    solved = []
+    original = lcb.doalg
+    monkeypatch.setattr(lcb, "doalg", lambda *args: solved.append(1) or original(*args))
+    rng = np.random.default_rng(909)
+    for k in (8, 9, 10):
+        # at tau=200 each type's floor keeps 17 of its 50 expected arrivals
+        n, tau = 4, 200
+        inst = Instance(n=n, k=k, tau=tau, T=tau, P=(0.25,) * 4,
+                        delta=tuple(int(d) for d in rng.integers(0, 10, size=k)),
+                        mu=tuple(tuple(float(v) for v in rng.random(k)) for _ in range(n)))
+        expected = _unpruned_lcb_star(inst)
+        solved.clear()
+        _assert_same_lcb_search(inst, expected)
+        # the bound must have skipped solves, or this checks nothing
+        assert len(solved) < 2**k - 1

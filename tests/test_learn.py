@@ -7,6 +7,7 @@ import pytest
 
 from exposure_bandits import (
     ContractError,
+    DpPolicy,
     EesConfig,
     EesPolicy,
     InfeasibleError,
@@ -179,13 +180,30 @@ def test_learning_needs_room_to_exploit():
                   EesConfig(exploration_phases=2))
 
 
-def test_an_oversized_dp_star_plan_fails_before_exploring():
-    # the k=4 plan needs a 101^4-cell table; refuse it at construction,
-    # not after 13,700 rounds of exploration
-    obs = Observables(n=4, k=4, tau=100, T=200_000, delta=(10, 10, 10, 10))
+def test_ees_dp_star_plans_and_plays_four_arms_at_tau_100():
+    # the plan over all four arms spans C(104, 4) = 4,598,126 states,
+    # under the cap: it is built after exploring and then played
+    inst = make_instance(n=4, k=4, tau=100, phases=5, delta=(10, 10, 10, 10))
+    policy = EesPolicy(Observables.from_instance(inst),
+                       EesConfig(sso="dp_star", exploration_phases=3))
+    rec = run_episode(inst, policy, 0, reward_mode="sampled")
+    assert policy.planner.Z == frozenset(range(4))
+    assert policy.planner.table.values.size == 4_598_126
+    assert rec.departure_events == []
+    # every type meets its own arm: the plan serves it whenever it can
+    played = rec.pulls[policy.T0:]
+    assert (played == rec.arrivals[policy.T0:]).mean() > 0.9
+
+
+def test_an_oversized_dp_star_plan_still_fails_before_exploring():
+    # five arms at tau=100 need C(105, 5) = 96,560,646 states, over the
+    # cap; refuse them at construction, not after exploring
+    obs = Observables(n=5, k=5, tau=100, T=200_000, delta=(10,) * 5)
     with pytest.raises(ResourceGuardError):
         EesPolicy(obs, EesConfig(sso="dp_star"))
     EesPolicy(obs, EesConfig(sso="lcb_star"))  # no table, no guard
+    with pytest.raises(ResourceGuardError):
+        DpPolicy(make_instance(n=5, k=5, tau=100, phases=2, delta=(10,) * 5))
 
 
 def test_an_oversized_llcb_plan_fails_before_exploring():
