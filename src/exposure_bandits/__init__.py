@@ -50,7 +50,7 @@ from .learn import (
     explore_phase_step,
     relaxed_exploration_phases,
 )
-from .lmatch import LlcbPolicy, LmatchPlan, lmatch
+from .lmatch import LlcbPolicy, LmatchPlan, PlanSegment, lmatch
 from .matching import (
     Aggregate,
     Matching,
@@ -82,6 +82,7 @@ __all__ = [
     "MerTable",
     "Observables",
     "OptResult",
+    "PlanSegment",
     "Policy",
     "ResourceGuardError",
     "RunRecord",

@@ -43,6 +43,7 @@ from .env import CommittedPolicy
 __all__ = [
     "MerTable",
     "table_cells",
+    "largest_commitment",
     "mer_table",
     "dp_step",
     "dp_star",
@@ -62,6 +63,18 @@ def table_cells(tau: int, m: int) -> int:
     if size > TABLE_CELL_CAP:
         raise ResourceGuardError(f"table of {size} states exceeds cap {TABLE_CELL_CAP}")
     return size
+
+
+def largest_commitment(delta, tau: int) -> int:
+    """The most arms a feasible commitment holds: the largest m whose m
+    smallest thresholds fit in tau together."""
+    m = total = 0
+    for d in sorted(delta):
+        total += d
+        if total > tau:
+            break
+        m += 1
+    return m
 
 
 def _ranked_heads(tau: int, m: int) -> np.ndarray:
@@ -331,11 +344,12 @@ def dp_star(instance: Instance):
     than the best arm of Z for each arriving type, so a subset whose
     bound falls below the best root found is never tabled, and the
     result is that of trying every subset.  Raises ResourceGuardError up
-    front when the table over all k arms exceeds the cap.
+    front when the table of the largest feasible commitment (see
+    :func:`largest_commitment`) exceeds the cap.
     """
     validate(instance)
     tau = instance.tau
-    table_cells(tau, instance.k)
+    table_cells(tau, largest_commitment(instance.delta, tau))
     weighted = list(zip(instance.P, instance.mu))
 
     def bound(Z):

@@ -207,22 +207,29 @@ def lcb_replay(M, mu, deltas_eff, ustar: int, arrivals):
 
 
 def subset_value_oracle(instance: Instance, aggregate: Aggregate | None = None):
-    """f(Z) = value of the optimal aggregate matching committed to Z,
-    with results cached across calls (the greedy re-queries prefixes)."""
+    """f(Z) = value of the optimal aggregate matching committed to Z.
+
+    Each Z is solved once: the matching is cached, and ``f.matching(Z)``
+    returns it (or NEG_INF), so a caller that commits to a queried Z
+    need not solve it again.
+    """
     if aggregate is None:
         aggregate = build_lcb_aggregate(instance.P, instance.tau)
     cache: dict[frozenset, object] = {}
 
-    def f(Z):
+    def matching(Z):
         Z = frozenset(Z)
-        if Z in cache:
-            return cache[Z]
-        m = doalg(aggregate, Z, Z, instance)
-        v = NEG_INF if m is NEG_INF else m.value
-        cache[Z] = v
-        return v
+        m = cache.get(Z)
+        if m is None:
+            m = cache[Z] = doalg(aggregate, Z, Z, instance)
+        return m
+
+    def f(Z):
+        m = matching(Z)
+        return NEG_INF if m is NEG_INF else m.value
 
     f.aggregate = aggregate
+    f.matching = matching
     return f
 
 
@@ -373,7 +380,7 @@ class AlcbPolicy(LcbPolicy):
         trace = greedy_subset(instance, oracle)
         if not trace.chosen:
             raise InfeasibleError("no viable commitment")
-        template = doalg(oracle.aggregate, trace.chosen, trace.chosen, instance)
+        template = oracle.matching(trace.chosen)
         if template is NEG_INF:
             raise ContractError("the greedy commitment has no feasible matching")
         super().__init__(instance, Z=trace.chosen, template=template)

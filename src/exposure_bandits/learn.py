@@ -27,7 +27,7 @@ from .core import (
     gamma_from_parts,
     validate,
 )
-from .dp import DpPolicy, table_cells
+from .dp import DpPolicy, largest_commitment, table_cells
 from .env import NO_PULL, Policy, RunRecord
 from .lcb import AlcbPolicy, LcbPolicy
 from .lmatch import LlcbPolicy, plan_pairs
@@ -254,9 +254,9 @@ class EesPolicy(Policy):
 
     Construction fails if no positive quota exists (the exploration
     schedule relies on it to keep every arm viable), and with
-    ResourceGuardError if the dp_star planner's table or the llcb
-    planner's subset pairs would exceed their cap, rather than after
-    exploring.
+    ResourceGuardError if the dp_star planner's largest table or the
+    llcb planner's subset pairs would exceed their cap, rather than
+    after exploring.
     """
 
     wants_feedback = True
@@ -286,10 +286,9 @@ class EesPolicy(Policy):
                 f"exploration of {phases} phases does not fit the horizon"
             )
         if config.sso == "dp_star":
-            # dp_star's largest table commits to all k arms
-            table_cells(observables.tau, observables.k)
+            table_cells(observables.tau, largest_commitment(observables.delta, observables.tau))
         elif config.sso == "llcb":
-            plan_pairs(observables.k, (observables.T - self.T0) // observables.tau)
+            plan_pairs(observables.k)
         self.estimates: Estimates | None = None
         self.planner: Policy | None = None
 

@@ -1,28 +1,57 @@
 """Multi-phase planning without up-front commitment.
 
 When phases are long it can pay to harvest an expensive arm in early
-phases and deliberately let it depart.  The planner runs an exact DP
-over phases: r[i][Z] is the best total reward of the first i phases
-among plans whose surviving arm set after phase i contains Z.  Each
-transition maximizes over ordered subset pairs Z2 (kept) inside Z1
-(available), so one phase costs 3^k assignment solves.
+phases and deliberately let it depart.  A plan is a chain of arm sets
+Z^0 ⊇ Z^1 ⊇ ... ⊇ Z^N over the N phases: phase i may pull the arms of
+Z^{i-1} and meets the thresholds of Z^i, and is worth v(Z^{i-1}, Z^i),
+one assignment solve on the shaved aggregate.  (Every arm is there in
+phase 1; Z^0 only names the arms the plan uses in it.)  Every phase
+shares the aggregate, so the 3^k ordered pairs (available ⊇ kept) are
+solved once each and the horizon only counts how often a pair is used.
 
-The online policy replays the planned per-phase matchings with the same
-slack-row and bad-event stepping as the committed policy, just with a
-different matrix (and effective thresholds) each phase.
+A chain is then a walk down the subset lattice: at most k strict drops
+("hops") and N minus that many self-loops (phases that keep every
+available arm).  Moving a self-loop to another set of the walk changes
+only which v(D, D) it earns, so an optimal walk spends all of them at
+a set D of largest v(D, D) on its path.  The best i-phase walk ending
+at m is therefore worth
+
+    R_i(m) = max over D ⊇ m, h <= min(i, k) of  T_h(D, m) + (i - h) v(D, D)
+
+where T_h(D, m) is the best h-hop path through D to m, a longest path
+in the subset DAG.  The table T costs O(k 4^k) additions and nothing
+grows with N; values are compared exactly, as integers at the values'
+common binary scale.
+
+The plan is the one an exact DP over the phases picks.  It ends at the
+empty set: keeping fewer arms never lowers a phase's value, so the last
+phase keeps none.  The chain is read back from the end, each phase's
+available set the smallest (fewest arms, then lowest mask) that still
+completes an optimal plan.  Read back, the chain stays at a set m for
+as long as R_{i-c}(m) + c v(m, m) = R_i(m), which holds for every c up
+to some largest one, found by bisection; so the plan comes out as
+run-length segments, at most 2k + 1 of them, one per drop and one per
+run of self-loops.  ``total_value`` is the left-to-right float sum of
+the phase values, the number the per-phase DP reports.
+
+The online policy replays each segment's matching with the same
+slack-row and bad-event stepping as the committed policy, enforcing the
+thresholds of the arms the segment keeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .core import (
-    NEG_INF,
     ContractError,
     Instance,
     InfeasibleError,
+    NEG_INF,
     ResourceGuardError,
     validate,
 )
@@ -30,186 +59,241 @@ from .env import CommittedPolicy
 from .lcb import LcbState, lcb_policy_step, lcb_replay
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
 
-__all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
+__all__ = ["PlanSegment", "LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
 
 PAIR_CAP = 10**6
 
 
-def plan_pairs(k: int, phases: int) -> int:
-    """Ordered (available, kept) subset pairs the plan weighs over all
-    phases, 3^k per phase; raises ResourceGuardError when that exceeds
-    PAIR_CAP."""
-    pairs = 3**k * phases
+def plan_pairs(k: int) -> int:
+    """Ordered (available, kept) subset pairs the plan solves, 3^k;
+    raises ResourceGuardError when that exceeds PAIR_CAP."""
+    pairs = 3**k
     if pairs > PAIR_CAP:
-        raise ResourceGuardError(
-            f"3^k pairs per phase over {phases} phases exceeds cap {PAIR_CAP}"
-        )
+        raise ResourceGuardError(f"3^{k} subset pairs exceed cap {PAIR_CAP}")
     return pairs
+
+
+@dataclass(frozen=True)
+class PlanSegment:
+    """A run of consecutive phases that replay the same matching.
+
+    ``matching`` pulls arms of the run's available set; ``kept`` is the
+    set that survives each of its phases, whose thresholds it meets.
+    """
+
+    phases: int
+    matching: Matching
+    kept: frozenset
 
 
 @dataclass(frozen=True)
 class LmatchPlan:
     """Exact plan over all phases.
 
-    ``r[i][mask]`` is the DP table (i from 0 to the phase count);
-    ``chain`` lists the planned surviving sets Z^0 down to Z^N (nested
-    nonincreasing); ``matchings[i]`` is executed in phase i+1 with
-    columns inside chain[i] and thresholds enforced for chain[i+1].
+    ``segments`` cover the phases in order; ``chain`` lists the planned
+    surviving sets Z^0 down to Z^N (nested nonincreasing), and
+    ``total_value`` is the plan's value, summed phase by phase.
     """
 
-    r: tuple
-    matchings: tuple[Matching, ...]
+    segments: tuple[PlanSegment, ...]
     chain: tuple[frozenset, ...]
     total_value: float
+
+    @property
+    def matchings(self) -> tuple[Matching, ...]:
+        """The matching of every phase, phase 1 first."""
+        return tuple(s.matching for s in self.segments for _ in range(s.phases))
 
 
 def _mask_set(mask: int, k: int) -> frozenset:
     return frozenset(a for a in range(k) if mask & (1 << a))
 
 
-def _supersets_ordered(mask: int, full: int) -> list[int]:
-    """All supersets of mask within full, smallest first (popcount, then
-    numeric); first-found wins ties, so smaller Z1 is preferred."""
-    free = full & ~mask
-    out = []
-    sub = free
+def _submasks(mask: int):
+    """Every submask of mask, mask itself first, down to 0."""
+    sub = mask
     while True:
-        out.append(mask | sub)
+        yield sub
         if sub == 0:
-            break
-        sub = (sub - 1) & free
-    out.sort(key=lambda m: (bin(m).count("1"), m))
-    return out
+            return
+        sub = (sub - 1) & mask
 
 
-def lmatch(instance: Instance, phase_aggregates) -> LmatchPlan:
-    """Exact DP over per-phase aggregates (one per phase, summing to tau).
+def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
+    """The exact plan when every phase has ``aggregate`` (summing to
+    tau), over ``instance.phases`` phases.
 
-    Returns the plan with the chain and matchings reconstructed from
-    backpointers; the sentinel propagates through branches whose kept
-    set cannot fit its thresholds.
+    Raises InfeasibleError when no chain keeps a feasible matching in
+    every phase, ResourceGuardError for more than PAIR_CAP subset pairs.
     """
     validate(instance)
-    aggs = list(phase_aggregates)
-    N = len(aggs)
-    if N != instance.phases:
-        raise ValueError(
-            f"need one aggregate per phase: got {N}, expected {instance.phases}"
-        )
-    for agg in aggs:
-        if agg.total != instance.tau:
-            raise ValueError("each phase aggregate must sum to tau")
-    k = instance.k
-    plan_pairs(k, N)
+    if aggregate.total != instance.tau:
+        raise ValueError("the phase aggregate must sum to tau")
+    k, N = instance.k, instance.phases
+    plan_pairs(k)
     full = (1 << k) - 1
+    sets = [_mask_set(m, k) for m in range(full + 1)]
+    pop = [bin(m).count("1") for m in range(full + 1)]
 
-    # doalg is pure; identical (aggregate, Z1, Z2) triples repeat across
-    # phases whenever aggregates repeat, so memoize on the triple
-    cache: dict[tuple, object] = {}
+    match: dict[tuple[int, int], object] = {}
+    for m1 in range(full + 1):
+        for m2 in _submasks(m1):  # m1 itself first
+            hit = match[m1, m2] = doalg(aggregate, sets[m1], sets[m2], instance)
+            diag = match[m1, m1]
+            # shrinking the kept set can only help the phase value
+            if hit is not NEG_INF and diag is not NEG_INF and hit.value < diag.value - 1e-9:
+                raise ContractError(
+                    f"keeping {sets[m2]} of {sets[m1]} lowered the phase "
+                    f"value below keeping them all"
+                )
 
-    def solve(agg: Aggregate, m1: int, m2: int):
-        key = (agg.counts, m1, m2)
-        hit = cache.get(key)
-        if hit is None:
-            hit = doalg(agg, _mask_set(m1, k), _mask_set(m2, k), instance)
-            cache[key] = hit
-        return hit
+    # exact phase values: integers at the values' common binary scale
+    ratios = {
+        pair: hit.value.as_integer_ratio()
+        for pair, hit in match.items()
+        if hit is not NEG_INF
+    }
+    scale = max((q for _, q in ratios.values()), default=1)
+    w = {pair: p * (scale // q) for pair, (p, q) in ratios.items()}
 
-    r = [[NEG_INF] * (full + 1) for _ in range(N + 1)]
-    r[0] = [0.0] * (full + 1)
-    bp: list[list[int]] = [[-1] * (full + 1) for _ in range(N + 1)]
+    # T[D, m][h]: best h-hop walk through D to m, starting at any set;
+    # supersets first, so every set a walk leaves is done before the
+    # sets it enters
+    order = sorted(range(full + 1), key=lambda m: -pop[m])
+    T: dict[tuple[int, int], list] = {}
 
-    for i in range(1, N + 1):
-        agg = aggs[i - 1]
-        diag = [solve(agg, m, m) for m in range(full + 1)]
-        for m2 in range(full + 1):
-            best = NEG_INF
-            best_m1 = -1
-            for m1 in _supersets_ordered(m2, full):
-                prev = r[i - 1][m1]
-                if prev is NEG_INF:
+    def extend(row, prev, step):
+        for h in range(k):
+            if prev[h] is not None and (row[h + 1] is None or prev[h] + step > row[h + 1]):
+                row[h + 1] = prev[h] + step
+
+    for D in order:
+        row = [0] + [None] * k
+        for S in _submasks(full & ~D):
+            if S and (S | D, D) in w:
+                extend(row, T[S | D, S | D], w[S | D, D])
+        T[D, D] = row
+        if (D, D) not in w:
+            continue  # D hosts no self-loop, so no walk needs to pass it
+        for m in sorted(_submasks(D), key=lambda m: -pop[m])[1:]:
+            row = [None] * (k + 1)
+            for S in _submasks(D & ~m):
+                if S and (S | m, m) in w:
+                    extend(row, T[D, S | m], w[S | m, m])
+            T[D, m] = row
+
+    hosts = {
+        m: [(w.get((m | S, m | S)), T[m | S, m]) for S in _submasks(full & ~m)
+            if (m | S, m) in T]
+        for m in range(full + 1)
+    }
+
+    def best(i: int, m: int):
+        """R_i(m), or None when no i-phase walk ends at m."""
+        out = None
+        for loop, row in hosts[m]:
+            for h in range(min(i, k) + 1):
+                v = row[h]
+                if v is None or (h < i and loop is None):
                     continue
-                match = solve(agg, m1, m2)
-                if match is NEG_INF:
-                    continue
-                # shrinking the kept set can only help the phase value
-                d = diag[m1]
-                if d is not NEG_INF and match.value < d.value - 1e-9:
-                    raise ContractError(
-                        f"keeping {_mask_set(m2, k)} of {_mask_set(m1, k)} "
-                        f"lowered the phase value below keeping them all"
-                    )
-                v = match.value + prev
-                if best is NEG_INF or v > best:
-                    best, best_m1 = v, m1
-            r[i][m2] = best
-            bp[i][m2] = best_m1
+                if h < i:
+                    v += (i - h) * loop
+                if out is None or v > out:
+                    out = v
+        return out
 
-    final = max(
-        range(full + 1),
-        key=lambda m: (
-            r[N][m] is not NEG_INF,
-            r[N][m] if r[N][m] is not NEG_INF else 0.0,
-            -bin(m).count("1"),
-            -m,
-        ),
-    )
-    if r[N][final] is NEG_INF:
+    m = 0
+    value = best(N, m)
+    if value is None:
         raise InfeasibleError("no feasible multi-phase plan")
 
-    masks = [final]
-    for i in range(N, 0, -1):
-        masks.append(bp[i][masks[-1]])
-    masks.reverse()
-    matchings = tuple(
-        solve(aggs[i], masks[i], masks[i + 1]) for i in range(N)
+    # read the chain back from the end: (available, kept, phases) runs
+    runs = []
+    i = N
+    while i > 0:
+        loop = w.get((m, m))
+        if loop is not None:
+            lo, hi = 0, i  # stays of lo phases complete an optimal plan
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                v = best(i - mid, m)
+                if v is not None and v + mid * loop == value:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            if lo:
+                runs.append((m, m, lo))
+                i -= lo
+                value -= lo * loop
+        if i == 0:
+            break
+        ups = sorted((m | S for S in _submasks(full & ~m) if S),
+                     key=lambda s: (pop[s], s))
+        for m1 in ups:
+            step = w.get((m1, m))
+            v = best(i - 1, m1) if step is not None else None
+            if v is not None and v + step == value:
+                break
+        else:
+            raise ContractError("the plan's chain could not be read back")
+        runs.append((m1, m, 1))
+        i -= 1
+        value = v
+        m = m1
+    runs.reverse()
+
+    segments = tuple(
+        PlanSegment(phases=c, matching=match[m1, m2], kept=sets[m2])
+        for m1, m2, c in runs
     )
-    total = r[N][final]
-    chain = tuple(_mask_set(m, k) for m in masks)
-    return LmatchPlan(
-        r=tuple(tuple(row) for row in r),
-        matchings=matchings,
-        chain=chain,
-        total_value=float(total),
-    )
+    chain = [sets[runs[0][0]]]
+    for seg in segments:
+        chain += [seg.kept] * seg.phases
+    # phase values added one phase at a time, as the per-phase DP does:
+    # accumulate is sequential (sum would add pairwise)
+    values = np.repeat([s.matching.value for s in segments], [s.phases for s in segments])
+    total = float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+    return LmatchPlan(segments=segments, chain=tuple(chain), total_value=total)
 
 
 class LlcbPolicy(CommittedPolicy):
-    """Phase-varying replay of the planner's matchings.
+    """Replay of the plan's segments, each with its own matching.
 
-    Phase i uses matching i with thresholds enforced only for the arms
-    planned to survive it; stepping (slack row, bad events) is shared
-    with the committed policy.
+    Every phase of a segment replays the segment's matching with the
+    thresholds of the arms the segment keeps; stepping (slack row, bad
+    events) is shared with the committed policy.  One live state per
+    segment, so building costs the same at any horizon.
     """
 
     wants_feedback = False
 
     def __init__(self, instance: Instance):
         validate(instance)
-        agg = build_lcb_aggregate(instance.P, instance.tau)
         self.instance = instance
-        self.plan = lmatch(instance, [agg] * instance.phases)
+        self.plan = lmatch(instance, build_lcb_aggregate(instance.P, instance.tau))
         mu = [list(row) for row in instance.mu]
-        self._states = []
-        for i, match in enumerate(self.plan.matchings):
-            kept = self.plan.chain[i + 1]
-            deltas_eff = [
-                instance.delta[a] if a in kept else 0 for a in range(instance.k)
-            ]
-            self._states.append(LcbState(match, mu, deltas_eff, ustar=instance.n))
+        self._states = [
+            LcbState(
+                seg.matching,
+                mu,
+                [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)],
+                ustar=instance.n,
+            )
+            for seg in self.plan.segments
+        ]
+        # the first phase index past each segment
+        self._ends = list(accumulate(seg.phases for seg in self.plan.segments))
         self._tau = instance.tau
         self.bad_event_phases: list[int] = []
 
     def start(self, rng) -> None:
         super().start(rng)
-        for s in self._states:
-            s.reset()
         self.bad_event_phases = []
         self._current = None
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         if t % self._tau == 0:
-            self._current = self._states[t // self._tau]
+            self._current = self._states[bisect_right(self._ends, t // self._tau)]
             self._current.reset()
         state = self._current
         flagged = state.bad_event_flag
@@ -219,11 +303,14 @@ class LlcbPolicy(CommittedPolicy):
         return arm
 
     def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
-        """Every phase's replay of its own planned matching at once,
+        """Every phase's replay of its segment's matching at once,
         through :func:`~exposure_bandits.lcb.lcb_replay` (see
         :class:`~exposure_bandits.env.CommittedPolicy`)."""
-        M = np.array([m.M for m in self.plan.matchings])
-        deltas = [s.deltas_eff for s in self._states]
+        lengths = [seg.phases for seg in self.plan.segments]
+        M = np.repeat(np.array([seg.matching.M for seg in self.plan.segments]),
+                      lengths, axis=0)
+        deltas = np.repeat(np.array([s.deltas_eff for s in self._states]),
+                           lengths, axis=0)
         pulls, self.bad_event_phases = lcb_replay(
             M, self.instance.mu, deltas, self.instance.n, arrivals
         )

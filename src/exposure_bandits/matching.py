@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,17 @@ def doalg(
 
     Returns a :class:`Matching`, or the ``NEG_INF`` sentinel when the
     committed thresholds cannot fit in the budget (or no arm is allowed).
+
+    When several matchings are optimal (arms of equal utility for a
+    row), the order in which the graph is laid out picks one: nodes are
+    the aggregate's nonempty rows in order, then each allowed arm's
+    mandatory and overflow node in arm order, then the sink and the
+    source, and arcs are added in that order.  Every shortest-path pass
+    settles nodes of equal distance in node order and keeps the first
+    arc that reaches a node, so reordering the nodes or arcs can move
+    pulls between tied arms and change the replayed trajectories.  (No
+    two arcs join the same pair of nodes, so it is the node order that
+    decides in practice.)
     """
     allowed = frozenset(allowed)
     committed = frozenset(committed)
@@ -154,33 +166,32 @@ def doalg(
 
     # node layout: rows, then (mandatory, overflow) per arm, then sink
     n_rows = len(rows)
-    node_of_mand = {a: n_rows + 2 * i for i, a in enumerate(arms)}
-    node_of_over = {a: n_rows + 2 * i + 1 for i, a in enumerate(arms)}
     sink = n_rows + 2 * len(arms)
-    n_nodes = sink + 1
-
-    graph = _FlowGraph(n_nodes)
+    graph = _FlowGraph(sink + 1)
+    add = graph.add_edge
+    # arc ids of each row's (mandatory, overflow) arcs, arm by arm
+    row_arcs = []
     for i, r in enumerate(rows):
-        for a in arms:
-            cost = -mu_eff[r][a]
-            graph.add_edge(i, node_of_mand[a], tau, cost)
-            graph.add_edge(i, node_of_over[a], tau, cost)
-    for a in arms:
+        mu_r = mu_eff[r]
+        arcs = []
+        for j, a in enumerate(arms):
+            mand = n_rows + 2 * j
+            arcs.append((a, add(i, mand, tau, -mu_r[a]), add(i, mand + 1, tau, -mu_r[a])))
+        row_arcs.append(arcs)
+    for j, a in enumerate(arms):
         d = instance.delta[a] if a in committed else 0
         if d:
-            graph.add_edge(node_of_mand[a], sink, d, -_MANDATORY_BONUS)
-        graph.add_edge(node_of_over[a], sink, tau, 0.0)
+            add(n_rows + 2 * j, sink, d, -_MANDATORY_BONUS)
+        add(n_rows + 2 * j + 1, sink, tau, 0.0)
 
-    supplies = [aggregate.counts[r] for r in rows]
-    graph.solve_from_supplies(supplies, sink)
+    graph.solve_from_supplies([aggregate.counts[r] for r in rows], sink)
 
+    cap = graph.cap
     M = [[0] * instance.k for _ in aggregate.counts]
-    for i, r in enumerate(rows):
-        for a in arms:
-            f = graph.flow_between(i, node_of_mand[a]) + graph.flow_between(
-                i, node_of_over[a]
-            )
-            M[r][a] = f
+    for r, arcs in zip(rows, row_arcs):
+        Mr = M[r]
+        for a, mand, over in arcs:
+            Mr[a] = cap[mand ^ 1] + cap[over ^ 1]
     return Matching.from_matrix(M, mu_eff)
 
 
@@ -189,7 +200,9 @@ class _FlowGraph:
 
     Costs may be negative on forward arcs (utilities are negated), so
     potentials are initialized by Bellman-Ford once; afterwards reduced
-    costs stay nonnegative and Dijkstra drives each augmentation.
+    costs stay nonnegative and Dijkstra drives each augmentation.  Arc e
+    and its reverse e ^ 1 are stored side by side; the flow on a forward
+    arc is the residual capacity of its reverse.
     """
 
     def __init__(self, n: int):
@@ -198,22 +211,16 @@ class _FlowGraph:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[float] = []
-        self.flow_index: dict[tuple[int, int], int] = {}
 
-    def add_edge(self, u: int, v: int, cap: int, cost: float) -> None:
-        self.flow_index[(u, v)] = len(self.to)
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-
-    def flow_between(self, u: int, v: int) -> int:
-        e = self.flow_index.get((u, v))
-        return self.cap[e ^ 1] if e is not None else 0
+    def add_edge(self, u: int, v: int, cap: int, cost: float) -> int:
+        """Add the arc u -> v and its reverse; returns the arc's id."""
+        e = len(self.to)
+        self.head[u].append(e)
+        self.head[v].append(e + 1)
+        self.to += (v, u)
+        self.cap += (cap, 0)
+        self.cost += (cost, -cost)
+        return e
 
     def solve_from_supplies(self, supplies: list[int], sink: int) -> None:
         # single virtual source feeding each supply row
@@ -223,61 +230,70 @@ class _FlowGraph:
         for i, s in enumerate(supplies):
             self.add_edge(src, i, s, 0.0)
         need = sum(supplies)
+        n, to, cap = self.n, self.to, self.cap
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # the arcs with residual capacity out of each node, as (id, head,
+        # cost) in insertion order: the order every scan below visits
+        # them in, kept up to date as pushes fill and free arcs
+        arc = [(e, to[e], c) for e, c in enumerate(self.cost)]
+        live = [[arc[e] for e in out if cap[e] > 0] for out in self.head]
 
         INF = float("inf")
         # Bellman-Ford initial potentials (graph is a DAG here, but keep
         # the general form for safety)
-        pot = [INF] * self.n
+        pot = [INF] * n
         pot[src] = 0.0
-        for _ in range(self.n - 1):
+        for _ in range(n - 1):
             changed = False
-            for u in range(self.n):
+            for u in range(n):
                 pu = pot[u]
                 if pu == INF:
                     continue
-                for e in self.head[u]:
-                    if self.cap[e] > 0 and pu + self.cost[e] < pot[self.to[e]]:
-                        pot[self.to[e]] = pu + self.cost[e]
+                for e, v, c in live[u]:
+                    if pu + c < pot[v]:
+                        pot[v] = pu + c
                         changed = True
             if not changed:
                 break
 
         while need > 0:
-            dist = [INF] * self.n
-            prev_edge = [-1] * self.n
+            dist = [INF] * n
+            prev_edge = [-1] * n
             dist[src] = 0.0
             pq = [(0.0, src)]
             while pq:
-                d, u = heapq.heappop(pq)
+                d, u = heappop(pq)
                 if d > dist[u] + 1e-12:
                     continue
-                for e in self.head[u]:
-                    if self.cap[e] <= 0:
-                        continue
-                    v = self.to[e]
-                    nd = d + self.cost[e] + pot[u] - pot[v]
+                pu = pot[u]
+                for e, v, c in live[u]:
+                    nd = d + c + pu - pot[v]
                     if nd < dist[v] - 1e-12:
                         dist[v] = nd
                         prev_edge[v] = e
-                        heapq.heappush(pq, (nd, v))
+                        heappush(pq, (nd, v))
             if dist[sink] == INF:
                 raise AssertionError("transportation problem unexpectedly infeasible")
-            for v in range(self.n):
-                if dist[v] < INF:
-                    pot[v] += dist[v]
+            pot = [p + d if d < INF else p for p, d in zip(pot, dist)]
             # push the bottleneck along the path
             push = need
             v = sink
             while v != src:
                 e = prev_edge[v]
-                push = min(push, self.cap[e])
-                v = self.to[e ^ 1]
+                if cap[e] < push:
+                    push = cap[e]
+                v = to[e ^ 1]
             v = sink
             while v != src:
                 e = prev_edge[v]
-                self.cap[e] -= push
-                self.cap[e ^ 1] += push
-                v = self.to[e ^ 1]
+                u = to[e ^ 1]
+                cap[e] -= push
+                if cap[e] == 0:
+                    live[u].remove(arc[e])
+                if cap[e ^ 1] == 0:
+                    insort(live[v], arc[e ^ 1])
+                cap[e ^ 1] += push
+                v = u
             need -= push
 
 

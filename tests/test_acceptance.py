@@ -293,8 +293,9 @@ def test_10_multi_phase_plans_beat_static_commitments():
                                phases_max=2, dyadic=True)
         if inst.phases != 2:
             continue
-        aggs = [build_lcb_aggregate(inst.P, inst.tau)] * 2
-        plan = lmatch(inst, aggs)
+        agg = build_lcb_aggregate(inst.P, inst.tau)
+        aggs = [agg] * 2
+        plan = lmatch(inst, agg)
         assert plan.total_value == brute_chain_value(inst, aggs)
         done += 1
 

@@ -19,6 +19,7 @@ from exposure_bandits import (
     planned_total_value,
     run_episode,
 )
+from exposure_bandits.dp import largest_commitment
 from conftest import make_instance, random_instance, tie_prone_instances
 
 
@@ -89,6 +90,19 @@ def test_planner_raises_when_every_commitment_is_too_expensive():
     # single-arm commitments still fit (3 <= 4), so this one is feasible
     Z, _ = dp_star(inst)
     assert len(Z) == 1
+
+
+def test_the_guard_counts_only_commitments_that_fit_in_a_phase():
+    # no three thresholds of 40 fit in tau=100, so the largest table covers
+    # two arms, C(102, 2) = 5,151 states, not C(105, 5) = 96,560,646
+    assert largest_commitment((40,) * 5, 100) == 2
+    assert largest_commitment((60, 10, 50, 30), 100) == 3
+    inst = make_instance(n=5, k=5, tau=100, phases=3, delta=(40,) * 5)
+    policy = DpPolicy(inst)
+    assert len(policy.Z) <= 2
+    rec = run_episode(inst, policy, 0, reward_mode="expected")
+    for phase, arm in rec.departure_events:
+        assert arm not in policy.Z
 
 
 def test_ties_prefer_smaller_commitments():

@@ -20,6 +20,7 @@ from exposure_bandits import (
     run_episode,
     subset_value_oracle,
 )
+from exposure_bandits import lcb
 from exposure_bandits.lcb import LcbState, lcb_replay
 from conftest import make_instance, random_instance, tie_prone_instances
 
@@ -96,6 +97,26 @@ def test_subset_oracle_caches_and_carries_the_aggregate():
     v2 = f(frozenset({0, 1}))
     assert v1 == v2 == 56.0
     assert f.aggregate.counts == (28, 28, 44)
+
+
+def test_adaptive_policy_solves_each_queried_commitment_once(monkeypatch):
+    # the chosen commitment was solved while the greedy queried it; the
+    # policy reuses that matching instead of solving it again
+    solves = []
+
+    def counted(*args):
+        solves.append(args[1])
+        return doalg(*args)
+
+    monkeypatch.setattr(lcb, "doalg", counted)
+    rng = np.random.default_rng(5)
+    mu = tuple(tuple(float(v) for v in rng.random(10)) for _ in range(4))
+    inst = Instance(n=4, k=10, tau=400, T=4000, P=(0.25,) * 4, delta=(20,) * 10, mu=mu)
+    policy = AlcbPolicy(inst)
+    assert policy.trace.oracle_call_count == 55
+    assert len(solves) == policy.trace.oracle_call_count
+    assert policy.template == doalg(build_lcb_aggregate(inst.P, inst.tau),
+                                    policy.Z, policy.Z, inst)
 
 
 def test_greedy_stays_within_its_call_budget():

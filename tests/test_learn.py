@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from exposure_bandits import (
     EesConfig,
     EesPolicy,
     InfeasibleError,
+    LlcbPolicy,
     Observables,
     ResourceGuardError,
     baseline_policy,
@@ -206,16 +208,34 @@ def test_an_oversized_dp_star_plan_still_fails_before_exploring():
         DpPolicy(make_instance(n=5, k=5, tau=100, phases=2, delta=(10,) * 5))
 
 
-def test_an_oversized_llcb_plan_fails_before_exploring():
-    # the plan after T0=63,500 rounds spans 19,365 phases of 3^4 subset
-    # pairs each, over the pair cap; refuse it at construction, not at T0
-    obs = Observables(n=4, k=4, tau=100, T=2_000_000, delta=(10, 10, 10, 10))
+def test_an_llcb_plan_over_any_horizon_builds_and_plays():
+    # the plan after T0=63,500 rounds spans 19,365 phases; its cost does
+    # not grow with them, so the learner builds, and so does the planner
+    inst = make_instance(n=4, k=4, tau=100, phases=20_000, delta=(10, 10, 10, 10),
+                         P=(0.4, 0.3, 0.2, 0.1))
+    policy = EesPolicy(Observables.from_instance(inst), EesConfig(sso="llcb"))
+    assert policy.T0 == 63_500
+    planner = LlcbPolicy(replace(inst, T=inst.T - policy.T0))
+    assert len(planner.plan.chain) == 19_366
+    assert len(planner.plan.segments) <= 2 * inst.k + 1
+    rec = run_episode(inst, policy, 0, reward_mode="expected")
+    chain = policy.planner.plan.chain
+    assert len(chain) == 19_366
+    # arms leave only after exploring, once the plan stops protecting them
+    for phase, arm in rec.departure_events:
+        assert phase > policy.exploration_phases
+        assert arm not in chain[phase - policy.exploration_phases]
+
+
+def test_an_oversized_llcb_plan_still_fails_before_exploring():
+    # 3^13 subset pairs exceed the pair cap at any horizon; refuse them
+    # at construction, not at T0
+    obs = Observables(n=2, k=13, tau=100, T=200_000, delta=(5,) * 13)
     with pytest.raises(ResourceGuardError):
         EesPolicy(obs, EesConfig(sso="llcb"))
-    policy = EesPolicy(obs, EesConfig(sso="lcb_star"))  # no plan, no guard
-    assert policy.T0 == 63_500
-    EesPolicy(Observables(n=4, k=4, tau=100, T=200_000, delta=(10, 10, 10, 10)),
-              EesConfig(sso="llcb"))  # 1,863 phases fit under the cap
+    EesPolicy(obs, EesConfig(sso="lcb_star"))  # no plan, no guard
+    with pytest.raises(ResourceGuardError):
+        LlcbPolicy(make_instance(n=2, k=13, tau=100, phases=2, delta=(5,) * 13))
 
 
 def test_a_departure_during_exploration_breaks_the_contract():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     NEG_INF,
@@ -13,8 +15,10 @@ from exposure_bandits import (
     doalg,
     doalg_graph_reference,
     iter_subsets,
+    Matching,
 )
-from conftest import make_instance, random_counts, random_instance
+from exposure_bandits.matching import _MANDATORY_BONUS, _mu_eff
+from conftest import make_instance, random_counts, random_instance, tie_prone_instances
 
 
 def test_aggregate_shaves_each_type_by_the_confidence_width():
@@ -168,3 +172,168 @@ def test_matching_entries_are_consistent():
             for u in range(inst.n) for a in range(inst.k)
         )
         assert m.value == pytest.approx(total, abs=1e-9)
+
+
+class _DictFlowGraph:
+    """The successive-shortest-path solve in its plain first form: every
+    arc scanned on every pass, flows looked up by (tail, head).  Kept as
+    the reference for the solver's bookkeeping, which must not change the
+    result."""
+
+    def __init__(self, n):
+        self.n = n
+        self.head = [[] for _ in range(n)]
+        self.to, self.cap, self.cost = [], [], []
+        self.flow_index = {}
+
+    def add_edge(self, u, v, cap, cost):
+        self.flow_index[(u, v)] = len(self.to)
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+
+    def flow_between(self, u, v):
+        e = self.flow_index.get((u, v))
+        return self.cap[e ^ 1] if e is not None else 0
+
+    def solve_from_supplies(self, supplies, sink):
+        src = self.n
+        self.n += 1
+        self.head.append([])
+        for i, s in enumerate(supplies):
+            self.add_edge(src, i, s, 0.0)
+        need = sum(supplies)
+        INF = float("inf")
+        pot = [INF] * self.n
+        pot[src] = 0.0
+        for _ in range(self.n - 1):
+            changed = False
+            for u in range(self.n):
+                pu = pot[u]
+                if pu == INF:
+                    continue
+                for e in self.head[u]:
+                    if self.cap[e] > 0 and pu + self.cost[e] < pot[self.to[e]]:
+                        pot[self.to[e]] = pu + self.cost[e]
+                        changed = True
+            if not changed:
+                break
+        while need > 0:
+            dist = [INF] * self.n
+            prev_edge = [-1] * self.n
+            dist[src] = 0.0
+            pq = [(0.0, src)]
+            while pq:
+                d, u = heapq.heappop(pq)
+                if d > dist[u] + 1e-12:
+                    continue
+                for e in self.head[u]:
+                    if self.cap[e] <= 0:
+                        continue
+                    v = self.to[e]
+                    nd = d + self.cost[e] + pot[u] - pot[v]
+                    if nd < dist[v] - 1e-12:
+                        dist[v] = nd
+                        prev_edge[v] = e
+                        heapq.heappush(pq, (nd, v))
+            assert dist[sink] < INF
+            for v in range(self.n):
+                if dist[v] < INF:
+                    pot[v] += dist[v]
+            push = need
+            v = sink
+            while v != src:
+                e = prev_edge[v]
+                push = min(push, self.cap[e])
+                v = self.to[e ^ 1]
+            v = sink
+            while v != src:
+                e = prev_edge[v]
+                self.cap[e] -= push
+                self.cap[e ^ 1] += push
+                v = self.to[e ^ 1]
+            need -= push
+
+
+def dict_flow_doalg(aggregate, allowed, committed, instance):
+    """doalg's graph, built and read through :class:`_DictFlowGraph`."""
+    tau = aggregate.total
+    if sum(instance.delta[a] for a in committed) > tau or not allowed:
+        return NEG_INF
+    mu_eff = _mu_eff(aggregate, instance)
+    arms = sorted(allowed)
+    rows = [r for r in range(len(aggregate.counts)) if aggregate.counts[r] > 0]
+    n_rows = len(rows)
+    mand = {a: n_rows + 2 * i for i, a in enumerate(arms)}
+    over = {a: n_rows + 2 * i + 1 for i, a in enumerate(arms)}
+    sink = n_rows + 2 * len(arms)
+    graph = _DictFlowGraph(sink + 1)
+    for i, r in enumerate(rows):
+        for a in arms:
+            graph.add_edge(i, mand[a], tau, -mu_eff[r][a])
+            graph.add_edge(i, over[a], tau, -mu_eff[r][a])
+    for a in arms:
+        d = instance.delta[a] if a in committed else 0
+        if d:
+            graph.add_edge(mand[a], sink, d, -_MANDATORY_BONUS)
+        graph.add_edge(over[a], sink, tau, 0.0)
+    graph.solve_from_supplies([aggregate.counts[r] for r in rows], sink)
+    M = [[0] * instance.k for _ in aggregate.counts]
+    for i, r in enumerate(rows):
+        for a in arms:
+            M[r][a] = graph.flow_between(i, mand[a]) + graph.flow_between(i, over[a])
+    return Matching.from_matrix(M, mu_eff)
+
+
+def assert_same_matching(agg, allowed, committed, inst):
+    fast = doalg(agg, allowed, committed, inst)
+    ref = dict_flow_doalg(agg, allowed, committed, inst)
+    if fast is NEG_INF or ref is NEG_INF:
+        assert fast is ref
+        return
+    # every field, exactly: equal-utility arms must split the same way
+    assert fast.M == ref.M
+    assert fast.value.hex() == ref.value.hex()
+    assert fast.pull_column_sums == ref.pull_column_sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_prone_instances(), st.data())
+def test_doalg_matches_the_dict_flow_solve_on_tie_prone_aggregates(inst, data):
+    counts = data.draw(st.lists(st.integers(0, inst.tau), min_size=inst.n,
+                                max_size=inst.n))
+    slack = inst.tau - sum(counts)
+    if slack >= 0:
+        agg = Aggregate(counts=tuple(counts) + (slack,), has_slack=True)
+    else:
+        agg = build_lcb_aggregate(inst.P, inst.tau)
+    arms = range(inst.k)
+    allowed = frozenset(a for a in arms if data.draw(st.booleans()))
+    committed = frozenset(a for a in allowed if data.draw(st.booleans()))
+    assert_same_matching(agg, allowed, committed, inst)
+
+
+def test_doalg_matches_the_dict_flow_solve_on_wide_aggregates():
+    # more arms and longer phases than the property test reaches, half of
+    # them on a four-value utility grid where ties are common
+    rng = np.random.default_rng(27)
+    grid = np.array([0.0, 0.25, 0.5, 1.0])
+    for i in range(40):
+        n, k, tau = int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(2, 120))
+        if i % 2:
+            mu = tuple(tuple(float(v) for v in rng.choice(grid, size=k)) for _ in range(n))
+        else:
+            mu = tuple(tuple(float(v) for v in rng.random(k)) for _ in range(n))
+        inst = make_instance(n=n, k=k, tau=tau, phases=1, mu=mu,
+                             delta=tuple(int(d) for d in rng.integers(0, tau // 2 + 1, size=k)))
+        agg = Aggregate(counts=random_counts(rng, n, tau), has_slack=False)
+        if agg.total < tau:
+            agg = Aggregate(counts=agg.counts + (tau - agg.total,), has_slack=True)
+        allowed = frozenset(a for a in range(k) if rng.random() < 0.8) or frozenset({0})
+        committed = frozenset(a for a in allowed if rng.random() < 0.5)
+        assert_same_matching(agg, allowed, committed, inst)
