@@ -33,6 +33,7 @@ from .lcb import (
     AlcbPolicy,
     GreedyTrace,
     LcbPolicy,
+    PlanSegment,
     greedy_subset,
     lcb_policy_step,
     lcb_star,
@@ -50,7 +51,7 @@ from .learn import (
     explore_phase_step,
     relaxed_exploration_phases,
 )
-from .lmatch import LlcbPolicy, LmatchPlan, PlanSegment, lmatch
+from .lmatch import LlcbPolicy, LmatchPlan, lmatch
 from .matching import (
     Aggregate,
     Matching,

@@ -34,6 +34,7 @@ import math
 import sys
 import time
 from dataclasses import replace
+from itertools import groupby
 
 from .core import (
     NEG_INF,
@@ -47,7 +48,6 @@ from .dp import DpPolicy, dp_star, planned_total_value
 from .env import Policy, run_episode
 from .lcb import LcbPolicy, lcb_star
 from .learn import PLANNERS, EesConfig, EesPolicy, Observables, baseline_policy
-from .lmatch import LlcbPolicy
 from .matching import build_lcb_aggregate
 
 __all__ = ["main", "entry", "load_instance", "save_instance", "make_policy"]
@@ -85,14 +85,18 @@ def load_instance(path) -> tuple[Instance, int]:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _LIST_KEYS:
-                fields[key] = [float(x) for x in value.replace(",", " ").split()]
-            elif key == "reward_kind":
-                fields[key] = value
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                if key in _INT_KEYS:
+                    fields[key] = int(value)
+                elif key in _LIST_KEYS:
+                    parse = int if key == "delta" else float
+                    fields[key] = [parse(x) for x in value.replace(",", " ").split()]
+                elif key == "reward_kind":
+                    fields[key] = value
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     for key in ("n", "k", "tau", "T", "P", "delta", "mu"):
         if key not in fields:
             raise ValueError(f"{path}: missing required key {key!r}")
@@ -106,7 +110,7 @@ def load_instance(path) -> tuple[Instance, int]:
         tau=fields["tau"],
         T=fields["T"],
         P=tuple(fields["P"]),
-        delta=tuple(int(d) for d in fields["delta"]),
+        delta=tuple(fields["delta"]),
         mu=tuple(tuple(flat[u * k : (u + 1) * k]) for u in range(n)),
         reward_kind=fields.get("reward_kind", "bernoulli"),
     )
@@ -168,7 +172,7 @@ def _run_seeds(instance: Instance, policy: Policy, seeds, mode: str) -> list[tup
         rows.append((
             record.expected_reward,
             len(record.departure_events),
-            len(getattr(policy, "bad_event_phases", ())),
+            len(policy.bad_event_phases),
             wall,
         ))
     return rows
@@ -191,17 +195,27 @@ def _mean_stderr(xs):
 
 
 def _policy_diag(policy: Policy):
-    """(commitment, per-phase value) when the policy exposes them."""
+    """(commitment, per-phase value) when the policy exposes them.
+
+    A segment plan (LCB, A-LCB, L-LCB) whose arm set never changes
+    commits to that set; any other prints its chain of surviving sets
+    run-length encoded, so the line does not grow with the horizon."""
     if isinstance(policy, DpPolicy):
         return sorted(policy.Z), policy.table.root_value
-    if isinstance(policy, LcbPolicy):  # covers AlcbPolicy
-        return sorted(policy.Z), policy.template.value
-    if isinstance(policy, LlcbPolicy):
-        chain = "->".join(
-            "{" + ",".join(map(str, sorted(z))) + "}" for z in policy.plan.chain
-        )
-        return chain, policy.plan.total_value / policy.instance.phases
-    return None, None
+    if not isinstance(policy, LcbPolicy):
+        return None, None
+    segments = policy.segments
+    # the chain Z^0 ⊇ Z^1 ⊇ ... as (set, phases) runs
+    sets = [(segments[0].available, 1)] + [(seg.kept, seg.phases) for seg in segments]
+    runs = [(z, sum(n for _, n in run)) for z, run in groupby(sets, key=lambda zn: zn[0])]
+    if len(runs) == 1:
+        return sorted(segments[0].kept), segments[0].matching.value
+    chain = "->".join(
+        "{" + ",".join(map(str, sorted(z))) + "}" + (f"x{n}" if n > 1 else "")
+        for z, n in runs
+    )
+    phases = sum(seg.phases for seg in segments)
+    return chain, math.fsum(seg.phases * seg.matching.value for seg in segments) / phases
 
 
 def cmd_solve(args) -> int:
@@ -288,10 +302,12 @@ def cmd_experiment(args) -> int:
         (replace(instance, T=T), algo, seeds, args.reward_mode, args.explore_override)
         for algo, T in keys
     ]
-    if args.workers > 1:
+    # a worker past one per group would have nothing to run
+    workers = min(args.workers, len(groups))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(keys, pool.map(_run_group, groups)))
     else:
         results = dict(zip(keys, map(_run_group, groups)))

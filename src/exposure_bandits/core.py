@@ -103,6 +103,16 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
+def _threshold(d) -> int:
+    """``d`` as an int; a non-integral threshold (10.7, inf, nan) raises
+    ValueError instead of being truncated."""
+    if isinstance(d, numbers.Integral) or (
+        isinstance(d, numbers.Real) and float(d).is_integer()
+    ):
+        return int(d)
+    raise ValueError(f"thresholds must be integers, got {d!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Full description of one exposure-constrained bandit problem.
@@ -120,7 +130,8 @@ class Instance:
     P : tuple of float
         Arrival probability per type, a strictly positive simplex.
     delta : tuple of int
-        Exposure threshold per arm, each in ``{0, ..., tau}``.
+        Exposure threshold per arm, each in ``{0, ..., tau}``; a
+        fractional one raises ``ValueError``.
     mu : tuple of tuple of float
         Expected utility matrix, ``n`` rows by ``k`` columns, entries in
         ``[0, 1]``.
@@ -141,7 +152,7 @@ class Instance:
     def __post_init__(self):
         # normalize sequence inputs so instances hash and compare by value
         object.__setattr__(self, "P", tuple(float(p) for p in self.P))
-        object.__setattr__(self, "delta", tuple(int(d) for d in self.delta))
+        object.__setattr__(self, "delta", tuple(_threshold(d) for d in self.delta))
         object.__setattr__(
             self, "mu", tuple(tuple(float(v) for v in row) for row in self.mu)
         )

@@ -63,6 +63,9 @@ class Policy:
     all per-episode state so the same object can be reused across seeds.
     Learning policies set ``wants_feedback`` and override :meth:`feedback`
     to observe realized rewards; planners that know the instance ignore it.
+    ``bad_event_phases`` lists the 1-based phases of the last episode in
+    which the policy's confidence-floor fallback fired; it stays empty for
+    policies without one.
 
     A policy whose play in a phase depends only on the viable set, that
     phase's arrivals and the earlier phases may also define
@@ -89,6 +92,7 @@ class Policy:
 
     wants_feedback = False
     play_phases = None
+    bad_event_phases = ()
 
     def start(self, rng: np.random.Generator) -> None:
         """Reset per-episode state; ``rng`` is the policy-private stream."""

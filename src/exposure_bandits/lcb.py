@@ -1,20 +1,26 @@
 """Confidence-floor phase policies and committed-subset selection.
 
-Instead of re-solving per realized arrivals, these policies solve one
-assignment offline against shaved per-type counts (the floors hold with
-high probability in every phase) and replay it online: each arriving
+Instead of re-solving per realized arrivals, these policies solve
+assignments offline against shaved per-type counts (the floors hold with
+high probability in every phase) and replay them online: each arriving
 user consumes a unit from their own matching row, overflow arrivals
 consume the slack row, and the rare phase where some floor is missed
 falls back to salvaging the best live entry.
 
-Subset selection comes in two flavors: exhaustive search over all
-2^k - 1 subsets, and the k-step greedy that needs only O(k^2) solver
-calls and inherits a (1 - 1/e) guarantee from submodularity.
+The three matching planners share one replay (:class:`LcbPolicy`) of a
+plan of segments (:class:`PlanSegment`): a matching replayed for some
+phases under the thresholds of the arms it keeps.  LCB (exhaustive
+search over all 2^k - 1 subsets) and A-LCB (the k-step greedy, O(k^2)
+solver calls and a (1 - 1/e) guarantee from submodularity) keep one
+subset for every phase, one segment; L-LCB
+(:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .env import CommittedPolicy
 from .matching import Aggregate, Matching, _mu_eff, build_lcb_aggregate, doalg
 
 __all__ = [
+    "PlanSegment",
     "LcbState",
     "GreedyTrace",
     "lcb_policy_step",
@@ -40,6 +47,20 @@ __all__ = [
     "AlcbPolicy",
     "subset_value_oracle",
 ]
+
+
+@dataclass(frozen=True)
+class PlanSegment:
+    """A run of consecutive phases that replay the same matching.
+
+    ``matching`` pulls arms of the ``available`` set; ``kept`` is the
+    set that survives each of its phases, whose thresholds it meets.
+    """
+
+    phases: int
+    matching: Matching
+    available: frozenset
+    kept: frozenset
 
 
 class LcbState:
@@ -145,29 +166,27 @@ def _salvage(M, mass, mu_u) -> tuple[int, int]:
     return row, arm
 
 
-def lcb_replay(M, mu, deltas_eff, ustar: int, arrivals):
+def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
     """:func:`lcb_policy_step` for every phase at once, one vectorised
     step per round of the phase.
 
-    ``M`` is the matching each phase starts from, of shape
-    ``(phases, rows, k)``; ``deltas_eff`` holds the enforced thresholds,
-    one row for all phases or one per phase; ``arrivals`` has shape
-    ``(phases, tau)``.  Rows, arms and ties follow
+    Segment ``i`` covers the next ``lengths[i]`` of the ``(phases, tau)``
+    ``arrivals``: each such phase starts from the matching ``M[i]`` and
+    enforces the thresholds ``deltas_eff[i]``.  Rows, arms and ties follow
     :func:`lcb_policy_step`; the rare bad-event rounds go through its
     salvage, phase by phase.  Returns the ``(phases, tau)`` pulls and the
     1-based phases in which the salvage fired.
     """
-    phases, rows, k = M.shape
+    M = np.asarray(M, dtype=np.int64)
+    _, rows, k = M.shape
+    phases = len(arrivals)
     # arm-major live matching: entry (phase p, row r, arm a) sits at
     # live[a, p * rows + r]
-    live = np.array(np.moveaxis(M, 2, 0), dtype=np.int64, order="C")
-    live = live.reshape(k, phases * rows)
+    live = np.repeat(np.moveaxis(M, 2, 0), lengths, axis=1).reshape(k, phases * rows)
     mass = live.sum(axis=0)
     own_base = np.arange(phases) * rows
     slack_cell = own_base + ustar
-    deficit = np.array(
-        np.broadcast_to(deltas_eff, (phases, k)).T, dtype=np.int64, order="C"
-    )
+    deficit = np.repeat(np.asarray(deltas_eff, dtype=np.int64).T, lengths, axis=1)
     arm_base = np.arange(phases)
     mu = np.asarray(mu, dtype=np.float64)
     # an entry's key orders it like lcb_policy_step does: by utility (its
@@ -317,7 +336,10 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
 
 
 class LcbPolicy(CommittedPolicy):
-    """Replay the committed-subset matching phase after phase.
+    """Replay a plan's segments (:class:`PlanSegment`) phase after phase,
+    with one live state per segment.  ``LcbPolicy`` itself commits to the
+    subset ``Z`` :func:`lcb_star` finds and its ``template`` matching, one
+    segment; subclasses pass other segments to :meth:`_commit`.
 
     ``bad_event_phases`` collects the 1-based phases whose arrivals
     missed some confidence floor (diagnosed by the fallback firing).
@@ -325,32 +347,39 @@ class LcbPolicy(CommittedPolicy):
 
     wants_feedback = False
 
-    def __init__(self, instance: Instance, Z=None, template: Matching | None = None):
-        """Commit to ``Z`` with its ``template`` matching when both are
-        given, else to the commitment :func:`lcb_star` finds."""
-        validate(instance)
+    def __init__(self, instance: Instance):
+        self.Z, self.template = lcb_star(instance)
+        self._commit(instance, [PlanSegment(instance.phases, self.template, self.Z, self.Z)])
+
+    def _commit(self, instance: Instance, segments) -> None:
+        """Replay ``segments``, which cover the instance's phases in order."""
         self.instance = instance
-        if Z is None:
-            Z, template = lcb_star(instance)
-        self.Z = frozenset(Z)
-        self.template = template
-        deltas_eff = [
-            instance.delta[a] if a in self.Z else 0 for a in range(instance.k)
-        ]
+        self.segments = tuple(segments)
         mu = [list(row) for row in instance.mu]
-        self.state = LcbState(template, mu, deltas_eff, ustar=instance.n)
+        self._states = [
+            LcbState(
+                seg.matching,
+                mu,
+                [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)],
+                ustar=instance.n,
+            )
+            for seg in self.segments
+        ]
+        # the first phase index past each segment
+        self._ends = list(accumulate(seg.phases for seg in self.segments))
         self._tau = instance.tau
         self.bad_event_phases: list[int] = []
 
     def start(self, rng) -> None:
         super().start(rng)
-        self.state.reset()
         self.bad_event_phases = []
+        self._current = None
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        state = self.state
         if t % self._tau == 0:
-            state.reset()
+            self._current = self._states[bisect_right(self._ends, t // self._tau)]
+            self._current.reset()
+        state = self._current
         flagged = state.bad_event_flag
         arm = lcb_policy_step(state, u)
         if state.bad_event_flag and not flagged:
@@ -358,14 +387,13 @@ class LcbPolicy(CommittedPolicy):
         return arm
 
     def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
-        """Every phase's replay of the template at once, through
-        :func:`lcb_replay` (see :class:`~exposure_bandits.env.CommittedPolicy`)."""
-        state = self.state
-        template = np.asarray(self.template.M)
-        M = np.broadcast_to(template, (arrivals.shape[0], *template.shape))
+        """Every phase's replay of its segment's matching at once,
+        through :func:`lcb_replay` (see
+        :class:`~exposure_bandits.env.CommittedPolicy`)."""
+        segs, inst = self.segments, self.instance
         pulls, self.bad_event_phases = lcb_replay(
-            M, state.mu, state.deltas_eff, state.ustar, arrivals
-        )
+            [s.phases for s in segs], [s.matching.M for s in segs], inst.mu,
+            [state.deltas_eff for state in self._states], inst.n, arrivals)
         return pulls
 
 
@@ -383,5 +411,5 @@ class AlcbPolicy(LcbPolicy):
         template = oracle.matching(trace.chosen)
         if template is NEG_INF:
             raise ContractError("the greedy commitment has no feasible matching")
-        super().__init__(instance, Z=trace.chosen, template=template)
-        self.trace = trace
+        self.Z, self.template, self.trace = trace.chosen, template, trace
+        self._commit(instance, [PlanSegment(instance.phases, template, self.Z, self.Z)])

@@ -303,8 +303,9 @@ class EesPolicy(Policy):
     def bad_event_phases(self) -> list[int]:
         """The planner's fallback phases, counted from the start of the
         episode (the planner counts from its own first phase)."""
-        planned = getattr(self.planner, "bad_event_phases", ())
-        return [p + self.exploration_phases for p in planned]
+        if self.planner is None:
+            return []
+        return [p + self.exploration_phases for p in self.planner.bad_event_phases]
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         o = self.obs

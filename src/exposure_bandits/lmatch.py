@@ -34,16 +34,15 @@ run-length segments, at most 2k + 1 of them, one per drop and one per
 run of self-loops.  ``total_value`` is the left-to-right float sum of
 the phase values, the number the per-phase DP reports.
 
-The online policy replays each segment's matching with the same
-slack-row and bad-event stepping as the committed policy, enforcing the
-thresholds of the arms the segment keeps.
+The online policy is the committed policy's replay
+(:class:`~exposure_bandits.lcb.LcbPolicy`) over the plan's segments
+rather than over one: each segment's matching, with the thresholds of
+the arms the segment keeps.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -55,11 +54,10 @@ from .core import (
     ResourceGuardError,
     validate,
 )
-from .env import CommittedPolicy
-from .lcb import LcbState, lcb_policy_step, lcb_replay
+from .lcb import LcbPolicy, PlanSegment
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
 
-__all__ = ["PlanSegment", "LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
+__all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
 
 PAIR_CAP = 10**6
 
@@ -71,19 +69,6 @@ def plan_pairs(k: int) -> int:
     if pairs > PAIR_CAP:
         raise ResourceGuardError(f"3^{k} subset pairs exceed cap {PAIR_CAP}")
     return pairs
-
-
-@dataclass(frozen=True)
-class PlanSegment:
-    """A run of consecutive phases that replay the same matching.
-
-    ``matching`` pulls arms of the run's available set; ``kept`` is the
-    set that survives each of its phases, whose thresholds it meets.
-    """
-
-    phases: int
-    matching: Matching
-    kept: frozenset
 
 
 @dataclass(frozen=True)
@@ -243,7 +228,7 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     runs.reverse()
 
     segments = tuple(
-        PlanSegment(phases=c, matching=match[m1, m2], kept=sets[m2])
+        PlanSegment(phases=c, matching=match[m1, m2], available=sets[m1], kept=sets[m2])
         for m1, m2, c in runs
     )
     chain = [sets[runs[0][0]]]
@@ -256,62 +241,11 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     return LmatchPlan(segments=segments, chain=tuple(chain), total_value=total)
 
 
-class LlcbPolicy(CommittedPolicy):
-    """Replay of the plan's segments, each with its own matching.
-
-    Every phase of a segment replays the segment's matching with the
-    thresholds of the arms the segment keeps; stepping (slack row, bad
-    events) is shared with the committed policy.  One live state per
-    segment, so building costs the same at any horizon.
-    """
-
-    wants_feedback = False
+class LlcbPolicy(LcbPolicy):
+    """The committed replay over the segments of the :func:`lmatch`
+    plan, each with its own matching and kept set."""
 
     def __init__(self, instance: Instance):
         validate(instance)
-        self.instance = instance
         self.plan = lmatch(instance, build_lcb_aggregate(instance.P, instance.tau))
-        mu = [list(row) for row in instance.mu]
-        self._states = [
-            LcbState(
-                seg.matching,
-                mu,
-                [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)],
-                ustar=instance.n,
-            )
-            for seg in self.plan.segments
-        ]
-        # the first phase index past each segment
-        self._ends = list(accumulate(seg.phases for seg in self.plan.segments))
-        self._tau = instance.tau
-        self.bad_event_phases: list[int] = []
-
-    def start(self, rng) -> None:
-        super().start(rng)
-        self.bad_event_phases = []
-        self._current = None
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        if t % self._tau == 0:
-            self._current = self._states[bisect_right(self._ends, t // self._tau)]
-            self._current.reset()
-        state = self._current
-        flagged = state.bad_event_flag
-        arm = lcb_policy_step(state, u)
-        if state.bad_event_flag and not flagged:
-            self.bad_event_phases.append(t // self._tau + 1)
-        return arm
-
-    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
-        """Every phase's replay of its segment's matching at once,
-        through :func:`~exposure_bandits.lcb.lcb_replay` (see
-        :class:`~exposure_bandits.env.CommittedPolicy`)."""
-        lengths = [seg.phases for seg in self.plan.segments]
-        M = np.repeat(np.array([seg.matching.M for seg in self.plan.segments]),
-                      lengths, axis=0)
-        deltas = np.repeat(np.array([s.deltas_eff for s in self._states]),
-                           lengths, axis=0)
-        pulls, self.bad_event_phases = lcb_replay(
-            M, self.instance.mu, deltas, self.instance.n, arrivals
-        )
-        return pulls
+        self._commit(instance, self.plan.segments)

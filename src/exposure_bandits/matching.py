@@ -73,8 +73,9 @@ class Matching:
     """Result of :func:`doalg`: M[row][arm] pulls of each arm by each
     aggregate row (slack row last when present).
 
-    ``value`` is the exact utility sum; column sums are cached because the
-    phase policies replay them as quotas.
+    ``value`` is the exact utility sum; ``pull_column_sums`` holds the
+    pulls per arm: at least its threshold for a committed arm, 0 for an
+    arm outside the allowed set.
     """
 
     M: tuple[tuple[int, ...], ...]

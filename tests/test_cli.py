@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from exposure_bandits import run_episode
+from exposure_bandits import presets, run_episode
 from exposure_bandits.cli import load_instance, main, make_policy, save_instance
 from conftest import make_instance
 
@@ -48,12 +48,18 @@ def test_loader_rejects_malformed_files(tmp_path):
         "mu_len": "n = 2\nk = 2\ntau = 10\nT = 20\nP = 0.5 0.5\n"
                   "delta = 0 0\nmu = 1 0 0\n",
         "no_eq": "n 2\n",
+        # thresholds are integers: neither truncated nor overflowing
+        "delta_frac": "n = 2\nk = 2\ntau = 100\nT = 1000\nP = 0.5 0.5\n"
+                      "delta = 10.7 10.2\nmu = 1 0 0 1\n",
+        "delta_huge": "n = 2\nk = 2\ntau = 100\nT = 1000\nP = 0.5 0.5\n"
+                      "delta = 1e400 10\nmu = 1 0 0 1\n",
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         with pytest.raises(ValueError):
             load_instance(path)
+        assert main(["gamma", "--instance", str(path)]) == 2
 
 
 def test_gamma_subcommand(tiny_path, capsys):
@@ -148,6 +154,54 @@ def test_experiment_writes_a_deterministic_csv(tiny_path, tmp_path, capsys):
         if r[2] not in ("mean", "stderr"):
             reward, bench, regret = map(float, r[3:6])
             assert regret == pytest.approx(bench - reward, abs=1e-9)
+
+
+def test_experiment_starts_no_more_workers_than_groups(tiny_path, tmp_path,
+                                                      monkeypatch):
+    # a stand-in pool records the worker count and runs the groups in
+    # this process, so no process is started
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path, _ = tiny_path
+    outs = []
+    for algos, workers in (("dp-star,myopic", "1"), ("dp-star,myopic", "64"),
+                           ("myopic", "8")):
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--instance", str(path), "--algo", algos,
+                     "--seeds", "2", "--sweep", "20", "--out", str(out),
+                     "--workers", workers]) == 0
+        outs.append([row[:-1] for row in csv.reader(out.read_text().splitlines())])
+    # two (algorithm, horizon) groups take two workers; one group runs
+    # serially; the CSV is the serial one bar the timing column
+    assert started == [2]
+    assert outs[1] == outs[0]
+
+
+def test_solve_prints_a_plan_of_segments_run_length_encoded(tmp_path, capsys):
+    # early_harvest over 2,000 phases is a plan of 3 segments; its chain
+    # of 2,001 surviving sets prints as 3 runs
+    path = tmp_path / "harvest.txt"
+    save_instance(presets.early_harvest(phases=2000), path)
+    assert main(["solve", "--instance", str(path), "--algo", "l-lcb",
+                 "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "commitment: {0,1}->{0}x1999->{}" in lines
 
 
 def test_experiment_rejects_misaligned_sweeps(tiny_path):

@@ -90,6 +90,9 @@ def test_validate_rejects_bad_inputs():
         dict(P=(1.0, 0.0)),
         dict(delta=(-1, 0)),
         dict(delta=(11, 0)),
+        # thresholds are not truncated: a fractional or infinite one is refused
+        dict(delta=(3.5, 3)),
+        dict(delta=(float("inf"), 3)),
         dict(mu=((1.5, 0.0), (0.0, 1.0))),
         dict(reward_kind="gaussian"),
     ]
@@ -116,6 +119,11 @@ def test_instance_normalizes_sequences_to_tuples():
     assert isinstance(inst.delta, tuple)
     assert isinstance(inst.mu[0], tuple)
     assert inst.phases == 2
+    # integral floats and NumPy integers are thresholds too
+    inst = Instance(n=2, k=2, tau=10, T=20, P=[0.5, 0.5],
+                    delta=[3.0, np.int64(4)], mu=[[1.0, 0.0], [0.0, 1.0]])
+    assert inst.delta == (3, 4)
+    assert all(type(d) is int for d in inst.delta)
 
 
 def test_iter_subsets_cardinality_then_lex():

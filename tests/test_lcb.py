@@ -201,37 +201,41 @@ def test_adaptive_policy_matches_the_exhaustive_commitment_here():
 
 @st.composite
 def live_matchings(draw):
-    """Arbitrary per-phase matchings, thresholds and arrivals: any row may
+    """Arbitrary segment plans: segments of 1-4 phases, each with its own
+    matching and thresholds, and arrivals for every phase; any row may
     run dry early, so the salvage fires in the middle of phases too."""
-    phases = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3))
     slack = draw(st.booleans())
     rows = n + slack
     tau = draw(st.integers(1, 8))
-    M = np.zeros((phases, rows, k), dtype=np.int64)
-    for p in range(phases):
+    M = np.zeros((len(lengths), rows, k), dtype=np.int64)
+    for i in range(len(lengths)):
         # tau units spread over the cells: the mass equals the phase length
         for cell in draw(st.lists(st.integers(0, rows * k - 1), min_size=tau,
                                   max_size=tau)):
-            M[p, cell // k, cell % k] += 1
+            M[i, cell // k, cell % k] += 1
     unit = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
     mu = [draw(st.lists(unit, min_size=k, max_size=k)) for _ in range(n)]
     deltas = [draw(st.lists(st.integers(0, tau), min_size=k, max_size=k))
-              for _ in range(phases)]
+              for _ in lengths]
+    phases = sum(lengths)
     arrivals = np.array(draw(st.lists(st.integers(0, n - 1), min_size=phases * tau,
                                       max_size=phases * tau)), dtype=np.int16)
-    return M, mu, deltas, n if slack else -1, arrivals.reshape(phases, tau)
+    return lengths, M, mu, deltas, n if slack else -1, arrivals.reshape(phases, tau)
 
 
 @settings(max_examples=300, deadline=None)
 @given(live_matchings())
 def test_vectorised_replay_follows_the_scalar_step(case):
-    M, mu, deltas, ustar, arrivals = case
-    pulls, fired = lcb_replay(M.copy(), mu, deltas, ustar, arrivals)
+    lengths, M, mu, deltas, ustar, arrivals = case
+    pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, ustar, arrivals)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
     want_fired = []
     for p, phase in enumerate(arrivals.tolist()):
-        state = LcbState(SimpleNamespace(M=M[p].tolist()), mu, deltas[p], ustar)
+        i = segment[p]
+        state = LcbState(SimpleNamespace(M=M[i].tolist()), mu, deltas[i], ustar)
         assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
         if state.bad_event_flag:
             want_fired.append(p + 1)
