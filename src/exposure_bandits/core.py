@@ -199,11 +199,14 @@ def validate(instance: Instance) -> None:
         if not p > 0.0:
             raise ValueError(f"P[{u}]={p} is not strictly positive")
         if p * tau < 1.0:
-            # accepted, but confidence floors degenerate for such types
+            # accepted, but confidence floors degenerate for such types;
+            # attributed to this line, not to the caller, so that the
+            # default filter shows each message once per process however
+            # many callers validate the same instance
             warnings.warn(
                 f"type {u} arrives less than once per phase in expectation",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=1,
             )
     total = sum(instance.P)
     if abs(total - 1.0) > SIMPLEX_TOL:

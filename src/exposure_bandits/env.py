@@ -157,16 +157,19 @@ def sample_arrivals(P, length: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. user types from the arrival simplex ``P``.
 
     Returns an int16 array of ``length`` type indices; deterministic given
-    the generator state.
+    the generator state.  A draw's type is the number of type boundaries
+    (the cumulative sums of ``P`` but the last) it reaches; the last
+    type also takes the draws that a rounded cumulative sum short of 1
+    leaves above every boundary.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     cum = np.cumsum(np.asarray(P, dtype=np.float64))
     draws = rng.random(length)
-    types = np.searchsorted(cum, draws, side="right")
-    # guard the upper edge: cumulative rounding could leave cum[-1] < 1
-    np.clip(types, 0, len(cum) - 1, out=types)
-    return types.astype(np.int16)
+    types = np.zeros(length, dtype=np.int16)
+    for boundary in cum[:-1]:
+        types += draws >= boundary
+    return types
 
 
 def recompute_expected_reward(record: RunRecord, instance: Instance) -> float:

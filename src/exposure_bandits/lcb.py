@@ -14,6 +14,14 @@ search over all 2^k - 1 subsets) and A-LCB (the k-step greedy, O(k^2)
 solver calls and a (1 - 1/e) guarantee from submodularity) keep one
 subset for every phase, one segment; L-LCB
 (:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
+
+:func:`lcb_replay` plays every phase at once on two paths.  A phase in
+which no type is short of its own row's mass, under a matching whose
+rows have no tied utilities, is a gather by arrival rank plus a few
+epochs for the arrivals that overflow to the slack row; it never falls
+back.  Every other phase (a shortfall, or a tie, where the remaining
+deficits decide) takes the keyed step, one vectorised
+:func:`lcb_policy_step` per round, salvage included.
 """
 
 from __future__ import annotations
@@ -167,17 +175,184 @@ def _salvage(M, mass, mu_u) -> tuple[int, int]:
 
 
 def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
-    """:func:`lcb_policy_step` for every phase at once, one vectorised
-    step per round of the phase.
+    """:func:`lcb_policy_step` for every phase at once.
 
     Segment ``i`` covers the next ``lengths[i]`` of the ``(phases, tau)``
     ``arrivals``: each such phase starts from the matching ``M[i]`` and
-    enforces the thresholds ``deltas_eff[i]``.  Rows, arms and ties follow
-    :func:`lcb_policy_step`; the rare bad-event rounds go through its
-    salvage, phase by phase.  Returns the ``(phases, tau)`` pulls and the
-    1-based phases in which the salvage fired.
+    enforces the thresholds ``deltas_eff[i]``.  Returns the ``(phases,
+    tau)`` pulls and the 1-based phases in which the salvage fired.
+
+    A phase in which no type is short of its own row's mass, under a
+    matching whose rows have no tied utilities, is a gather on arrival
+    rank (:func:`_rank_replay`); every other phase takes the keyed step
+    (:func:`_keyed_replay`), one vectorised step per round.
     """
     M = np.asarray(M, dtype=np.int64)
+    mu = np.asarray(mu, dtype=np.float64)
+    phases, tau = arrivals.shape
+    pulls = np.empty((phases, tau), dtype=np.int16)
+    keyed = np.ones(phases, dtype=bool)
+    lo = 0
+    for length, Ms in zip(lengths, M):
+        hi = lo + length
+        ranked = _rank_replay(Ms, mu, ustar, arrivals[lo:hi], pulls[lo:hi])
+        if ranked is not None:
+            keyed[lo:hi] = ~ranked
+        lo = hi
+    rest = np.flatnonzero(keyed)
+    if len(rest) == 0:
+        return pulls, []
+    segment = np.repeat(np.arange(len(M)), lengths)[rest]
+    rest_pulls, fired = _keyed_replay(
+        np.bincount(segment, minlength=len(M)), M, mu, deltas_eff, ustar,
+        arrivals[rest])
+    pulls[rest] = rest_pulls
+    return pulls, (rest[fired] + 1).tolist()
+
+
+def _rank_replay(Ms, mu, ustar: int, arrivals, out):
+    """Write into ``out`` the pulls of the phases of ``arrivals`` in
+    which no type is short of its row of the matching ``Ms``, and return
+    which phases those are; ``None`` when the matching's mass is not the
+    phase length, or some type's utilities tie over the arms of its own
+    row or of the slack row, where the deficits decide.
+
+    In such a phase the overflow arrivals number exactly the slack
+    row's mass, so the slack row never runs dry and the salvage never
+    fires; and with no tied utilities a row serves its arms in one
+    fixed order, whatever the deficits.  So type u's c-th arrival takes
+    the c-th unit of row u, its arms sorted best first, one gather by
+    arrival rank; only the overflow arrivals, served from the slack row,
+    depend on each other (:func:`_slack_epochs`).
+    """
+    phases, tau = arrivals.shape
+    n, k = mu.shape
+    if Ms.sum() != tau:
+        return None
+    slack_arms = np.flatnonzero(Ms[ustar]) if ustar >= 0 else np.zeros(0, np.intp)
+    # past its row's mass an arrival overflows to the slack row: a lone
+    # slack arm serves it at once, several leave the marker k for the
+    # epochs
+    table = np.full((n, tau + 1), slack_arms[0] if len(slack_arms) == 1 else k,
+                    dtype=np.int16)
+    for u in range(n):
+        support = np.flatnonzero(Ms[u])
+        for arms in (support, slack_arms):
+            if len(np.unique(mu[u, arms])) < len(arms):
+                return None
+        order = support[np.argsort(-mu[u, support])]
+        table[u, 1 : Ms[u].sum() + 1] = np.repeat(order, Ms[u, order])
+    counts = np.empty((phases, n), dtype=np.intp)
+    # type u's c-th arrival reads entry u * (tau + 1) + c of the table
+    index = arrivals.astype(_counter(n * (tau + 1)))
+    index *= tau + 1
+    for u, so_far in enumerate(_running_counts(arrivals, n)):
+        counts[:, u] = so_far[:, -1]
+        so_far *= arrivals == u
+        index += so_far
+    table.take(index, out=out)
+    clean = (counts >= Ms[:n].sum(axis=1)).all(axis=1)
+    if len(slack_arms) < 2 or not clean.any():
+        return clean
+    every = clean.all()
+    block = out if every else out[clean]
+    overflow = np.flatnonzero(block == k)
+    types = (arrivals if every else arrivals[clean]).take(overflow)
+    prefs = [np.argsort(-mu[u, slack_arms]) for u in range(n)]
+    slots = _slack_epochs(types.reshape(len(block), -1), Ms[ustar, slack_arms], prefs)
+    block.ravel()[overflow] = slack_arms[slots].ravel()
+    if not every:
+        out[clean] = block
+    return clean
+
+
+def _running_counts(labels, count: int):
+    """Yield, for each label in ``range(count)``, its running count along
+    the rows of ``labels``, in the narrowest integer type that holds the
+    row length: one cumulative sum per label but the last, whose count
+    is the entries so far less the others'."""
+    width = labels.shape[1]
+    dtype = _counter(width)
+    last = np.tile(np.arange(1, width + 1, dtype=dtype), (len(labels), 1))
+    for u in range(count - 1):
+        so_far = np.cumsum(labels == u, axis=1, dtype=dtype)
+        last -= so_far
+        yield so_far
+    yield last
+
+
+def _counter(largest: int):
+    """The narrowest integer type that counts up to ``largest``."""
+    return np.int16 if largest < 2**15 else np.int32
+
+
+def _slack_epochs(types, units, prefs) -> np.ndarray:
+    """Which slack arm each phase's overflow arrivals take, as indices
+    into the slack row's arms, whose ``units`` the rows of ``types`` (the
+    arrivals' types in order of arrival) exhaust; ``prefs[u]`` ranks the
+    arms by type u's utility, best first.
+
+    Each arrival takes its type's best slack arm with units left.  That
+    runs in epochs, each vectorised over phases: every type keeps one
+    arm up to the first arrival whose arm's demand in the epoch exceeds
+    the arm's units left; the next epoch starts from that arrival.  An
+    epoch that does not end the phase empties an arm, so a phase takes
+    at most one epoch per slack arm.
+    """
+    phases, width = types.shape
+    mine = [(types == u).astype(np.int16) for u in range(len(prefs))]
+    picked = np.empty(types.shape, dtype=np.int16)
+    # wide enough for units left plus the demand before an epoch
+    left = np.tile(units.astype(_counter(2 * width)), (phases, 1))
+    start = np.zeros(phases, dtype=np.intp)
+    alive = np.arange(phases)
+    cols = np.arange(width)
+    while len(alive):
+        # each type's best slack arm with units left
+        pick = np.zeros((len(alive), width), dtype=np.int16)
+        for u, pref in enumerate(prefs):
+            choice = np.zeros(len(alive), dtype=np.int16)
+            for j in pref[::-1]:
+                choice[left[:, j] > 0] = j
+            pick += mine[u] * choice[:, None]
+        # demand counts from the first column, so the epoch's own is what
+        # it adds to the count before ``start``
+        demand = list(_running_counts(pick, len(units)))
+        base = [_count_at(d, start - 1) for d in demand]
+        cut = np.full(len(alive), width, dtype=np.intp)
+        for d, b, units_left in zip(demand, base, left.T):
+            over = d > (b + units_left)[:, None]
+            first = over.argmax(axis=1)
+            # argmax reads 0 on a row with no excess
+            first[~np.take_along_axis(over, first[:, None], axis=1)[:, 0]] = width
+            np.minimum(cut, first, out=cut)
+        for j, (d, b) in enumerate(zip(demand, base)):
+            left[:, j] -= _count_at(d, cut - 1) - b
+        window = cols < cut[:, None]
+        if start.any():
+            window &= cols >= start[:, None]
+            picked[alive] = np.where(window, pick, picked[alive])
+        else:
+            # the first epoch, which starts every phase at its first column
+            np.copyto(picked, pick, where=window)
+        keep = cut < width
+        alive, start, left = alive[keep], cut[keep], left[keep]
+        mine = [m[keep] for m in mine]
+    return picked
+
+
+def _count_at(counts, col):
+    """``counts[p, col[p]]`` for each row p, 0 where ``col`` is -1."""
+    at = np.take_along_axis(counts, np.maximum(col, 0)[:, None], axis=1)[:, 0]
+    return np.where(col >= 0, at, 0)
+
+
+def _keyed_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
+    """The replay of :func:`lcb_replay` by one vectorised keyed step per
+    round of the phase, across all phases; the rare bad-event rounds go
+    through :func:`lcb_policy_step`'s salvage, phase by phase.  Returns
+    the ``(phases, tau)`` pulls and the 0-based phases in which the
+    salvage fired."""
     _, rows, k = M.shape
     phases = len(arrivals)
     # arm-major live matching: entry (phase p, row r, arm a) sits at
@@ -188,7 +363,6 @@ def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
     slack_cell = own_base + ustar
     deficit = np.repeat(np.asarray(deltas_eff, dtype=np.int64).T, lengths, axis=1)
     arm_base = np.arange(phases)
-    mu = np.asarray(mu, dtype=np.float64)
     # an entry's key orders it like lcb_policy_step does: by utility (its
     # rank among mu's distinct values), then by remaining deficit; arms
     # are scanned upward and only a strictly larger key wins, so ties go
@@ -222,7 +396,7 @@ def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
         mass[cell] -= 1
         deficit[arm, arm_base] = np.maximum(deficit[arm, arm_base] - 1, 0)
         pulls[r] = arm
-    return pulls.T, (np.flatnonzero(fired) + 1).tolist()
+    return pulls.T, np.flatnonzero(fired)
 
 
 def subset_value_oracle(instance: Instance, aggregate: Aggregate | None = None):

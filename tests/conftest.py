@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from exposure_bandits import Instance
+from exposure_bandits import Instance, lcb
 
 IDENTITY2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -90,3 +90,17 @@ def tie_prone_instances(draw):
     mu = tuple(tuple(draw(st.lists(grid, min_size=k, max_size=k))) for _ in range(n))
     P = tuple(w / sum(weights) for w in weights)
     return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)
+
+
+def keyed_phases(monkeypatch) -> list:
+    """A list that records how many phases each call of
+    ``lcb._keyed_replay`` replays, from now until the test ends."""
+    keyed = []
+    replay = lcb._keyed_replay
+
+    def spy(lengths, *args):
+        keyed.append(int(np.sum(lengths)))
+        return replay(lengths, *args)
+
+    monkeypatch.setattr(lcb, "_keyed_replay", spy)
+    return keyed

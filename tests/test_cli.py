@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exposure_bandits
 from exposure_bandits import presets, run_episode
 from exposure_bandits.cli import load_instance, main, make_policy, save_instance
 from conftest import make_instance
@@ -231,3 +236,22 @@ def test_ees_learners_report_their_planners_fallback_phases(tmp_path):
     assert int(rows[1]["bad_events"]) > 0
     policy.start(np.random.default_rng(0))
     assert policy.bad_event_phases == []
+
+
+def test_a_rare_type_is_warned_about_once_per_run(tmp_path):
+    # the loader, lcb_star and run_episode each validate the instance;
+    # the warning names the type once, not once per caller
+    path = tmp_path / "rare.txt"
+    path.write_text("n = 2\nk = 2\ntau = 10\nT = 100\nP = 0.95 0.05\n"
+                    "delta = 2 2\nmu = 1 0 0 1\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(exposure_bandits.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "exposure_bandits.cli", "solve", "--instance", str(path),
+         "--algo", "lcb-star", "--seeds", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines()
+              if "type 1 arrives less than once per phase" in line]
+    assert len(warned) == 1, proc.stderr

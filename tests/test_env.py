@@ -12,6 +12,8 @@ from exposure_bandits import (
     ContractError,
     InfeasibleError,
     Instance,
+    LcbPolicy,
+    LlcbPolicy,
     Policy,
     ResourceGuardError,
     RunRecord,
@@ -21,8 +23,13 @@ from exposure_bandits import (
     sample_arrivals,
 )
 from exposure_bandits.cli import ALGORITHMS, make_policy
-from exposure_bandits.presets import subsidy_wasteful, subsidy_worthwhile, symmetric_tight
-from conftest import IDENTITY2, make_instance
+from exposure_bandits.presets import (
+    early_harvest,
+    subsidy_wasteful,
+    subsidy_worthwhile,
+    symmetric_tight,
+)
+from conftest import IDENTITY2, keyed_phases, make_instance
 
 
 class FixedArmPolicy(Policy):
@@ -61,6 +68,49 @@ def test_sample_arrivals_matches_the_law():
         freq = float((draws == u).mean())
         sigma = math.sqrt(p * (1 - p) / 100_000)
         assert abs(freq - p) < 4 * sigma
+
+
+class FixedDraws:
+    """A generator stand-in whose ``random`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, length):
+        assert length == len(self.draws)
+        return self.draws.copy()
+
+
+@st.composite
+def arrival_laws(draw):
+    """A simplex and draws that hit its boundaries, their neighbouring
+    floats and the ends of [0, 1), besides arbitrary ones."""
+    if draw(st.booleans()):
+        # float sums of these fall short of 1 (ten 0.1s sum to 0.9999...)
+        P = draw(st.sampled_from([(0.1,) * 10, (0.7, 0.1, 0.1, 0.1), (1 / 3,) * 3]))
+    else:
+        weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+        P = tuple(w / sum(weights) for w in weights)
+    cum = np.cumsum(P)
+    edges = [0.0, np.nextafter(1.0, 0.0)]
+    for c in cum:
+        edges += [c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)]
+    edges = [e for e in edges if 0.0 <= e < 1.0]
+    draws = draw(st.lists(st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True),
+                          max_size=40))
+    return P, draws
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrival_laws())
+def test_sample_arrivals_counts_the_boundaries_each_draw_reaches(law):
+    P, draws = law
+    cum = np.cumsum(np.asarray(P, dtype=np.float64))
+    # the reference: search the cumulative sums, then clip to the last type
+    want = np.clip(np.searchsorted(cum, draws, side="right"), 0, len(P) - 1)
+    got = sample_arrivals(P, len(draws), FixedDraws(draws))
+    assert got.dtype == np.int16
+    assert got.tolist() == want.tolist()
 
 
 def test_same_seed_reproduces_the_episode_exactly():
@@ -329,6 +379,33 @@ def test_segments_match_the_loop_where_the_fallback_fires(algo):
         assert fallbacks
         if algo.startswith("ees-"):
             assert min(fallbacks) > policy.exploration_phases
+
+
+@pytest.mark.parametrize("phases", [4, 40])
+@pytest.mark.parametrize("planner", [LcbPolicy, LlcbPolicy])
+def test_segments_match_the_loop_over_few_long_phases(planner, phases):
+    # tau=2000: the replay gathers each phase's pulls by arrival rank
+    inst = early_harvest(tau=2000, phases=phases)
+    policy = planner(inst)
+    for seed in (0, 1):
+        rec, fallbacks = run_both(inst, policy, seed, "expected")
+        assert isinstance(rec, RunRecord)
+        assert fallbacks == []
+
+
+@pytest.mark.parametrize("preset", [subsidy_worthwhile, symmetric_tight])
+def test_one_short_phase_among_clean_ones_takes_the_keyed_step(preset, monkeypatch):
+    # seed 643 draws 27 type-0 arrivals in phase 29, one below the floor
+    # of 28, and meets both floors in every other phase
+    keyed = keyed_phases(monkeypatch)
+    inst = preset(T=100 * 50)
+    policy = LcbPolicy(inst)
+    assert [sum(row) for row in policy.template.M[:2]] == [28, 28]
+    rec, fallbacks = run_both(inst, policy, 643, "expected")
+    counts = np.stack([(rec.arrivals.reshape(50, 100) == u).sum(axis=1) for u in (0, 1)], 1)
+    assert np.flatnonzero((counts < 28).any(axis=1)).tolist() == [28]
+    assert fallbacks == [29]
+    assert keyed == [1]
 
 
 def test_never_subsidize_plays_three_segments_on_symmetric_tight():

@@ -22,7 +22,7 @@ from exposure_bandits import (
 )
 from exposure_bandits import lcb
 from exposure_bandits.lcb import LcbState, lcb_replay
-from conftest import make_instance, random_instance, tie_prone_instances
+from conftest import keyed_phases, make_instance, random_instance, tie_prone_instances
 
 
 def test_symmetric_template_protects_both_arms():
@@ -285,3 +285,84 @@ def test_pruned_lcb_star_matches_the_unpruned_search_on_wide_instances(monkeypat
         _assert_same_lcb_search(inst, expected)
         # the bound must have skipped solves, or this checks nothing
         assert len(solved) < 2**k - 1
+
+
+@st.composite
+def rank_cases(draw):
+    """Segment plans whose matchings have the phase length as mass, and
+    arrivals that meet every own row's mass in most phases, with phases
+    short of some row mixed in; utilities are tie-free or tie-prone.
+    Hypothesis draws the shape, a seeded generator fills it in."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    slack = draw(st.booleans())
+    tau = draw(st.integers(1, 64))
+    tie_prone = draw(st.booleans())
+    met = draw(st.lists(st.integers(0, 3), min_size=sum(lengths), max_size=sum(lengths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tie_prone:
+        mu = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, k))
+    else:
+        mu = np.array([rng.permutation(k) / k + rng.random() / k for _ in range(n)])
+    rows = n + slack
+    M = np.zeros((len(lengths), rows, k), dtype=np.int64)
+    for i in range(len(lengths)):
+        masses = np.diff([0, *np.sort(rng.integers(0, tau + 1, size=rows - 1)), tau])
+        for r, mass in enumerate(masses):
+            M[i, r] = np.bincount(rng.integers(0, k, size=mass), minlength=k)
+    deltas = rng.integers(0, tau + 1, size=(len(lengths), k)).tolist()
+    arrivals = rng.integers(0, n, size=(sum(lengths), tau))
+    for p, i in enumerate(np.repeat(np.arange(len(lengths)), lengths)):
+        if met[p]:
+            # every own row's mass, and the slack row's in any types
+            own = np.repeat(np.arange(n), M[i, :n].sum(axis=1))
+            arrivals[p, : len(own)] = own
+            rng.shuffle(arrivals[p])
+    return lengths, M, mu.tolist(), deltas, n if slack else -1, arrivals.astype(np.int16)
+
+
+def _takes_the_keyed_step(M, mu, ustar, phase) -> bool:
+    """Whether a phase with this matching must be replayed by the keyed
+    step: some type is short of its own row's mass, or ties in utility
+    over the arms of its own row or of the slack row."""
+    mu = np.asarray(mu)
+    counts = np.bincount(phase, minlength=len(mu))
+    for u in range(len(mu)):
+        if counts[u] < M[u].sum():
+            return True
+        for row in (u, ustar) if ustar >= 0 else (u,):
+            values = mu[u][M[row] > 0]
+            if len(set(values.tolist())) < len(values):
+                return True
+    return False
+
+
+def test_rank_gather_follows_the_scalar_step(monkeypatch):
+    keyed = keyed_phases(monkeypatch)
+    phases_seen = [0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def check(case):
+        lengths, M, mu, deltas, ustar, arrivals = case
+        keyed.clear()
+        pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, ustar, arrivals)
+        segment = np.repeat(np.arange(len(lengths)), lengths)
+        want_fired, want_keyed = [], 0
+        for p, phase in enumerate(arrivals.tolist()):
+            i = segment[p]
+            state = LcbState(SimpleNamespace(M=M[i].tolist()), mu, deltas[i], ustar)
+            assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
+            if state.bad_event_flag:
+                want_fired.append(p + 1)
+            want_keyed += _takes_the_keyed_step(M[i], mu, ustar, arrivals[p])
+        assert fired == want_fired
+        # exactly the short and the tied phases take the keyed step
+        assert sum(keyed) == want_keyed
+        phases_seen[0] += len(arrivals)
+        phases_seen[1] += len(arrivals) - want_keyed
+
+    check()
+    # the strategy reaches the rank gather, in most phases
+    assert phases_seen[1] > phases_seen[0] / 3
