@@ -288,8 +288,6 @@ class DpPolicy(CommittedPolicy):
     an episode at once.
     """
 
-    wants_feedback = False
-
     def __init__(self, instance: Instance):
         Z, table = dp_star(instance)
         self.instance = instance

@@ -15,13 +15,13 @@ solver calls and a (1 - 1/e) guarantee from submodularity) keep one
 subset for every phase, one segment; L-LCB
 (:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
 
-:func:`lcb_replay` plays every phase at once on two paths.  A phase in
-which no type is short of its own row's mass, under a matching whose
-rows have no tied utilities, is a gather by arrival rank plus a few
-epochs for the arrivals that overflow to the slack row; it never falls
-back.  Every other phase (a shortfall, or a tie, where the remaining
-deficits decide) takes the keyed step, one vectorised
-:func:`lcb_policy_step` per round, salvage included.
+:func:`lcb_replay` plays every phase at once.  A phase in which no type
+is short of its own row's mass, under a matching whose rows have no tied
+utilities, is a gather by arrival rank plus a few epochs for the
+arrivals that overflow to the slack row; it never falls back.  Every
+other phase (a shortfall, or a tie, where the remaining deficits decide)
+steps through :func:`lcb_policy_step`, one arrival at a time, salvage
+included: the tie-break and the salvage have that one implementation.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class LcbState:
         "k",
     )
 
-    def __init__(self, template: Matching, mu, deltas_eff, ustar: int):
-        self.M_template = template
+    def __init__(self, rows, mu, deltas_eff, ustar: int):
+        self.M_template = rows  # the matching's rows, pulls per arm
         self.mu = mu
         self.deltas_eff = deltas_eff  # committed thresholds, 0 elsewhere
         self.ustar = ustar  # slack row index, -1 when absent
@@ -100,7 +100,7 @@ class LcbState:
         self.reset()
 
     def reset(self) -> None:
-        self.M_live = [list(row) for row in self.M_template.M]
+        self.M_live = [list(row) for row in self.M_template]
         self.row_mass = [sum(row) for row in self.M_live]
         self.phase_pulls = [0] * self.k
         self.bad_event_flag = False
@@ -184,36 +184,45 @@ def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
 
     A phase in which no type is short of its own row's mass, under a
     matching whose rows have no tied utilities, is a gather on arrival
-    rank (:func:`_rank_replay`); every other phase takes the keyed step
-    (:func:`_keyed_replay`), one vectorised step per round.
+    rank (:func:`_rank_replay`); every other phase steps through
+    :func:`lcb_policy_step` (:func:`_step_phases`).
     """
     M = np.asarray(M, dtype=np.int64)
     mu = np.asarray(mu, dtype=np.float64)
-    phases, tau = arrivals.shape
-    pulls = np.empty((phases, tau), dtype=np.int16)
-    keyed = np.ones(phases, dtype=bool)
+    pulls = np.empty(arrivals.shape, dtype=np.int16)
+    fired: list[int] = []
     lo = 0
-    for length, Ms in zip(lengths, M):
-        hi = lo + length
-        ranked = _rank_replay(Ms, mu, ustar, arrivals[lo:hi], pulls[lo:hi])
-        if ranked is not None:
-            keyed[lo:hi] = ~ranked
-        lo = hi
-    rest = np.flatnonzero(keyed)
-    if len(rest) == 0:
-        return pulls, []
-    segment = np.repeat(np.arange(len(M)), lengths)[rest]
-    rest_pulls, fired = _keyed_replay(
-        np.bincount(segment, minlength=len(M)), M, mu, deltas_eff, ustar,
-        arrivals[rest])
-    pulls[rest] = rest_pulls
-    return pulls, (rest[fired] + 1).tolist()
+    for length, Ms, deltas in zip(lengths, M, deltas_eff):
+        phases = slice(lo, lo + length)
+        ranked = _rank_replay(Ms, mu, ustar, arrivals[phases], pulls[phases])
+        refused = lo + np.flatnonzero(~ranked)
+        if len(refused):
+            stepped, salvaged = _step_phases(
+                Ms.tolist(), mu.tolist(), deltas, ustar, arrivals[refused])
+            pulls[refused] = stepped
+            fired += (refused[salvaged] + 1).tolist()
+        lo += length
+    return pulls, fired
+
+
+def _step_phases(rows, mu, deltas_eff, ustar: int, arrivals):
+    """Replay each phase of ``arrivals`` from the matching ``rows``, one
+    :func:`lcb_policy_step` per arrival.  Returns the pulls, one list per
+    phase, and the 0-based phases in which the salvage fired."""
+    state = LcbState(rows, mu, deltas_eff, ustar)
+    pulls, fired = [], []
+    for p, phase in enumerate(arrivals.tolist()):
+        state.reset()
+        pulls.append([lcb_policy_step(state, u) for u in phase])
+        if state.bad_event_flag:
+            fired.append(p)
+    return pulls, fired
 
 
 def _rank_replay(Ms, mu, ustar: int, arrivals, out):
     """Write into ``out`` the pulls of the phases of ``arrivals`` in
     which no type is short of its row of the matching ``Ms``, and return
-    which phases those are; ``None`` when the matching's mass is not the
+    which phases those are; none when the matching's mass is not the
     phase length, or some type's utilities tie over the arms of its own
     row or of the slack row, where the deficits decide.
 
@@ -228,7 +237,7 @@ def _rank_replay(Ms, mu, ustar: int, arrivals, out):
     phases, tau = arrivals.shape
     n, k = mu.shape
     if Ms.sum() != tau:
-        return None
+        return np.zeros(phases, dtype=bool)
     slack_arms = np.flatnonzero(Ms[ustar]) if ustar >= 0 else np.zeros(0, np.intp)
     # past its row's mass an arrival overflows to the slack row: a lone
     # slack arm serves it at once, several leave the marker k for the
@@ -239,7 +248,7 @@ def _rank_replay(Ms, mu, ustar: int, arrivals, out):
         support = np.flatnonzero(Ms[u])
         for arms in (support, slack_arms):
             if len(np.unique(mu[u, arms])) < len(arms):
-                return None
+                return np.zeros(phases, dtype=bool)
         order = support[np.argsort(-mu[u, support])]
         table[u, 1 : Ms[u].sum() + 1] = np.repeat(order, Ms[u, order])
     counts = np.empty((phases, n), dtype=np.intp)
@@ -345,58 +354,6 @@ def _count_at(counts, col):
     """``counts[p, col[p]]`` for each row p, 0 where ``col`` is -1."""
     at = np.take_along_axis(counts, np.maximum(col, 0)[:, None], axis=1)[:, 0]
     return np.where(col >= 0, at, 0)
-
-
-def _keyed_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
-    """The replay of :func:`lcb_replay` by one vectorised keyed step per
-    round of the phase, across all phases; the rare bad-event rounds go
-    through :func:`lcb_policy_step`'s salvage, phase by phase.  Returns
-    the ``(phases, tau)`` pulls and the 0-based phases in which the
-    salvage fired."""
-    _, rows, k = M.shape
-    phases = len(arrivals)
-    # arm-major live matching: entry (phase p, row r, arm a) sits at
-    # live[a, p * rows + r]
-    live = np.repeat(np.moveaxis(M, 2, 0), lengths, axis=1).reshape(k, phases * rows)
-    mass = live.sum(axis=0)
-    own_base = np.arange(phases) * rows
-    slack_cell = own_base + ustar
-    deficit = np.repeat(np.asarray(deltas_eff, dtype=np.int64).T, lengths, axis=1)
-    arm_base = np.arange(phases)
-    # an entry's key orders it like lcb_policy_step does: by utility (its
-    # rank among mu's distinct values), then by remaining deficit; arms
-    # are scanned upward and only a strictly larger key wins, so ties go
-    # to the smaller arm
-    _, rank = np.unique(mu, return_inverse=True)
-    util_key = rank.reshape(mu.shape).T * (int(deficit.max(initial=0)) + 1)
-    fired = np.zeros(phases, dtype=bool)
-    pulls = np.empty(arrivals.shape[::-1], dtype=np.int16)
-    for r, u in enumerate(np.ascontiguousarray(arrivals.T, dtype=np.intp)):
-        cell = own_base + u
-        own = mass[cell] > 0
-        bad = None
-        if not own.all():
-            bad = ~own
-            if ustar >= 0:
-                cell = np.where(own, cell, slack_cell)
-                bad &= mass[slack_cell] <= 0
-        best = np.where(live[0, cell] > 0, util_key[0, u] + deficit[0], -1)
-        arm = np.zeros(phases, dtype=np.intp)
-        for a in range(1, k):
-            key = np.where(live[a, cell] > 0, util_key[a, u] + deficit[a], -1)
-            arm[key > best] = a
-            np.maximum(best, key, out=best)
-        if bad is not None and bad.any():
-            fired |= bad
-            for p in np.flatnonzero(bad).tolist():
-                cells = slice(p * rows, (p + 1) * rows)
-                row, arm[p] = _salvage(live[:, cells].T, mass[cells], mu[u[p]])
-                cell[p] = own_base[p] + row
-        live[arm, cell] -= 1
-        mass[cell] -= 1
-        deficit[arm, arm_base] = np.maximum(deficit[arm, arm_base] - 1, 0)
-        pulls[r] = arm
-    return pulls.T, np.flatnonzero(fired)
 
 
 def subset_value_oracle(instance: Instance, aggregate: Aggregate | None = None):
@@ -519,8 +476,6 @@ class LcbPolicy(CommittedPolicy):
     missed some confidence floor (diagnosed by the fallback firing).
     """
 
-    wants_feedback = False
-
     def __init__(self, instance: Instance):
         self.Z, self.template = lcb_star(instance)
         self._commit(instance, [PlanSegment(instance.phases, self.template, self.Z, self.Z)])
@@ -532,7 +487,7 @@ class LcbPolicy(CommittedPolicy):
         mu = [list(row) for row in instance.mu]
         self._states = [
             LcbState(
-                seg.matching,
+                seg.matching.M,
                 mu,
                 [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)],
                 ustar=instance.n,

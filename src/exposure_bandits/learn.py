@@ -396,8 +396,6 @@ class EesPolicy(Policy):
 class MyopicPolicy(Policy):
     """Best viable arm for the arriving type; ignores thresholds."""
 
-    wants_feedback = False
-
     def __init__(self, instance: Instance):
         # preference order per type: utility desc, index asc
         self._pref = [

@@ -81,8 +81,13 @@ class LmatchPlan:
     """
 
     segments: tuple[PlanSegment, ...]
-    chain: tuple[frozenset, ...]
     total_value: float
+
+    @property
+    def chain(self) -> tuple[frozenset, ...]:
+        """Z^0, then the set kept after each phase, phase 1 first."""
+        return (self.segments[0].available,
+                *(s.kept for s in self.segments for _ in range(s.phases)))
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -231,14 +236,11 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
         PlanSegment(phases=c, matching=match[m1, m2], available=sets[m1], kept=sets[m2])
         for m1, m2, c in runs
     )
-    chain = [sets[runs[0][0]]]
-    for seg in segments:
-        chain += [seg.kept] * seg.phases
     # phase values added one phase at a time, as the per-phase DP does:
     # accumulate is sequential (sum would add pairwise)
     values = np.repeat([s.matching.value for s in segments], [s.phases for s in segments])
     total = float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
-    return LmatchPlan(segments=segments, chain=tuple(chain), total_value=total)
+    return LmatchPlan(segments=segments, total_value=total)
 
 
 class LlcbPolicy(LcbPolicy):

@@ -274,7 +274,7 @@ class _FlowGraph:
                         prev_edge[v] = e
                         heappush(pq, (nd, v))
             if dist[sink] == INF:
-                raise AssertionError("transportation problem unexpectedly infeasible")
+                raise ContractError("transportation problem unexpectedly infeasible")
             pot = [p + d if d < INF else p for p, d in zip(pot, dist)]
             # push the bottleneck along the path
             push = need

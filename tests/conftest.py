@@ -92,15 +92,15 @@ def tie_prone_instances(draw):
     return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)
 
 
-def keyed_phases(monkeypatch) -> list:
+def stepped_phases(monkeypatch) -> list:
     """A list that records how many phases each call of
-    ``lcb._keyed_replay`` replays, from now until the test ends."""
-    keyed = []
-    replay = lcb._keyed_replay
+    ``lcb._step_phases`` replays, from now until the test ends."""
+    stepped = []
+    step = lcb._step_phases
 
-    def spy(lengths, *args):
-        keyed.append(int(np.sum(lengths)))
-        return replay(lengths, *args)
+    def spy(*args):
+        stepped.append(len(args[-1]))
+        return step(*args)
 
-    monkeypatch.setattr(lcb, "_keyed_replay", spy)
-    return keyed
+    monkeypatch.setattr(lcb, "_step_phases", spy)
+    return stepped

@@ -29,7 +29,7 @@ from exposure_bandits.presets import (
     subsidy_worthwhile,
     symmetric_tight,
 )
-from conftest import IDENTITY2, keyed_phases, make_instance
+from conftest import IDENTITY2, make_instance, stepped_phases
 
 
 class FixedArmPolicy(Policy):
@@ -394,10 +394,10 @@ def test_segments_match_the_loop_over_few_long_phases(planner, phases):
 
 
 @pytest.mark.parametrize("preset", [subsidy_worthwhile, symmetric_tight])
-def test_one_short_phase_among_clean_ones_takes_the_keyed_step(preset, monkeypatch):
+def test_one_short_phase_among_clean_ones_steps_alone(preset, monkeypatch):
     # seed 643 draws 27 type-0 arrivals in phase 29, one below the floor
     # of 28, and meets both floors in every other phase
-    keyed = keyed_phases(monkeypatch)
+    stepped = stepped_phases(monkeypatch)
     inst = preset(T=100 * 50)
     policy = LcbPolicy(inst)
     assert [sum(row) for row in policy.template.M[:2]] == [28, 28]
@@ -405,7 +405,29 @@ def test_one_short_phase_among_clean_ones_takes_the_keyed_step(preset, monkeypat
     counts = np.stack([(rec.arrivals.reshape(50, 100) == u).sum(axis=1) for u in (0, 1)], 1)
     assert np.flatnonzero((counts < 28).any(axis=1)).tolist() == [28]
     assert fallbacks == [29]
-    assert keyed == [1]
+    assert stepped == [1]
+
+
+@pytest.mark.parametrize("preset", [symmetric_tight, subsidy_worthwhile, subsidy_wasteful])
+def test_only_the_short_phases_step(preset, monkeypatch):
+    # over 300 phases at tau=100, seed 278 draws 143 as the one phase short
+    # of a floor of 28 (subsidy_wasteful's floor of 68 at P=0.9 is met in
+    # every phase), seed 0 none; every other phase takes the rank gather
+    short = [] if preset is subsidy_wasteful else [143]
+    stepped = stepped_phases(monkeypatch)
+    inst = preset(T=100 * 300)
+    policy = LcbPolicy(inst)
+    own = [sum(row) for row in policy.template.M[: inst.n]]
+    for seed, want in ((278, short), (0, [])):
+        stepped.clear()
+        rec = run_episode(inst, policy, seed, reward_mode="expected")
+        phases = rec.arrivals.reshape(300, 100)
+        counts = np.stack([(phases == u).sum(axis=1) for u in range(inst.n)], 1)
+        assert (np.flatnonzero((counts < own).any(axis=1)) + 1).tolist() == want
+        # the salvage fires only in stepped phases, so the stepped ones are
+        # exactly the short ones
+        assert policy.bad_event_phases == want
+        assert stepped == ([len(want)] if want else [])
 
 
 def test_never_subsidize_plays_three_segments_on_symmetric_tight():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,7 +21,7 @@ from exposure_bandits import (
 )
 from exposure_bandits import lcb
 from exposure_bandits.lcb import LcbState, lcb_replay
-from conftest import keyed_phases, make_instance, random_instance, tie_prone_instances
+from conftest import make_instance, random_instance, stepped_phases, tie_prone_instances
 
 
 def test_symmetric_template_protects_both_arms():
@@ -235,7 +234,7 @@ def test_vectorised_replay_follows_the_scalar_step(case):
     want_fired = []
     for p, phase in enumerate(arrivals.tolist()):
         i = segment[p]
-        state = LcbState(SimpleNamespace(M=M[i].tolist()), mu, deltas[i], ustar)
+        state = LcbState(M[i].tolist(), mu, deltas[i], ustar)
         assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
         if state.bad_event_flag:
             want_fired.append(p + 1)
@@ -322,10 +321,10 @@ def rank_cases(draw):
     return lengths, M, mu.tolist(), deltas, n if slack else -1, arrivals.astype(np.int16)
 
 
-def _takes_the_keyed_step(M, mu, ustar, phase) -> bool:
-    """Whether a phase with this matching must be replayed by the keyed
-    step: some type is short of its own row's mass, or ties in utility
-    over the arms of its own row or of the slack row."""
+def _leaves_the_rank_gather(M, mu, ustar, phase) -> bool:
+    """Whether a phase with this matching must step through
+    lcb_policy_step: some type is short of its own row's mass, or ties in
+    utility over the arms of its own row or of the slack row."""
     mu = np.asarray(mu)
     counts = np.bincount(phase, minlength=len(mu))
     for u in range(len(mu)):
@@ -339,29 +338,29 @@ def _takes_the_keyed_step(M, mu, ustar, phase) -> bool:
 
 
 def test_rank_gather_follows_the_scalar_step(monkeypatch):
-    keyed = keyed_phases(monkeypatch)
+    stepped = stepped_phases(monkeypatch)
     phases_seen = [0, 0]
 
     @settings(max_examples=300, deadline=None)
     @given(rank_cases())
     def check(case):
         lengths, M, mu, deltas, ustar, arrivals = case
-        keyed.clear()
+        stepped.clear()
         pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, ustar, arrivals)
         segment = np.repeat(np.arange(len(lengths)), lengths)
-        want_fired, want_keyed = [], 0
+        want_fired, want_stepped = [], 0
         for p, phase in enumerate(arrivals.tolist()):
             i = segment[p]
-            state = LcbState(SimpleNamespace(M=M[i].tolist()), mu, deltas[i], ustar)
+            state = LcbState(M[i].tolist(), mu, deltas[i], ustar)
             assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
             if state.bad_event_flag:
                 want_fired.append(p + 1)
-            want_keyed += _takes_the_keyed_step(M[i], mu, ustar, arrivals[p])
+            want_stepped += _leaves_the_rank_gather(M[i], mu, ustar, arrivals[p])
         assert fired == want_fired
-        # exactly the short and the tied phases take the keyed step
-        assert sum(keyed) == want_keyed
+        # exactly the short and the tied phases leave the rank gather
+        assert sum(stepped) == want_stepped
         phases_seen[0] += len(arrivals)
-        phases_seen[1] += len(arrivals) - want_keyed
+        phases_seen[1] += len(arrivals) - want_stepped
 
     check()
     # the strategy reaches the rank gather, in most phases

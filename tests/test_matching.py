@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from exposure_bandits import (
     NEG_INF,
     Aggregate,
+    ContractError,
     brute_matching,
     build_lcb_aggregate,
     doalg,
@@ -17,7 +18,7 @@ from exposure_bandits import (
     iter_subsets,
     Matching,
 )
-from exposure_bandits.matching import _MANDATORY_BONUS, _mu_eff
+from exposure_bandits.matching import _MANDATORY_BONUS, _FlowGraph, _mu_eff
 from conftest import make_instance, random_counts, random_instance, tie_prone_instances
 
 
@@ -337,3 +338,9 @@ def test_doalg_matches_the_dict_flow_solve_on_wide_aggregates():
         allowed = frozenset(a for a in range(k) if rng.random() < 0.8) or frozenset({0})
         committed = frozenset(a for a in allowed if rng.random() < 0.5)
         assert_same_matching(agg, allowed, committed, inst)
+
+
+def test_an_infeasible_flow_breaks_the_contract():
+    # one unit of supply at node 0 and no arc to the sink, node 1
+    with pytest.raises(ContractError, match="unexpectedly infeasible"):
+        _FlowGraph(2).solve_from_supplies([1], 1)
