@@ -5,7 +5,7 @@ description defined here: ``n`` user types arriving i.i.d. from ``P``,
 ``k`` arms with expected utilities ``mu[u][a]``, and a horizon of ``T``
 rounds split into phases of length ``tau``.  An arm that receives fewer
 than ``delta[a]`` pulls within a phase departs permanently at the phase
-boundary.
+boundary.  An invalid instance raises ``ValueError`` when it is built.
 
 ``compute_gamma`` answers the feasibility question behind uniform
 exploration: the largest per-arm rate ``gamma`` such that pulling every
@@ -32,10 +32,12 @@ __all__ = [
     "gamma_from_parts",
     "compute_gamma",
     "iter_subsets",
+    "subset_count",
     "best_subset",
 ]
 
 SIMPLEX_TOL = 1e-12
+SUBSET_ARM_CAP = 16  # most arms whose subsets an exhaustive search tries
 
 REWARD_KINDS = ("bernoulli", "deterministic")
 
@@ -115,7 +117,8 @@ def _threshold(d) -> int:
 
 @dataclass(frozen=True)
 class Instance:
-    """Full description of one exposure-constrained bandit problem.
+    """Full description of one exposure-constrained bandit problem,
+    checked by :func:`validate` whenever one is built or replaced.
 
     Parameters
     ----------
@@ -156,6 +159,7 @@ class Instance:
         object.__setattr__(
             self, "mu", tuple(tuple(float(v) for v in row) for row in self.mu)
         )
+        validate(self)
 
     @property
     def phases(self) -> int:
@@ -202,7 +206,7 @@ def validate(instance: Instance) -> None:
             # accepted, but confidence floors degenerate for such types;
             # attributed to this line, not to the caller, so that the
             # default filter shows each message once per process however
-            # many callers validate the same instance
+            # many places build instances with the same rare type
             warnings.warn(
                 f"type {u} arrives less than once per phase in expectation",
                 RuntimeWarning,
@@ -251,14 +255,13 @@ def gamma_from_parts(delta, tau: int, k: int) -> GammaResult:
 
 
 def compute_gamma(instance: Instance) -> GammaResult:
-    """Largest feasible exploration rate for a validated instance.
+    """Largest feasible exploration rate, from the instance's thresholds.
 
     ``feasible`` is ``False`` iff ``sum(instance.delta) > instance.tau``.
     When a rate exists, ``sum_a max(delta[a], floor(gamma*tau)) <= tau``
     holds exactly, and enlarging any ``delta[a]`` never increases the
     returned ``gamma``.
     """
-    validate(instance)
     return gamma_from_parts(instance.delta, instance.tau, instance.k)
 
 
@@ -267,6 +270,14 @@ def iter_subsets(k: int) -> Iterator[tuple[int, ...]]:
     lexicographically.  The shared tie-break order for subset searches."""
     for size in range(1, k + 1):
         yield from combinations(range(k), size)
+
+
+def subset_count(k: int) -> int:
+    """Nonempty subsets of k arms an exhaustive search may try, 2^k - 1;
+    raises ResourceGuardError for more than SUBSET_ARM_CAP arms."""
+    if k > SUBSET_ARM_CAP:
+        raise ResourceGuardError(f"2^k subset enumeration limited to k <= {SUBSET_ARM_CAP}")
+    return 2**k - 1
 
 
 def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
@@ -285,10 +296,9 @@ def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
     is the subset of greatest value, ties going to the earliest in
     :func:`iter_subsets` order, with its payload: what trying every
     subset gives.  Returns ``(Z, payload)``; raises ResourceGuardError
-    for more than 16 arms.
+    for more than SUBSET_ARM_CAP arms (:func:`subset_count`).
     """
-    if instance.k > 16:
-        raise ResourceGuardError("2^k subset enumeration limited to k <= 16")
+    subset_count(instance.k)
     subsets = [
         Z for Z in iter_subsets(instance.k)
         if sum(instance.delta[a] for a in Z) <= instance.tau

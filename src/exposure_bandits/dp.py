@@ -36,7 +36,6 @@ from .core import (
     InfeasibleError,
     ResourceGuardError,
     best_subset,
-    validate,
 )
 from .env import CommittedPolicy
 
@@ -184,7 +183,6 @@ def mer_table(Z, instance: Instance) -> MerTable:
     states follow the expectation-of-max recursion over arrival types,
     one layer of equal total at a time, from the last round back.
     """
-    validate(instance)
     Z = tuple(sorted(set(Z)))
     if not Z:
         raise ValueError("Z must be nonempty")
@@ -345,7 +343,6 @@ def dp_star(instance: Instance):
     front when the table of the largest feasible commitment (see
     :func:`largest_commitment`) exceeds the cap.
     """
-    validate(instance)
     tau = instance.tau
     table_cells(tau, largest_commitment(instance.delta, tau))
     weighted = list(zip(instance.P, instance.mu))

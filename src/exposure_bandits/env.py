@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance, validate
+from .core import Instance
 
 __all__ = [
     "NO_PULL",
@@ -233,7 +233,6 @@ def run_episode(
     Raises ``ValueError`` if the policy returns an arm outside
     ``[0, k)``.  Rounds with no pull (policy returned ``None``) yield 0.
     """
-    validate(instance)
     if reward_mode not in REWARD_MODES:
         raise ValueError(f"reward_mode {reward_mode!r} not in {REWARD_MODES}")
     n, k, tau, T = instance.n, instance.k, instance.tau, instance.T

@@ -38,10 +38,9 @@ from .core import (
     Instance,
     InfeasibleError,
     best_subset,
-    validate,
 )
 from .env import CommittedPolicy
-from .matching import Aggregate, Matching, _mu_eff, build_lcb_aggregate, doalg
+from .matching import Matching, _mu_eff, build_lcb_aggregate, doalg
 
 __all__ = [
     "PlanSegment",
@@ -72,7 +71,8 @@ class PlanSegment:
 
 
 class LcbState:
-    """Live within-phase state of the replayed matching.
+    """Live within-phase state of the replayed matching, whose ``rows``
+    are one per type, then the slack row (see :func:`_check_rows`).
 
     ``M_live`` counts down from the template; the total remaining mass
     always equals the rounds left in the phase, which is what guarantees
@@ -87,15 +87,14 @@ class LcbState:
         "phase_pulls",
         "deltas_eff",
         "mu",
-        "ustar",
         "k",
     )
 
-    def __init__(self, rows, mu, deltas_eff, ustar: int):
+    def __init__(self, rows, mu, deltas_eff):
+        _check_rows(rows, mu)
         self.M_template = rows  # the matching's rows, pulls per arm
         self.mu = mu
         self.deltas_eff = deltas_eff  # committed thresholds, 0 elsewhere
-        self.ustar = ustar  # slack row index, -1 when absent
         self.k = len(deltas_eff)
         self.reset()
 
@@ -104,6 +103,13 @@ class LcbState:
         self.row_mass = [sum(row) for row in self.M_live]
         self.phase_pulls = [0] * self.k
         self.bad_event_flag = False
+
+
+def _check_rows(rows, mu) -> None:
+    """Raise ValueError unless ``rows`` holds one row per type, then the
+    slack row: else the last type's own row would be read as slack."""
+    if len(rows) != len(mu) + 1:
+        raise ValueError(f"{len(rows)} matching rows for {len(mu)} types and the slack row")
 
 
 def lcb_policy_step(state: LcbState, u: int) -> int:
@@ -120,8 +126,8 @@ def lcb_policy_step(state: LcbState, u: int) -> int:
     mass = state.row_mass
     if mass[u] > 0:
         row = u
-    elif state.ustar >= 0 and mass[state.ustar] > 0:
-        row = state.ustar
+    elif mass[-1] > 0:
+        row = len(M) - 1
     else:
         state.bad_event_flag = True
         row, arm = _salvage(M, mass, state.mu[u])
@@ -174,13 +180,14 @@ def _salvage(M, mass, mu_u) -> tuple[int, int]:
     return row, arm
 
 
-def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
+def lcb_replay(lengths, M, mu, deltas_eff, arrivals):
     """:func:`lcb_policy_step` for every phase at once.
 
     Segment ``i`` covers the next ``lengths[i]`` of the ``(phases, tau)``
-    ``arrivals``: each such phase starts from the matching ``M[i]`` and
-    enforces the thresholds ``deltas_eff[i]``.  Returns the ``(phases,
-    tau)`` pulls and the 1-based phases in which the salvage fired.
+    ``arrivals``: each such phase starts from the matching ``M[i]``, its
+    rows laid out as :class:`LcbState`'s, and enforces the thresholds
+    ``deltas_eff[i]``.  Returns the ``(phases, tau)`` pulls and the
+    1-based phases in which the salvage fired.
 
     A phase in which no type is short of its own row's mass, under a
     matching whose rows have no tied utilities, is a gather on arrival
@@ -193,23 +200,24 @@ def lcb_replay(lengths, M, mu, deltas_eff, ustar: int, arrivals):
     fired: list[int] = []
     lo = 0
     for length, Ms, deltas in zip(lengths, M, deltas_eff):
+        _check_rows(Ms, mu)
         phases = slice(lo, lo + length)
-        ranked = _rank_replay(Ms, mu, ustar, arrivals[phases], pulls[phases])
+        ranked = _rank_replay(Ms, mu, arrivals[phases], pulls[phases])
         refused = lo + np.flatnonzero(~ranked)
         if len(refused):
             stepped, salvaged = _step_phases(
-                Ms.tolist(), mu.tolist(), deltas, ustar, arrivals[refused])
+                Ms.tolist(), mu.tolist(), deltas, arrivals[refused])
             pulls[refused] = stepped
             fired += (refused[salvaged] + 1).tolist()
         lo += length
     return pulls, fired
 
 
-def _step_phases(rows, mu, deltas_eff, ustar: int, arrivals):
+def _step_phases(rows, mu, deltas_eff, arrivals):
     """Replay each phase of ``arrivals`` from the matching ``rows``, one
     :func:`lcb_policy_step` per arrival.  Returns the pulls, one list per
     phase, and the 0-based phases in which the salvage fired."""
-    state = LcbState(rows, mu, deltas_eff, ustar)
+    state = LcbState(rows, mu, deltas_eff)
     pulls, fired = [], []
     for p, phase in enumerate(arrivals.tolist()):
         state.reset()
@@ -219,7 +227,7 @@ def _step_phases(rows, mu, deltas_eff, ustar: int, arrivals):
     return pulls, fired
 
 
-def _rank_replay(Ms, mu, ustar: int, arrivals, out):
+def _rank_replay(Ms, mu, arrivals, out):
     """Write into ``out`` the pulls of the phases of ``arrivals`` in
     which no type is short of its row of the matching ``Ms``, and return
     which phases those are; none when the matching's mass is not the
@@ -238,7 +246,7 @@ def _rank_replay(Ms, mu, ustar: int, arrivals, out):
     n, k = mu.shape
     if Ms.sum() != tau:
         return np.zeros(phases, dtype=bool)
-    slack_arms = np.flatnonzero(Ms[ustar]) if ustar >= 0 else np.zeros(0, np.intp)
+    slack_arms = np.flatnonzero(Ms[-1])
     # past its row's mass an arrival overflows to the slack row: a lone
     # slack arm serves it at once, several leave the marker k for the
     # epochs
@@ -268,7 +276,7 @@ def _rank_replay(Ms, mu, ustar: int, arrivals, out):
     overflow = np.flatnonzero(block == k)
     types = (arrivals if every else arrivals[clean]).take(overflow)
     prefs = [np.argsort(-mu[u, slack_arms]) for u in range(n)]
-    slots = _slack_epochs(types.reshape(len(block), -1), Ms[ustar, slack_arms], prefs)
+    slots = _slack_epochs(types.reshape(len(block), -1), Ms[-1, slack_arms], prefs)
     block.ravel()[overflow] = slack_arms[slots].ravel()
     if not every:
         out[clean] = block
@@ -356,15 +364,15 @@ def _count_at(counts, col):
     return np.where(col >= 0, at, 0)
 
 
-def subset_value_oracle(instance: Instance, aggregate: Aggregate | None = None):
-    """f(Z) = value of the optimal aggregate matching committed to Z.
+def subset_value_oracle(instance: Instance):
+    """f(Z) = value of the optimal matching of the shaved aggregate
+    committed to Z.
 
     Each Z is solved once: the matching is cached, and ``f.matching(Z)``
     returns it (or NEG_INF), so a caller that commits to a queried Z
     need not solve it again.
     """
-    if aggregate is None:
-        aggregate = build_lcb_aggregate(instance.P, instance.tau)
+    aggregate = build_lcb_aggregate(instance.P, instance.tau)
     cache: dict[frozenset, object] = {}
 
     def matching(Z):
@@ -395,7 +403,6 @@ def lcb_star(instance: Instance):
     falls below the best value found is never solved, and the result is
     that of solving every subset.
     """
-    validate(instance)
     aggregate = build_lcb_aggregate(instance.P, instance.tau)
     weighted = list(zip(aggregate.counts, _mu_eff(aggregate, instance)))
 
@@ -490,7 +497,6 @@ class LcbPolicy(CommittedPolicy):
                 seg.matching.M,
                 mu,
                 [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)],
-                ustar=instance.n,
             )
             for seg in self.segments
         ]
@@ -522,7 +528,7 @@ class LcbPolicy(CommittedPolicy):
         segs, inst = self.segments, self.instance
         pulls, self.bad_event_phases = lcb_replay(
             [s.phases for s in segs], [s.matching.M for s in segs], inst.mu,
-            [state.deltas_eff for state in self._states], inst.n, arrivals)
+            [state.deltas_eff for state in self._states], arrivals)
         return pulls
 
 
@@ -532,7 +538,6 @@ class AlcbPolicy(LcbPolicy):
     for diagnostics."""
 
     def __init__(self, instance: Instance):
-        validate(instance)
         oracle = subset_value_oracle(instance)
         trace = greedy_subset(instance, oracle)
         if not trace.chosen:

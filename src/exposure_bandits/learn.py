@@ -25,7 +25,7 @@ from .core import (
     InfeasibleError,
     GammaResult,
     gamma_from_parts,
-    validate,
+    subset_count,
 )
 from .dp import DpPolicy, largest_commitment, table_cells
 from .env import NO_PULL, Policy, RunRecord
@@ -50,6 +50,8 @@ __all__ = [
     "BlindSubsidizePolicy",
     "GreedyBanditPolicy",
 ]
+
+UNOBSERVED_MU = 0.5  # the utility estimate of a cell exploration never observed
 
 # planner kind -> the planner the learner hands the horizon to
 PLANNERS = {
@@ -114,7 +116,6 @@ class EesConfig:
     sso: str = "dp_star"
     exploration_phases: int | None = None
     budget_fn: object = None  # callable tau -> exploration budget f(tau)
-    default_mu: float = 0.5
 
     def __post_init__(self):
         if self.sso not in PLANNERS:
@@ -169,12 +170,12 @@ def explore_phase_step(counts, gamma: GammaResult, delta, rng) -> int:
     return int(rng.integers(len(delta)))
 
 
-def estimate(record: RunRecord, T0: int, n: int, k: int, default_mu: float = 0.5) -> Estimates:
+def estimate(record: RunRecord, T0: int, n: int, k: int) -> Estimates:
     """Empirical estimates from the first T0 rounds of a trajectory.
 
     P_hat is the arrival frequency; mu_hat[u][a] averages realized
     rewards over live pulls of a at arrivals of u (dead pulls carry no
-    reward signal and are excluded); unobserved cells get default_mu.
+    reward signal and are excluded); unobserved cells get UNOBSERVED_MU.
     """
     if T0 <= 0:
         raise ValueError("exploration log is empty")
@@ -209,7 +210,7 @@ def estimate(record: RunRecord, T0: int, n: int, k: int, default_mu: float = 0.5
         tuple(
             min(1.0, max(0.0, reward_sums[u][a] / obs_counts[u][a]))
             if obs_counts[u][a]
-            else default_mu
+            else UNOBSERVED_MU
             for a in range(k)
         )
         for u in range(n)
@@ -254,9 +255,9 @@ class EesPolicy(Policy):
 
     Construction fails if no positive quota exists (the exploration
     schedule relies on it to keep every arm viable), and with
-    ResourceGuardError if the dp_star planner's largest table or the
-    llcb planner's subset pairs would exceed their cap, rather than
-    after exploring.
+    ResourceGuardError if the dp_star planner's largest table, the
+    subsets it and lcb_star search, or the llcb planner's subset pairs
+    would exceed their cap, rather than after exploring.
     """
 
     wants_feedback = True
@@ -287,6 +288,8 @@ class EesPolicy(Policy):
             )
         if config.sso == "dp_star":
             table_cells(observables.tau, largest_commitment(observables.delta, observables.tau))
+        if config.sso in ("dp_star", "lcb_star"):
+            subset_count(observables.k)
         elif config.sso == "llcb":
             plan_pairs(observables.k)
         self.estimates: Estimates | None = None
@@ -378,8 +381,8 @@ class EesPolicy(Policy):
         """Estimate from the first T0 rounds of ``record`` and hand the
         rest of the horizon to the planner built on the estimates."""
         o = self.obs
-        self.estimates = estimate(record, self.T0, o.n, o.k, self.config.default_mu)
-        est_instance = Instance(
+        self.estimates = estimate(record, self.T0, o.n, o.k)
+        self.planner = PLANNERS[self.config.sso](Instance(
             n=o.n,
             k=o.k,
             tau=o.tau,
@@ -387,9 +390,7 @@ class EesPolicy(Policy):
             P=self.estimates.P_hat,
             delta=o.delta,
             mu=self.estimates.mu_hat,
-        )
-        validate(est_instance)
-        self.planner = PLANNERS[self.config.sso](est_instance)
+        ))
         self.planner.start(self._rng)
 
 

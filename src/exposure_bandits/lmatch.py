@@ -52,7 +52,6 @@ from .core import (
     InfeasibleError,
     NEG_INF,
     ResourceGuardError,
-    validate,
 )
 from .lcb import LcbPolicy, PlanSegment
 from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
@@ -116,7 +115,6 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     Raises InfeasibleError when no chain keeps a feasible matching in
     every phase, ResourceGuardError for more than PAIR_CAP subset pairs.
     """
-    validate(instance)
     if aggregate.total != instance.tau:
         raise ValueError("the phase aggregate must sum to tau")
     k, N = instance.k, instance.phases
@@ -248,6 +246,5 @@ class LlcbPolicy(LcbPolicy):
     plan, each with its own matching and kept set."""
 
     def __init__(self, instance: Instance):
-        validate(instance)
         self.plan = lmatch(instance, build_lcb_aggregate(instance.P, instance.tau))
         self._commit(instance, self.plan.segments)

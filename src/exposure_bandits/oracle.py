@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, Instance, ResourceGuardError, validate
+from .core import NEG_INF, Instance, ResourceGuardError
 from .matching import Aggregate, _mu_eff
 
 __all__ = [
@@ -52,7 +52,6 @@ def exact_opt(instance: Instance) -> OptResult:
     yield 0 and departed arms stay departed), so actions range over the
     viable arms plus no-op.
     """
-    validate(instance)
     n, k, tau, T = instance.n, instance.k, instance.tau, instance.T
     delta, mu, P = instance.delta, instance.mu, instance.P
 
@@ -132,7 +131,6 @@ def enumerate_phase_policies(Z, instance: Instance):
     Returns a float, or the NEG_INF sentinel when no admissible policy
     exists.
     """
-    validate(instance)
     Z = sorted(set(Z))
     if not Z:
         raise ValueError("Z must be nonempty")

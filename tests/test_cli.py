@@ -131,6 +131,17 @@ def test_oversized_oracle_requests_exit_four(tmp_path):
     assert main(["oracle", "--instance", str(path)]) == 4
 
 
+def test_an_oversized_subset_search_exits_four_before_exploring(tmp_path, capsys):
+    # 17 arms are past the subset cap of lcb_star; the learner is refused
+    # when it is built, not after exploring 68,400 rounds
+    path = tmp_path / "wide.txt"
+    save_instance(make_instance(n=1, k=17, tau=100, phases=2000, P=(1.0,)), path)
+    assert main(["learn", "--instance", str(path), "--algo", "ees-lcb-star"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "subset" in err
+
+
 def test_experiment_writes_a_deterministic_csv(tiny_path, tmp_path, capsys):
     path, inst = tiny_path
     outs = []
@@ -239,8 +250,9 @@ def test_ees_learners_report_their_planners_fallback_phases(tmp_path):
 
 
 def test_a_rare_type_is_warned_about_once_per_run(tmp_path):
-    # the loader, lcb_star and run_episode each validate the instance;
-    # the warning names the type once, not once per caller
+    # the loader builds the instance, which validates itself, and the
+    # solve builds more; the warning names the type once, not once per
+    # instance
     path = tmp_path / "rare.txt"
     path.write_text("n = 2\nk = 2\ntau = 10\nT = 100\nP = 0.95 0.05\n"
                     "delta = 2 2\nmu = 1 0 0 1\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -82,21 +83,23 @@ def test_gamma_never_increases_when_a_threshold_grows():
             assert g1.quota <= g0.quota
 
 
+BAD_FIELDS = [
+    dict(P=(0.6, 0.6)),
+    dict(P=(1.0, 0.0)),
+    dict(delta=(-1, 0)),
+    dict(delta=(11, 0)),
+    # thresholds are not truncated: a fractional or infinite one is refused
+    dict(delta=(3.5, 3)),
+    dict(delta=(float("inf"), 3)),
+    dict(mu=((1.5, 0.0), (0.0, 1.0))),
+    dict(reward_kind="gaussian"),
+]
+
+
 def test_validate_rejects_bad_inputs():
     good = make_instance(tau=10, phases=2, delta=(3, 3))
     validate(good)
-    bad_cases = [
-        dict(P=(0.6, 0.6)),
-        dict(P=(1.0, 0.0)),
-        dict(delta=(-1, 0)),
-        dict(delta=(11, 0)),
-        # thresholds are not truncated: a fractional or infinite one is refused
-        dict(delta=(3.5, 3)),
-        dict(delta=(float("inf"), 3)),
-        dict(mu=((1.5, 0.0), (0.0, 1.0))),
-        dict(reward_kind="gaussian"),
-    ]
-    for kw in bad_cases:
+    for kw in BAD_FIELDS:
         base = dict(tau=10, phases=2, delta=(3, 3))
         base.update(kw)
         with pytest.raises(ValueError):
@@ -104,6 +107,16 @@ def test_validate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         validate(Instance(n=2, k=2, tau=10, T=15, P=(0.5, 0.5),
                           delta=(3, 3), mu=IDENTITY2))
+
+
+def test_an_invalid_instance_is_never_built():
+    fields = dict(n=2, k=2, tau=10, T=20, P=(0.5, 0.5), delta=(3, 3), mu=IDENTITY2)
+    good = Instance(**fields)
+    for kw in [*BAD_FIELDS, dict(T=15)]:
+        with pytest.raises(ValueError):
+            Instance(**{**fields, **kw})
+        with pytest.raises(ValueError):
+            replace(good, **kw)
 
 
 def test_validate_warns_on_rare_type():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
@@ -202,14 +203,15 @@ def test_adaptive_policy_matches_the_exhaustive_commitment_here():
 def live_matchings(draw):
     """Arbitrary segment plans: segments of 1-4 phases, each with its own
     matching and thresholds, and arrivals for every phase; any row may
-    run dry early, so the salvage fires in the middle of phases too."""
+    run dry early, so the salvage fires in the middle of phases too.
+    A plan without slack has an all-zero last row."""
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3))
     slack = draw(st.booleans())
     rows = n + slack
     tau = draw(st.integers(1, 8))
-    M = np.zeros((len(lengths), rows, k), dtype=np.int64)
+    M = np.zeros((len(lengths), n + 1, k), dtype=np.int64)
     for i in range(len(lengths)):
         # tau units spread over the cells: the mass equals the phase length
         for cell in draw(st.lists(st.integers(0, rows * k - 1), min_size=tau,
@@ -222,23 +224,35 @@ def live_matchings(draw):
     phases = sum(lengths)
     arrivals = np.array(draw(st.lists(st.integers(0, n - 1), min_size=phases * tau,
                                       max_size=phases * tau)), dtype=np.int16)
-    return lengths, M, mu, deltas, n if slack else -1, arrivals.reshape(phases, tau)
+    return lengths, M, mu, deltas, arrivals.reshape(phases, tau)
 
 
 @settings(max_examples=300, deadline=None)
 @given(live_matchings())
 def test_vectorised_replay_follows_the_scalar_step(case):
-    lengths, M, mu, deltas, ustar, arrivals = case
-    pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, ustar, arrivals)
+    lengths, M, mu, deltas, arrivals = case
+    pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, arrivals)
     segment = np.repeat(np.arange(len(lengths)), lengths)
     want_fired = []
     for p, phase in enumerate(arrivals.tolist()):
         i = segment[p]
-        state = LcbState(M[i].tolist(), mu, deltas[i], ustar)
+        state = LcbState(M[i].tolist(), mu, deltas[i])
         assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
         if state.bad_event_flag:
             want_fired.append(p + 1)
     assert fired == want_fired
+
+
+def test_a_matching_without_the_slack_row_is_refused():
+    # two rows for two types: type 1's own row must not be read as slack
+    rows, mu, deltas = [[1, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]], [0, 0]
+    with pytest.raises(ValueError):
+        LcbState(rows, mu, deltas)
+    # a phase the rank gather serves reads the slack row too
+    with pytest.raises(ValueError):
+        lcb_replay([1], [[[2, 0], [1, 1]]], mu, [deltas],
+                   np.array([[0, 1, 0, 1]], dtype=np.int16))
+    LcbState(rows + [[0, 0]], mu, deltas)
 
 
 def _unpruned_lcb_star(inst):
@@ -291,7 +305,8 @@ def rank_cases(draw):
     """Segment plans whose matchings have the phase length as mass, and
     arrivals that meet every own row's mass in most phases, with phases
     short of some row mixed in; utilities are tie-free or tie-prone.
-    Hypothesis draws the shape, a seeded generator fills it in."""
+    A plan without slack has an all-zero last row.  Hypothesis draws the
+    shape, a seeded generator fills it in."""
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 4))
@@ -305,7 +320,7 @@ def rank_cases(draw):
     else:
         mu = np.array([rng.permutation(k) / k + rng.random() / k for _ in range(n)])
     rows = n + slack
-    M = np.zeros((len(lengths), rows, k), dtype=np.int64)
+    M = np.zeros((len(lengths), n + 1, k), dtype=np.int64)
     for i in range(len(lengths)):
         masses = np.diff([0, *np.sort(rng.integers(0, tau + 1, size=rows - 1)), tau])
         for r, mass in enumerate(masses):
@@ -318,10 +333,10 @@ def rank_cases(draw):
             own = np.repeat(np.arange(n), M[i, :n].sum(axis=1))
             arrivals[p, : len(own)] = own
             rng.shuffle(arrivals[p])
-    return lengths, M, mu.tolist(), deltas, n if slack else -1, arrivals.astype(np.int16)
+    return lengths, M, mu.tolist(), deltas, arrivals.astype(np.int16)
 
 
-def _leaves_the_rank_gather(M, mu, ustar, phase) -> bool:
+def _leaves_the_rank_gather(M, mu, phase) -> bool:
     """Whether a phase with this matching must step through
     lcb_policy_step: some type is short of its own row's mass, or ties in
     utility over the arms of its own row or of the slack row."""
@@ -330,7 +345,7 @@ def _leaves_the_rank_gather(M, mu, ustar, phase) -> bool:
     for u in range(len(mu)):
         if counts[u] < M[u].sum():
             return True
-        for row in (u, ustar) if ustar >= 0 else (u,):
+        for row in (u, -1):
             values = mu[u][M[row] > 0]
             if len(set(values.tolist())) < len(values):
                 return True
@@ -344,18 +359,18 @@ def test_rank_gather_follows_the_scalar_step(monkeypatch):
     @settings(max_examples=300, deadline=None)
     @given(rank_cases())
     def check(case):
-        lengths, M, mu, deltas, ustar, arrivals = case
+        lengths, M, mu, deltas, arrivals = case
         stepped.clear()
-        pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, ustar, arrivals)
+        pulls, fired = lcb_replay(lengths, M.copy(), mu, deltas, arrivals)
         segment = np.repeat(np.arange(len(lengths)), lengths)
         want_fired, want_stepped = [], 0
         for p, phase in enumerate(arrivals.tolist()):
             i = segment[p]
-            state = LcbState(M[i].tolist(), mu, deltas[i], ustar)
+            state = LcbState(M[i].tolist(), mu, deltas[i])
             assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
             if state.bad_event_flag:
                 want_fired.append(p + 1)
-            want_stepped += _leaves_the_rank_gather(M[i], mu, ustar, arrivals[p])
+            want_stepped += _leaves_the_rank_gather(M[i], mu, arrivals[p])
         assert fired == want_fired
         # exactly the short and the tied phases leave the rank gather
         assert sum(stepped) == want_stepped

@@ -24,7 +24,7 @@ from exposure_bandits import (
     run_episode,
 )
 from exposure_bandits.core import gamma_from_parts
-from exposure_bandits.presets import one_type_two_arms
+from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
 from conftest import make_instance
 
 
@@ -236,6 +236,33 @@ def test_an_oversized_llcb_plan_still_fails_before_exploring():
     EesPolicy(obs, EesConfig(sso="lcb_star"))  # no plan, no guard
     with pytest.raises(ResourceGuardError):
         LlcbPolicy(make_instance(n=2, k=13, tau=100, phases=2, delta=(5,) * 13))
+
+
+def test_an_oversized_subset_search_still_fails_before_exploring():
+    # 17 arms exceed the subset cap of the exhaustive searches; refuse
+    # them at construction, not at T0=68,400
+    obs = Observables(n=2, k=17, tau=100, T=200_000, delta=(0,) * 17)
+    for sso in ("lcb_star", "dp_star"):
+        with pytest.raises(ResourceGuardError):
+            EesPolicy(obs, EesConfig(sso=sso))
+    # the greedy tries no subset family, so it has no cap
+    assert EesPolicy(obs, EesConfig(sso="alcb_star")).T0 == 68_400
+
+
+def test_a_budget_selects_the_relaxed_exploration_schedule():
+    inst = subsidy_worthwhile(T=100_000)
+
+    def half_a_phase(tau):
+        return tau / 2
+
+    policy = EesPolicy(Observables.from_instance(inst), EesConfig(budget_fn=half_a_phase))
+    assert policy.exploration_phases == relaxed_exploration_phases(
+        inst.T, inst.tau, half_a_phase) == 28
+    rec = run_episode(inst, policy, 0, reward_mode="sampled")
+    assert policy.estimates.T0 == policy.T0 == 2_800
+    # the planner takes the rest of the horizon after the long block
+    assert policy.planner.instance.T == inst.T - 2_800
+    assert all(phase > 28 for phase, _ in rec.departure_events)
 
 
 def test_a_departure_during_exploration_breaks_the_contract():
