@@ -28,7 +28,9 @@ __all__ = [
     "InfeasibleError",
     "ResourceGuardError",
     "ContractError",
+    "thresholds",
     "validate",
+    "validate_sizes",
     "gamma_from_parts",
     "compute_gamma",
     "iter_subsets",
@@ -60,9 +62,9 @@ class ContractError(RuntimeError):
 class _NegInf:
     """Typed stand-in for a minus-infinite objective value.
 
-    Orders below every real number so ``max``/``sorted`` work, but supports
-    no arithmetic: accidentally adding it to a running total raises
-    ``TypeError`` instead of silently poisoning downstream values the way
+    Supports no arithmetic and no ordering: accidentally adding it to a
+    running total, or comparing it with a number, raises ``TypeError``
+    instead of silently poisoning downstream values the way
     ``float('-inf')`` would.  There is a single shared instance,
     ``NEG_INF``; test with ``value is NEG_INF``.
     """
@@ -74,30 +76,6 @@ class _NegInf:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __lt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, numbers.Real):
-            return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self or isinstance(other, numbers.Real):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is self or isinstance(other, numbers.Real):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, numbers.Real):
-            return False
-        return NotImplemented
-
     def __repr__(self):
         return "NEG_INF"
 
@@ -105,14 +83,15 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def _threshold(d) -> int:
-    """``d`` as an int; a non-integral threshold (10.7, inf, nan) raises
-    ValueError instead of being truncated."""
-    if isinstance(d, numbers.Integral) or (
-        isinstance(d, numbers.Real) and float(d).is_integer()
-    ):
-        return int(d)
-    raise ValueError(f"thresholds must be integers, got {d!r}")
+def thresholds(delta) -> tuple[int, ...]:
+    """``delta`` as a tuple of ints; a non-integral threshold (10.7, inf,
+    nan) raises ValueError instead of being truncated."""
+    for d in delta:
+        if not (isinstance(d, numbers.Integral) or (
+            isinstance(d, numbers.Real) and float(d).is_integer()
+        )):
+            raise ValueError(f"thresholds must be integers, got {d!r}")
+    return tuple(int(d) for d in delta)
 
 
 @dataclass(frozen=True)
@@ -155,7 +134,7 @@ class Instance:
     def __post_init__(self):
         # normalize sequence inputs so instances hash and compare by value
         object.__setattr__(self, "P", tuple(float(p) for p in self.P))
-        object.__setattr__(self, "delta", tuple(_threshold(d) for d in self.delta))
+        object.__setattr__(self, "delta", thresholds(self.delta))
         object.__setattr__(
             self, "mu", tuple(tuple(float(v) for v in row) for row in self.mu)
         )
@@ -188,15 +167,12 @@ class GammaResult:
 def validate(instance: Instance) -> None:
     """Check every :class:`Instance` invariant.
 
-    Raises ``ValueError`` describing the first violated invariant:
-    non-positive sizes, a non-simplex ``P``, a ``delta`` entry outside
-    ``[0, tau]``, a ``mu`` entry outside ``[0, 1]``, a horizon that is not
-    a positive multiple of ``tau``, or an unknown ``reward_kind``.
+    Raises ``ValueError`` describing the first violated invariant: those
+    of :func:`validate_sizes`, then a non-simplex ``P``, a ``mu`` entry
+    outside ``[0, 1]``, or an unknown ``reward_kind``.
     """
-    n, k, tau, T = instance.n, instance.k, instance.tau, instance.T
-    for name, value in (("n", n), ("k", k), ("tau", tau), ("T", T)):
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    n, k, tau = instance.n, instance.k, instance.tau
+    validate_sizes(n, k, tau, instance.T, instance.delta)
     if len(instance.P) != n:
         raise ValueError(f"P has {len(instance.P)} entries, expected n={n}")
     for u, p in enumerate(instance.P):
@@ -215,11 +191,6 @@ def validate(instance: Instance) -> None:
     total = sum(instance.P)
     if abs(total - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"P sums to {total!r}, not 1 within {SIMPLEX_TOL}")
-    if len(instance.delta) != k:
-        raise ValueError(f"delta has {len(instance.delta)} entries, expected k={k}")
-    for a, d in enumerate(instance.delta):
-        if not 0 <= d <= tau:
-            raise ValueError(f"delta[{a}]={d} outside [0, tau={tau}]")
     if len(instance.mu) != n:
         raise ValueError(f"mu has {len(instance.mu)} rows, expected n={n}")
     for u, row in enumerate(instance.mu):
@@ -228,12 +199,29 @@ def validate(instance: Instance) -> None:
         for a, v in enumerate(row):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"mu[{u}][{a}]={v} outside [0, 1]")
-    if T % tau != 0:
-        raise ValueError(f"T={T} is not a multiple of tau={tau}")
     if instance.reward_kind not in REWARD_KINDS:
         raise ValueError(
             f"reward_kind {instance.reward_kind!r} not in {REWARD_KINDS}"
         )
+
+
+def validate_sizes(n, k, tau, T, delta) -> None:
+    """Check the invariants of the sizes, the horizon and the thresholds,
+    what a learner knows up front: positive integer ``n``, ``k``,
+    ``tau`` and ``T``, ``k`` entries of ``delta`` in ``[0, tau]``, and a
+    horizon that is a multiple of ``tau``.  Raises ``ValueError``
+    describing the first violated one.
+    """
+    for name, value in (("n", n), ("k", k), ("tau", tau), ("T", T)):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if len(delta) != k:
+        raise ValueError(f"delta has {len(delta)} entries, expected k={k}")
+    for a, d in enumerate(delta):
+        if not 0 <= d <= tau:
+            raise ValueError(f"delta[{a}]={d} outside [0, tau={tau}]")
+    if T % tau != 0:
+        raise ValueError(f"T={T} is not a multiple of tau={tau}")
 
 
 def gamma_from_parts(delta, tau: int, k: int) -> GammaResult:

@@ -17,7 +17,7 @@ subset for every phase, one segment; L-LCB
 
 :func:`lcb_replay` plays every phase at once.  A phase in which no type
 is short of its own row's mass, under a matching whose rows have no tied
-utilities, is a gather by arrival rank plus a few epochs for the
+utilities, is a gather by arrival rank plus one sweep over the
 arrivals that overflow to the slack row; it never falls back.  Every
 other phase (a shortfall, or a tie, where the remaining deficits decide)
 steps through :func:`lcb_policy_step`, one arrival at a time, salvage
@@ -71,16 +71,16 @@ class PlanSegment:
 
 
 class LcbState:
-    """Live within-phase state of the replayed matching, whose ``rows``
-    are one per type, then the slack row (see :func:`_check_rows`).
+    """Live state of one phase of the replayed matching, built fresh for
+    each phase from the matching's ``rows``: one per type, then the slack
+    row (see :func:`_check_rows`).
 
-    ``M_live`` counts down from the template; the total remaining mass
+    ``M_live`` counts down from the rows; the total remaining mass
     always equals the rounds left in the phase, which is what guarantees
     the step function can always pick something.
     """
 
     __slots__ = (
-        "M_template",
         "M_live",
         "row_mass",
         "bad_event_flag",
@@ -92,15 +92,11 @@ class LcbState:
 
     def __init__(self, rows, mu, deltas_eff):
         _check_rows(rows, mu)
-        self.M_template = rows  # the matching's rows, pulls per arm
+        self.M_live = [list(row) for row in rows]  # pulls per arm
+        self.row_mass = [sum(row) for row in self.M_live]
         self.mu = mu
         self.deltas_eff = deltas_eff  # committed thresholds, 0 elsewhere
         self.k = len(deltas_eff)
-        self.reset()
-
-    def reset(self) -> None:
-        self.M_live = [list(row) for row in self.M_template]
-        self.row_mass = [sum(row) for row in self.M_live]
         self.phase_pulls = [0] * self.k
         self.bad_event_flag = False
 
@@ -217,10 +213,9 @@ def _step_phases(rows, mu, deltas_eff, arrivals):
     """Replay each phase of ``arrivals`` from the matching ``rows``, one
     :func:`lcb_policy_step` per arrival.  Returns the pulls, one list per
     phase, and the 0-based phases in which the salvage fired."""
-    state = LcbState(rows, mu, deltas_eff)
     pulls, fired = [], []
     for p, phase in enumerate(arrivals.tolist()):
-        state.reset()
+        state = LcbState(rows, mu, deltas_eff)
         pulls.append([lcb_policy_step(state, u) for u in phase])
         if state.bad_event_flag:
             fired.append(p)
@@ -240,7 +235,7 @@ def _rank_replay(Ms, mu, arrivals, out):
     fixed order, whatever the deficits.  So type u's c-th arrival takes
     the c-th unit of row u, its arms sorted best first, one gather by
     arrival rank; only the overflow arrivals, served from the slack row,
-    depend on each other (:func:`_slack_epochs`).
+    depend on each other (:func:`_slack_sweep`).
     """
     phases, tau = arrivals.shape
     n, k = mu.shape
@@ -249,7 +244,7 @@ def _rank_replay(Ms, mu, arrivals, out):
     slack_arms = np.flatnonzero(Ms[-1])
     # past its row's mass an arrival overflows to the slack row: a lone
     # slack arm serves it at once, several leave the marker k for the
-    # epochs
+    # sweep
     table = np.full((n, tau + 1), slack_arms[0] if len(slack_arms) == 1 else k,
                     dtype=np.int16)
     for u in range(n):
@@ -263,39 +258,26 @@ def _rank_replay(Ms, mu, arrivals, out):
     # type u's c-th arrival reads entry u * (tau + 1) + c of the table
     index = arrivals.astype(_counter(n * (tau + 1)))
     index *= tau + 1
-    for u, so_far in enumerate(_running_counts(arrivals, n)):
+    # each type's running count: one cumulative sum per type but the
+    # last, whose count is the rounds so far less the others'
+    last = np.tile(np.arange(1, tau + 1, dtype=_counter(tau)), (phases, 1))
+    for u in range(n):
+        if u < n - 1:
+            so_far = np.cumsum(arrivals == u, axis=1, dtype=last.dtype)
+            last -= so_far
+        else:
+            so_far = last
         counts[:, u] = so_far[:, -1]
         so_far *= arrivals == u
         index += so_far
     table.take(index, out=out)
     clean = (counts >= Ms[:n].sum(axis=1)).all(axis=1)
-    if len(slack_arms) < 2 or not clean.any():
-        return clean
-    every = clean.all()
-    block = out if every else out[clean]
-    overflow = np.flatnonzero(block == k)
-    types = (arrivals if every else arrivals[clean]).take(overflow)
-    prefs = [np.argsort(-mu[u, slack_arms]) for u in range(n)]
-    slots = _slack_epochs(types.reshape(len(block), -1), Ms[-1, slack_arms], prefs)
-    block.ravel()[overflow] = slack_arms[slots].ravel()
-    if not every:
-        out[clean] = block
+    if len(slack_arms) > 1 and clean.any():
+        overflow = (out == k) & clean[:, None]
+        types = arrivals[overflow].reshape(-1, Ms[-1].sum())
+        picks = _slack_sweep(types, Ms[-1, slack_arms], mu[:, slack_arms])
+        out[overflow] = slack_arms[picks].ravel()
     return clean
-
-
-def _running_counts(labels, count: int):
-    """Yield, for each label in ``range(count)``, its running count along
-    the rows of ``labels``, in the narrowest integer type that holds the
-    row length: one cumulative sum per label but the last, whose count
-    is the entries so far less the others'."""
-    width = labels.shape[1]
-    dtype = _counter(width)
-    last = np.tile(np.arange(1, width + 1, dtype=dtype), (len(labels), 1))
-    for u in range(count - 1):
-        so_far = np.cumsum(labels == u, axis=1, dtype=dtype)
-        last -= so_far
-        yield so_far
-    yield last
 
 
 def _counter(largest: int):
@@ -303,65 +285,31 @@ def _counter(largest: int):
     return np.int16 if largest < 2**15 else np.int32
 
 
-def _slack_epochs(types, units, prefs) -> np.ndarray:
+def _slack_sweep(types, units, worth) -> np.ndarray:
     """Which slack arm each phase's overflow arrivals take, as indices
     into the slack row's arms, whose ``units`` the rows of ``types`` (the
-    arrivals' types in order of arrival) exhaust; ``prefs[u]`` ranks the
-    arms by type u's utility, best first.
+    arrivals' types in order of arrival) exhaust; ``worth[u]`` holds type
+    u's utility for each arm, no two equal.
 
-    Each arrival takes its type's best slack arm with units left.  That
-    runs in epochs, each vectorised over phases: every type keeps one
-    arm up to the first arrival whose arm's demand in the epoch exceeds
-    the arm's units left; the next epoch starts from that arrival.  An
-    epoch that does not end the phase empties an arm, so a phase takes
-    at most one epoch per slack arm.
+    Each arrival takes its type's best slack arm with units left: one
+    step per column, over every phase at once.  A phase keeps each
+    type's best arm with units left, and finds them again only after a
+    pick empties an arm, at most once per arm.
     """
     phases, width = types.shape
-    mine = [(types == u).astype(np.int16) for u in range(len(prefs))]
-    picked = np.empty(types.shape, dtype=np.int16)
-    # wide enough for units left plus the demand before an epoch
-    left = np.tile(units.astype(_counter(2 * width)), (phases, 1))
-    start = np.zeros(phases, dtype=np.intp)
-    alive = np.arange(phases)
-    cols = np.arange(width)
-    while len(alive):
-        # each type's best slack arm with units left
-        pick = np.zeros((len(alive), width), dtype=np.int16)
-        for u, pref in enumerate(prefs):
-            choice = np.zeros(len(alive), dtype=np.int16)
-            for j in pref[::-1]:
-                choice[left[:, j] > 0] = j
-            pick += mine[u] * choice[:, None]
-        # demand counts from the first column, so the epoch's own is what
-        # it adds to the count before ``start``
-        demand = list(_running_counts(pick, len(units)))
-        base = [_count_at(d, start - 1) for d in demand]
-        cut = np.full(len(alive), width, dtype=np.intp)
-        for d, b, units_left in zip(demand, base, left.T):
-            over = d > (b + units_left)[:, None]
-            first = over.argmax(axis=1)
-            # argmax reads 0 on a row with no excess
-            first[~np.take_along_axis(over, first[:, None], axis=1)[:, 0]] = width
-            np.minimum(cut, first, out=cut)
-        for j, (d, b) in enumerate(zip(demand, base)):
-            left[:, j] -= _count_at(d, cut - 1) - b
-        window = cols < cut[:, None]
-        if start.any():
-            window &= cols >= start[:, None]
-            picked[alive] = np.where(window, pick, picked[alive])
-        else:
-            # the first epoch, which starts every phase at its first column
-            np.copyto(picked, pick, where=window)
-        keep = cut < width
-        alive, start, left = alive[keep], cut[keep], left[keep]
-        mine = [m[keep] for m in mine]
-    return picked
-
-
-def _count_at(counts, col):
-    """``counts[p, col[p]]`` for each row p, 0 where ``col`` is -1."""
-    at = np.take_along_axis(counts, np.maximum(col, 0)[:, None], axis=1)[:, 0]
-    return np.where(col >= 0, at, 0)
+    left = np.tile(units, (phases, 1))
+    best = np.tile(worth.argmax(axis=1), (phases, 1))
+    # flat offsets of each phase's row of ``best`` and of ``left``
+    best_row, left_row = np.arange(phases) * len(worth), np.arange(phases) * len(units)
+    picked = np.empty((width, phases), dtype=np.intp)
+    for u, pick in zip(types.T.astype(np.intp), picked):
+        best.take(best_row + u, out=pick)
+        at = left_row + pick
+        left.ravel()[at] -= 1
+        emptied = np.flatnonzero(left.ravel()[at] == 0)
+        if len(emptied):
+            best[emptied] = np.where(left[emptied, None] > 0, worth, -1.0).argmax(axis=2)
+    return picked.T
 
 
 def subset_value_oracle(instance: Instance):
@@ -475,9 +423,10 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
 
 class LcbPolicy(CommittedPolicy):
     """Replay a plan's segments (:class:`PlanSegment`) phase after phase,
-    with one live state per segment.  ``LcbPolicy`` itself commits to the
-    subset ``Z`` :func:`lcb_star` finds and its ``template`` matching, one
-    segment; subclasses pass other segments to :meth:`_commit`.
+    each phase from a fresh :class:`LcbState` of its segment's matching.
+    ``LcbPolicy`` itself commits to the subset ``Z`` :func:`lcb_star`
+    finds and its ``template`` matching, one segment; subclasses pass
+    other segments to :meth:`_commit`.
 
     ``bad_event_phases`` collects the 1-based phases whose arrivals
     missed some confidence floor (diagnosed by the fallback firing).
@@ -491,13 +440,10 @@ class LcbPolicy(CommittedPolicy):
         """Replay ``segments``, which cover the instance's phases in order."""
         self.instance = instance
         self.segments = tuple(segments)
-        mu = [list(row) for row in instance.mu]
-        self._states = [
-            LcbState(
-                seg.matching.M,
-                mu,
-                [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)],
-            )
+        self._mu = [list(row) for row in instance.mu]
+        # each segment's thresholds: those of the arms it keeps
+        self._deltas = [
+            [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)]
             for seg in self.segments
         ]
         # the first phase index past each segment
@@ -512,8 +458,8 @@ class LcbPolicy(CommittedPolicy):
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         if t % self._tau == 0:
-            self._current = self._states[bisect_right(self._ends, t // self._tau)]
-            self._current.reset()
+            i = bisect_right(self._ends, t // self._tau)
+            self._current = LcbState(self.segments[i].matching.M, self._mu, self._deltas[i])
         state = self._current
         flagged = state.bad_event_flag
         arm = lcb_policy_step(state, u)
@@ -525,10 +471,10 @@ class LcbPolicy(CommittedPolicy):
         """Every phase's replay of its segment's matching at once,
         through :func:`lcb_replay` (see
         :class:`~exposure_bandits.env.CommittedPolicy`)."""
-        segs, inst = self.segments, self.instance
+        segs = self.segments
         pulls, self.bad_event_phases = lcb_replay(
-            [s.phases for s in segs], [s.matching.M for s in segs], inst.mu,
-            [state.deltas_eff for state in self._states], arrivals)
+            [s.phases for s in segs], [s.matching.M for s in segs], self.instance.mu,
+            self._deltas, arrivals)
         return pulls
 
 

@@ -26,6 +26,8 @@ from .core import (
     GammaResult,
     gamma_from_parts,
     subset_count,
+    thresholds,
+    validate_sizes,
 )
 from .dp import DpPolicy, largest_commitment, table_cells
 from .env import NO_PULL, Policy, RunRecord
@@ -66,7 +68,11 @@ PLANNERS = {
 class Observables:
     """What a learner may know up front: sizes, horizon, thresholds.
 
-    Deliberately excludes P and mu.
+    Deliberately excludes P and mu.  Checked when built by the rules an
+    :class:`~exposure_bandits.core.Instance` follows
+    (:func:`~exposure_bandits.core.validate_sizes`), so a horizon that
+    is not a multiple of the phase length fails here, not at the end of
+    exploration.
     """
 
     n: int
@@ -74,6 +80,10 @@ class Observables:
     tau: int
     T: int
     delta: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", thresholds(self.delta))
+        validate_sizes(self.n, self.k, self.tau, self.T, self.delta)
 
     @staticmethod
     def from_instance(instance: Instance) -> "Observables":

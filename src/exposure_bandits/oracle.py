@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NEG_INF, Instance, ResourceGuardError
-from .matching import Aggregate, _mu_eff
+from .matching import Aggregate
 
 __all__ = [
     "OptResult",
@@ -201,7 +201,10 @@ def brute_matching(aggregate: Aggregate, allowed, committed, instance: Instance)
             f"{len(allowed)}^{tau} assignments exceeds cap {ASSIGNMENT_CAP}"
         )
 
-    mu_eff = _mu_eff(aggregate, instance)
+    # the real types' utilities, then the slack row's: 0 on every arm
+    mu_eff = list(instance.mu[: aggregate.n_real])
+    if aggregate.has_slack:
+        mu_eff.append((0.0,) * instance.k)
     slots = [
         r for r in range(len(aggregate.counts)) for _ in range(aggregate.counts[r])
     ]

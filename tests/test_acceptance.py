@@ -366,3 +366,22 @@ def test_12_experiment_reruns_are_byte_identical(tmp_path):
 
     assert drop_timing(texts[0]) == drop_timing(texts[1])
     assert texts[0].splitlines()[0].endswith("wall_time_s")
+
+
+def test_13_learning_regret_grows_like_t_to_the_two_thirds():
+    """The least-squares slope of log total regret against log T, over
+    T in {1e5, 5e5, 2.5e6}, lies within 2/3 +- 0.1: the rate of the
+    exploration schedule, which explores about T^(2/3) rounds."""
+    base = subsidy_worthwhile()
+    _, table = dp_star(base)
+    horizons = (100_000, 500_000, 2_500_000)
+    totals = []
+    for T in horizons:
+        inst = replace(base, T=T)
+        bench = planned_total_value(inst, table)
+        obs = Observables.from_instance(inst)
+        totals.append(sum(
+            bench - run_episode(inst, EesPolicy(obs), seed, reward_mode="sampled").expected_reward
+            for seed in range(10)))
+    slope = np.polyfit(np.log(horizons), np.log(totals), 1)[0]
+    assert abs(slope - 2 / 3) <= 0.1, (slope, totals)

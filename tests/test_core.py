@@ -8,6 +8,7 @@ import pytest
 
 from exposure_bandits import (
     Instance,
+    Observables,
     ResourceGuardError,
     compute_gamma,
     gamma_from_parts,
@@ -117,6 +118,10 @@ def test_an_invalid_instance_is_never_built():
             Instance(**{**fields, **kw})
         with pytest.raises(ValueError):
             replace(good, **kw)
+        if kw.keys() <= {"delta", "T"}:
+            # the observables a learner builds on follow the same rules
+            with pytest.raises(ValueError):
+                replace(Observables.from_instance(good), **kw)
 
 
 def test_validate_warns_on_rare_type():

@@ -309,7 +309,7 @@ def rank_cases(draw):
     shape, a seeded generator fills it in."""
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
     slack = draw(st.booleans())
     tau = draw(st.integers(1, 64))
     tie_prone = draw(st.booleans())
@@ -380,3 +380,28 @@ def test_rank_gather_follows_the_scalar_step(monkeypatch):
     check()
     # the strategy reaches the rank gather, in most phases
     assert phases_seen[1] > phases_seen[0] / 3
+
+
+def test_a_slack_row_of_twenty_arms_replays_arrival_by_arrival(monkeypatch):
+    # A-LCB has no cap on k, so a slack row may hold many arms: the sweep
+    # must cost in proportion to them, not to their 2^20 live subsets
+    stepped = stepped_phases(monkeypatch)
+    rng = np.random.default_rng(20)
+    n, k, tau, phases = 3, 20, 200, 40
+    mu = [(rng.permutation(k) / k).tolist() for _ in range(n)]
+    M = np.zeros((1, n + 1, k), dtype=np.int64)
+    for u in range(n):
+        M[0, u, u] = 20
+    M[0, n] = 7
+    arrivals = rng.integers(0, n, size=(phases, tau))
+    for p in range(phases):
+        arrivals[p, : n * 20] = np.repeat(np.arange(n), 20)
+        rng.shuffle(arrivals[p])
+    deltas = [[int(d) for d in rng.integers(0, 10, size=k)]]
+    pulls, fired = lcb_replay([phases], M.copy(), mu, deltas, arrivals.astype(np.int16))
+    assert stepped == [] and fired == []
+    for p, phase in enumerate(arrivals.tolist()):
+        state = LcbState(M[0].tolist(), mu, deltas[0])
+        assert pulls[p].tolist() == [lcb_policy_step(state, u) for u in phase]
+    # the arms no own row holds take exactly their slack units
+    assert (np.bincount(pulls.ravel(), minlength=k)[n:] == 7 * phases).all()

@@ -19,3 +19,19 @@ def test_the_sources_state_no_contract_as_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_oracles_share_no_code_with_the_fast_paths():
+    # the brute-force references are ground truth: from the package they
+    # take only the problem definition (core) and the aggregate they solve
+    tree = ast.parse(Path(exposure_bandits.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, "*") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, alias.name) for alias in node.names}
+    ours = {(m, name) for m, name in imported if m.startswith((".", "exposure_bandits"))}
+    assert {(m, name) for m, name in ours if m != ".core"} == {(".matching", "Aggregate")}
+    assert (".core", "Instance") in ours
