@@ -13,6 +13,7 @@ from .core import (
     GammaResult,
     Instance,
     InfeasibleError,
+    Observables,
     ResourceGuardError,
     compute_gamma,
     gamma_from_parts,
@@ -43,7 +44,6 @@ from .learn import (
     EesConfig,
     EesPolicy,
     Estimates,
-    Observables,
     baseline_policy,
     concentration_radii,
     default_exploration_phases,

@@ -6,6 +6,8 @@ description defined here: ``n`` user types arriving i.i.d. from ``P``,
 rounds split into phases of length ``tau``.  An arm that receives fewer
 than ``delta[a]`` pulls within a phase departs permanently at the phase
 boundary.  An invalid instance raises ``ValueError`` when it is built.
+:class:`Observables` is the part of an instance a learner knows up
+front.
 
 ``compute_gamma`` answers the feasibility question behind uniform
 exploration: the largest per-arm rate ``gamma`` such that pulling every
@@ -24,6 +26,7 @@ from typing import Callable, Iterator
 __all__ = [
     "NEG_INF",
     "Instance",
+    "Observables",
     "GammaResult",
     "InfeasibleError",
     "ResourceGuardError",
@@ -143,6 +146,39 @@ class Instance:
     @property
     def phases(self) -> int:
         return self.T // self.tau
+
+
+@dataclass(frozen=True)
+class Observables:
+    """What a learner may know up front: sizes, horizon, thresholds.
+
+    Deliberately excludes P and mu.  Checked when built by the rules an
+    :class:`Instance` follows (:func:`validate_sizes`), so a horizon
+    that is not a multiple of the phase length fails here, not at the
+    end of exploration.  A learner built from one keeps it as its
+    ``observables``, and the simulator refuses to run it on an instance
+    the view does not describe.
+    """
+
+    n: int
+    k: int
+    tau: int
+    T: int
+    delta: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", thresholds(self.delta))
+        validate_sizes(self.n, self.k, self.tau, self.T, self.delta)
+
+    @staticmethod
+    def from_instance(instance: Instance) -> "Observables":
+        return Observables(
+            n=instance.n,
+            k=instance.k,
+            tau=instance.tau,
+            T=instance.T,
+            delta=instance.delta,
+        )
 
 
 @dataclass(frozen=True)

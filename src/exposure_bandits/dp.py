@@ -283,7 +283,7 @@ class DpPolicy(CommittedPolicy):
     into an int8 action table with one row per decision state (by rank)
     and one column per type, so a round costs one table lookup and one
     successor lookup; :meth:`plan_phases` makes them for every phase of
-    an episode at once.
+    a block at once.
     """
 
     def __init__(self, instance: Instance):
@@ -316,9 +316,10 @@ class DpPolicy(CommittedPolicy):
         self._pos = self.table.next.item(j, self._pos)
         return self._arms[j]
 
-    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
+    def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
         """Every phase's pulls, one vectorised table lookup per round of
-        the phase (see :class:`~exposure_bandits.env.CommittedPolicy`)."""
+        the phase; every phase plays alike, whatever its index (see
+        :class:`~exposure_bandits.env.CommittedPolicy`)."""
         nxt = self.table.next
         arms = np.array(self._arms, dtype=np.int16)
         pos = np.zeros(arrivals.shape[0], dtype=np.intp)

@@ -1,4 +1,4 @@
-"""Round-by-round simulator of the interaction protocol.
+"""Simulator of the interaction protocol, streamed in blocks of phases.
 
 Each round a user type arrives, the policy pulls an arm (or declines),
 and a reward is realized.  At every phase boundary, arms whose pull count
@@ -6,14 +6,24 @@ within the phase fell short of their exposure threshold depart for good.
 Pulling a departed arm stays legal but yields 0 reward and is flagged, so
 threshold-oblivious baselines can run unmodified.
 
-Two paths run an episode.  An arm can depart only at a phase boundary,
-so the viable set is fixed for the whole of a phase, and a policy whose
+An episode walks its horizon in blocks of whole phases: ``BLOCK_ROUNDS``
+rounds rounded down to whole phases, and at least one phase.  Each
+block's arrivals and reward noise are drawn when the block starts, its
+pulls, rewards and dead-pull flags are written straight into the
+record's arrays, and its live pulls are counted per (type, arm) cell,
+from which the exact expected reward is summed once at the end.  So an
+episode holds its record, ``RECORD_BYTES`` per round, plus one block of
+working arrays, and an episode whose record would not fit under
+``EPISODE_BYTE_CAP`` is refused before anything is allocated.
+
+Two paths play a block.  An arm can depart only at a phase boundary, so
+the viable set is fixed for the whole of a phase, and a policy whose
 play depends only on that set, the phase's arrivals and the earlier
 phases can be played a phase segment at a time: it defines
 ``play_phases`` (see :class:`Policy`), and the segment path asks it for
-the pulls of the phases not yet played, keeps them up to and including
-the first phase that ends with a departure, and asks again with the
-smaller viable set.  The committed planners (``DpPolicy``,
+the pulls of the block's phases not yet played, keeps them up to and
+including the first phase that ends with a departure, and asks again
+with the smaller viable set.  The committed planners (``DpPolicy``,
 ``LcbPolicy``, ``AlcbPolicy``, ``LlcbPolicy``, all
 :class:`CommittedPolicy`), the explore-estimate-plan learner
 (``EesPolicy``) and the informed baselines (``MyopicPolicy``,
@@ -26,8 +36,10 @@ accounting, and they produce identical records.
 
 One master seed splits into three independent streams (arrivals, reward
 noise, policy randomness), so changing the reward model never perturbs
-the arrival sequence.  Identical (instance, policy, seed) inputs produce
-a bitwise-identical :class:`RunRecord`.
+the arrival sequence.  Drawing a stream a block at a time gives the
+same numbers as drawing it at once, so the block size never moves a
+record.  Identical (instance, policy, seed) inputs produce a
+bitwise-identical :class:`RunRecord`.
 """
 
 from __future__ import annotations
@@ -38,11 +50,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, Observables, ResourceGuardError
 
 __all__ = [
     "NO_PULL",
     "REWARD_MODES",
+    "BLOCK_ROUNDS",
+    "RECORD_BYTES",
+    "BLOCK_BYTES",
+    "EPISODE_BYTE_CAP",
     "Policy",
     "CommittedPolicy",
     "RunRecord",
@@ -55,6 +71,13 @@ REWARD_MODES = ("sampled", "expected")
 
 NO_PULL = -1  # pulls[] marker for rounds where the policy declined to act
 
+BLOCK_ROUNDS = 1 << 17  # rounds per block, rounded down to whole phases
+# per round of the record: int16 arrival and pull, float64 reward, bool flag
+RECORD_BYTES = 13
+# the working arrays of one block, at most this many bytes per block round
+BLOCK_BYTES = 64 * BLOCK_ROUNDS
+EPISODE_BYTE_CAP = 2**31  # record plus one block
+
 
 class Policy:
     """Base class for round-by-round decision makers.
@@ -65,17 +88,21 @@ class Policy:
     to observe realized rewards; planners that know the instance ignore it.
     ``bad_event_phases`` lists the 1-based phases of the last episode in
     which the policy's confidence-floor fallback fired; it stays empty for
-    policies without one.
+    policies without one.  ``observables`` is the
+    :class:`~exposure_bandits.core.Observables` view a learner was built
+    from, ``None`` for a policy built from the instance itself;
+    :func:`run_episode` refuses an instance the view does not describe.
 
     A policy whose play in a phase depends only on the viable set, that
     phase's arrivals and the earlier phases may also define
     ``play_phases(arrivals, viable, past)``, the segment contract:
 
-    - ``arrivals`` is the int16 ``(m, tau)`` block of the phases not yet
-      played;
+    - ``arrivals`` is the int16 ``(m, tau)`` rest of the current block:
+      its phases not yet played;
     - ``viable`` is the current viable set;
     - ``past`` is the :class:`RunRecord` prefix of the rounds played so
-      far (``expected_reward`` is NaN there).
+      far (``expected_reward`` is NaN there), so ``len(past.pulls)`` is
+      the round ``arrivals`` starts at.
 
     It returns the ``(m', tau)`` pulls, ``1 <= m' <= m``, that
     :meth:`choose` would make round by round in the first ``m'`` of
@@ -83,16 +110,18 @@ class Policy:
     round).  :func:`run_episode` then calls it, after :meth:`start`,
     instead of calling :meth:`choose` every round: it keeps the pulls up
     to and including the first phase that ends with a departure, and
-    calls again with the rest.  Such a policy must not rely on
-    :meth:`feedback`, which the segment path never calls.  The committed
-    planners (:class:`CommittedPolicy`), ``EesPolicy`` and the informed
-    baselines define it; ``GreedyBanditPolicy``, which learns from every
-    reward, does not and runs on the loop.
+    calls again with the rest of the block, then with the next block.
+    Such a policy must not rely on :meth:`feedback`, which the segment
+    path never calls.  The committed planners
+    (:class:`CommittedPolicy`), ``EesPolicy`` and the informed baselines
+    define it; ``GreedyBanditPolicy``, which learns from every reward,
+    does not and runs on the loop.
     """
 
     wants_feedback = False
     play_phases = None
     bad_event_phases = ()
+    observables = None
 
     def start(self, rng: np.random.Generator) -> None:
         """Reset per-episode state; ``rng`` is the policy-private stream."""
@@ -107,27 +136,35 @@ class Policy:
 
 class CommittedPolicy(Policy):
     """A policy whose pulls in a phase depend only on that phase's
-    arrivals: it reads neither the viable set nor feedback.
+    arrivals and its index: it reads neither the viable set nor feedback.
 
     Subclasses define :meth:`plan_phases`.  The first :meth:`play_phases`
-    call of an episode plans every remaining phase at once; a later
-    call, made after a departure cut the segment short, slices that plan,
-    so no phase is planned twice.
+    call of a block plans the rest of the block at once; a later call in
+    the same block, made after a departure cut the segment short, slices
+    that plan, so no phase is planned twice.  Phases count from the
+    round of the episode's first call, so a policy handed the rest of an
+    episode (as ``EesPolicy`` hands it to its planner) counts from there.
     """
 
-    _plan = None
-
     def start(self, rng: np.random.Generator) -> None:
+        self._origin = None  # the round of the episode's first call
         self._plan = None
+        self._plan_end = 0  # the round past the planned block
 
-    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
-        """The ``(phases, tau)`` pulls for the ``(phases, tau)`` arrivals."""
+    def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
+        """The ``(phases, tau)`` pulls for the ``(phases, tau)`` arrivals
+        of the policy's phases ``first``, ``first + 1``, ... (0-based)."""
         raise NotImplementedError
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord) -> np.ndarray:
-        if self._plan is None:
-            self._plan = self.plan_phases(arrivals)
+        played = len(past.pulls)
+        if self._origin is None:
+            self._origin = self._plan_end = played
+        if played == self._plan_end:
+            first = (played - self._origin) // arrivals.shape[1]
+            self._plan = self.plan_phases(arrivals, first)
+            self._plan_end = played + arrivals.size
         return self._plan[len(self._plan) - len(arrivals):]
 
 
@@ -172,23 +209,45 @@ def sample_arrivals(P, length: int, rng: np.random.Generator) -> np.ndarray:
     return types
 
 
-def recompute_expected_reward(record: RunRecord, instance: Instance) -> float:
+def recompute_expected_reward(record: RunRecord, instance: Instance,
+                              counts=None) -> float:
     """The expected-reward total of a trajectory: ``mu[u_t][a_t]`` summed
     over live pulls, exactly and rounded once.
 
-    Live pulls are counted per (type, arm) cell; the cells' count times
-    ``mu`` products are summed as Fractions, which is exact, and rounded
-    to the nearest float.  That is the correctly rounded sum, the value
+    Live pulls are counted per (type, arm) cell, unless ``counts``
+    gives those ``(n, k)`` counts already; the cells' count times ``mu``
+    products are summed as Fractions, which is exact, and rounded to
+    the nearest float.  That is the correctly rounded sum, the value
     ``math.fsum`` gives over the per-round floats, at O(n*k) cost after
     the count.
     """
     n, k = instance.n, instance.k
-    live = (record.pulls >= 0) & ~record.dead_pulls
-    # non-live rounds land in an extra cell past the n*k real ones
-    cell = np.where(live, record.arrivals.astype(np.intp) * k + record.pulls, n * k)
-    counts = np.bincount(cell, minlength=n * k + 1)[: n * k].tolist()
+    if counts is None:
+        cell = _cells(record.arrivals, record.pulls, k)
+        counts = _live_counts(cell, record.dead_pulls, n, k)
     mu = [m for row in instance.mu for m in row]
-    return float(sum(Fraction(c) * Fraction(m) for c, m in zip(counts, mu) if c))
+    cells = np.asarray(counts).ravel().tolist()
+    return float(sum(Fraction(c) * Fraction(m) for c, m in zip(cells, mu) if c))
+
+
+def _cells(arrivals, pulls, k: int) -> np.ndarray:
+    """Each round's cell ``type * (k + 1) + 1 + pull``: a type's row of
+    ``k + 1`` cells starts with its declined rounds, then one per arm."""
+    cell = arrivals.astype(np.intp)
+    cell *= k + 1
+    cell += pulls
+    cell += 1
+    return cell
+
+
+def _live_counts(cell, dead, n: int, k: int) -> np.ndarray:
+    """The live pulls (neither declined nor dead) of each (type, arm)
+    cell, as an ``(n, k)`` array, from the rounds' :func:`_cells` and
+    dead-pull flags."""
+    counts = np.bincount(cell, minlength=n * (k + 1))
+    if dead.any():
+        counts -= np.bincount(cell[dead], minlength=n * (k + 1))
+    return counts.reshape(n, k + 1)[:, 1:]
 
 
 def _departures(counts, bar: list, first_phase: int) -> list[tuple[int, int]]:
@@ -230,84 +289,113 @@ def run_episode(
         reward model (Bernoulli or deterministic), which is what learning
         policies should see as feedback.
 
-    Raises ``ValueError`` if the policy returns an arm outside
-    ``[0, k)``.  Rounds with no pull (policy returned ``None``) yield 0.
+    Raises ``ValueError`` before the episode starts if the policy's
+    ``observables`` do not describe ``instance``, and during it if the
+    policy returns an arm outside ``[0, k)``; ``ResourceGuardError``
+    before anything is allocated if the record and one block exceed
+    ``EPISODE_BYTE_CAP`` bytes.  Rounds with no pull (policy returned
+    ``None``) yield 0.
     """
     if reward_mode not in REWARD_MODES:
         raise ValueError(f"reward_mode {reward_mode!r} not in {REWARD_MODES}")
+    if policy.observables is not None and policy.observables != Observables.from_instance(
+        instance
+    ):
+        raise ValueError(
+            f"the policy was built for {policy.observables}, which does not "
+            "describe the instance it is run on"
+        )
     n, k, tau, T = instance.n, instance.k, instance.tau, instance.T
+    need = RECORD_BYTES * T + BLOCK_BYTES
+    if need > EPISODE_BYTE_CAP:
+        raise ResourceGuardError(
+            f"an episode of {T} rounds needs {need} bytes, over the cap "
+            f"{EPISODE_BYTE_CAP}"
+        )
 
     ss = np.random.SeedSequence(seed)
     arrival_rng, reward_rng, policy_rng = map(np.random.default_rng, ss.spawn(3))
-    arrivals = sample_arrivals(instance.P, T, arrival_rng)
     sample_bernoulli = (
         reward_mode == "sampled" and instance.reward_kind == "bernoulli"
     )
-    # positional noise: round t always consumes noise[t], so the policy's
-    # choices cannot shift the reward stream
-    noise = reward_rng.random(T) if sample_bernoulli else None
-
-    policy.start(policy_rng)
-    if policy.play_phases is not None:
-        pulls, realized, dead, departures = _play_segments(
-            instance, policy, arrivals, noise, seed
-        )
-    else:
-        pulls, realized, dead, departures = _play_loop(
-            instance, policy, arrivals, noise
-        )
-
     record = RunRecord(
-        arrivals=arrivals,
-        pulls=pulls,
-        realized_rewards=realized,
-        expected_reward=0.0,
-        departure_events=departures,
+        arrivals=np.empty(T, dtype=np.int16),
+        pulls=np.empty(T, dtype=np.int16),
+        realized_rewards=np.empty(T, dtype=np.float64),
+        expected_reward=math.nan,
+        departure_events=[],
         seed=seed,
-        dead_pulls=dead,
+        dead_pulls=np.empty(T, dtype=bool),
     )
-    record.expected_reward = recompute_expected_reward(record, instance)
+    play = _play_loop if policy.play_phases is None else _play_segments
+    policy.start(policy_rng)
+    counts = np.zeros((n, k), dtype=np.int64)
+    step = max(1, BLOCK_ROUNDS // tau) * tau
+    for lo in range(0, T, step):
+        hi = min(lo + step, T)
+        record.arrivals[lo:hi] = sample_arrivals(instance.P, hi - lo, arrival_rng)
+        # positional noise: round t always consumes the t-th draw, so the
+        # policy's choices cannot shift the reward stream
+        noise = reward_rng.random(hi - lo) if sample_bernoulli else None
+        counts += play(instance, policy, record, lo, hi, noise)
+    record.expected_reward = recompute_expected_reward(record, instance, counts)
     return record
 
 
-def _play_segments(instance: Instance, policy: Policy, arrivals, noise, seed: int):
-    """Phase segments from ``policy.play_phases``, each cut after the
-    first phase that ends with a departure."""
-    k, tau, phases = instance.k, instance.tau, instance.phases
-    mu = np.asarray(instance.mu, dtype=np.float64)
-    blocks = arrivals.reshape(phases, tau)
-    bar = list(instance.delta)
-    pulls = np.empty(instance.T, dtype=np.int16)
-    realized = np.empty(instance.T, dtype=np.float64)
-    dead = np.empty(instance.T, dtype=bool)
-    departures: list[tuple[int, int]] = []
-    viable = frozenset(range(k))
-    done = 0
-    while done < phases:
-        lo = done * tau
+def _state(instance: Instance, record: RunRecord):
+    """The viable set and the departure bars (see :func:`_departures`)
+    after the departures recorded so far."""
+    gone = {a for _, a in record.departure_events}
+    viable = frozenset(range(instance.k)).difference(gone)
+    bar = [0 if a in gone else d for a, d in enumerate(instance.delta)]
+    return viable, bar
+
+
+def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
+                   lo: int, hi: int, noise) -> np.ndarray:
+    """Rounds ``lo:hi`` in phase segments from ``policy.play_phases``,
+    each cut after the first phase that ends with a departure.  Returns
+    their live pulls per (type, arm) (see :func:`_live_counts`)."""
+    n, k, tau = instance.n, instance.k, instance.tau
+    arrivals, pulls, realized, dead = (
+        record.arrivals, record.pulls, record.realized_rewards, record.dead_pulls
+    )
+    departures = record.departure_events
+    viable, bar = _state(instance, record)
+    # a type's row holds 0 for a declined round, then each arm's utility
+    value = np.zeros((n, k + 1))
+    value[:, 1:] = instance.mu
+    block = arrivals[lo:hi].reshape(-1, tau)
+    live = np.zeros((n, k), dtype=np.int64)
+    start = lo
+    while start < hi:
+        left = (hi - start) // tau
         past = RunRecord(
-            arrivals=arrivals[:lo],
-            pulls=pulls[:lo],
-            realized_rewards=realized[:lo],
+            arrivals=arrivals[:start],
+            pulls=pulls[:start],
+            realized_rewards=realized[:start],
             expected_reward=math.nan,
             departure_events=list(departures),
-            seed=seed,
-            dead_pulls=dead[:lo],
+            seed=record.seed,
+            dead_pulls=dead[:start],
         )
-        seg = np.asarray(policy.play_phases(blocks[done:], viable, past))
-        if seg.ndim != 2 or seg.shape[1] != tau or not 1 <= len(seg) <= phases - done:
+        seg = np.asarray(policy.play_phases(block[len(block) - left:], viable, past))
+        if seg.ndim != 2 or seg.shape[1] != tau or not 1 <= len(seg) <= left:
             raise ValueError(
-                f"play_phases returned shape {seg.shape} for {phases - done} "
+                f"play_phases returned shape {seg.shape} for {left} "
                 f"phases of {tau} rounds"
             )
-        wrong = (seg < NO_PULL) | (seg >= k)
-        if wrong.any():
-            t = lo + int(np.flatnonzero(wrong.ravel())[0])
+        if seg.min() < NO_PULL or seg.max() >= k:
+            i = int(np.flatnonzero((seg < NO_PULL) | (seg >= k))[0])
             raise ValueError(
-                f"policy returned arm {int(seg.flat[t - lo])} outside [0, {k}) "
-                f"at round {t}"
+                f"policy returned arm {int(seg.flat[i])} outside [0, {k}) "
+                f"at round {start + i}"
             )
-        counts = np.stack([(seg == a).sum(axis=1) for a in range(k)], axis=1)
+        # pulls per arm in each phase, after a column of declined rounds
+        index = seg.astype(np.intp)
+        index += (np.arange(len(seg)) * (k + 1) + 1)[:, None]
+        counts = np.bincount(index.ravel(), minlength=len(seg) * (k + 1))
+        counts = counts.reshape(len(seg), k + 1)[:, 1:]
         short = (counts < np.array(bar)).any(axis=1)
         gone = []
         if short.any():
@@ -315,73 +403,91 @@ def _play_segments(instance: Instance, policy: Policy, arrivals, noise, seed: in
             # to it, and let the departure rule name who leaves there
             first = int(short.argmax())
             gone = _departures(counts[first : first + 1].tolist(), bar,
-                               done + 1 + first)
+                               start // tau + 1 + first)
             seg = seg[: first + 1]
-        hi = lo + seg.size
-        done += len(seg)
+        end = start + seg.size
         seg = seg.ravel()
-        pulls[lo:hi] = seg
-        # a pull is dead when its arm is not viable; NO_PULL never is
-        dead_arm = np.ones(k + 1, dtype=bool)
-        dead_arm[list(viable)] = False
-        dead_arm[NO_PULL] = False
-        dead[lo:hi] = dead_arm[seg]
-        live = (seg >= 0) & ~dead[lo:hi]
-        values = mu[arrivals[lo:hi], np.maximum(seg, 0)]
-        if noise is not None:
-            realized[lo:hi] = np.where(live & (noise[lo:hi] < values), 1.0, 0.0)
+        pulls[start:end] = seg
+        if len(viable) == k:
+            dead[start:end] = False
+            table = value.ravel()
         else:
-            realized[lo:hi] = np.where(live, values, 0.0)
+            # a pull is dead when its arm is not viable; NO_PULL never is
+            dead_arm = np.ones(k + 1, dtype=bool)
+            dead_arm[list(viable)] = False
+            dead_arm[NO_PULL] = False
+            dead[start:end] = dead_arm[seg]
+            table = value.copy()
+            table[:, [1 + a for a in range(k) if a not in viable]] = 0.0
+            table = table.ravel()
+        # each round's utility, 0 for a declined or dead pull
+        cell = _cells(arrivals[start:end], seg, k)
+        if noise is not None:
+            draws = noise[start - lo : end - lo]
+            realized[start:end] = draws < table[cell]
+        else:
+            # every cell is in range: "clip" writes straight into the record
+            np.take(table, cell, out=realized[start:end], mode="clip")
+        live += _live_counts(cell, dead[start:end], n, k)
         viable = viable.difference(a for _, a in gone)
         departures.extend(gone)
-    return pulls, realized, dead, departures
+        start = end
+    return live
 
 
-def _play_loop(instance: Instance, policy: Policy, arrivals, noise):
-    """Round by round through ``policy.choose``: the reference path."""
-    k, tau, T = instance.k, instance.tau, instance.T
+def _play_loop(instance: Instance, policy: Policy, record: RunRecord,
+               lo: int, hi: int, noise) -> np.ndarray:
+    """Rounds ``lo:hi`` through ``policy.choose``, one round at a time:
+    the reference path.  Each phase is kept in Python lists and written
+    into the record with one slice assignment per array.  Returns the
+    live pulls per (type, arm) (see :func:`_live_counts`)."""
+    n, k, tau = instance.n, instance.k, instance.tau
     mu = [list(row) for row in instance.mu]
-    bar = list(instance.delta)
-    pulls = np.full(T, NO_PULL, dtype=np.int16)
-    realized = np.zeros(T, dtype=np.float64)
-    dead = np.zeros(T, dtype=bool)
-    departures: list[tuple[int, int]] = []
-
+    departures = record.departure_events
+    viable, bar = _state(instance, record)
     choose = policy.choose
     feedback = policy.feedback if policy.wants_feedback else None
-
-    viable = frozenset(range(k))
-    phase = 1
-    for start in range(0, T, tau):
-        block = arrivals[start : start + tau].tolist()
+    no_draws = [None] * tau
+    for start in range(lo, hi, tau):
+        end = start + tau
+        types = record.arrivals[start:end].tolist()
+        # expected rewards draw no noise: every round reads the mean
+        draws = noise[start - lo : end - lo].tolist() if noise is not None else no_draws
+        phase_pulls = []
+        rewards = []
+        dead_offsets = []
+        add_pull, add_reward = phase_pulls.append, rewards.append
         counts = [0] * k
-        for off, u in enumerate(block):
-            t = start + off
+        for t, u, x in zip(range(start, end), types, draws):
             a = choose(t, u, viable)
-            if a is not None:
-                if not 0 <= a < k:
-                    raise ValueError(
-                        f"policy returned arm {a} outside [0, {k}) at round {t}"
-                    )
-                pulls[t] = a
-                counts[a] += 1
-                if a in viable:
-                    m = mu[u][a]
-                    if noise is not None:
-                        v = 1.0 if noise[t] < m else 0.0
-                    else:
-                        v = m
-                    realized[t] = v
-                else:
-                    dead[t] = True
-                    v = 0.0
-            else:
+            if a is None:
+                add_pull(NO_PULL)
                 v = 0.0
+            elif a in viable:
+                add_pull(a)
+                counts[a] += 1
+                m = mu[u][a]
+                v = m if x is None else (1.0 if x < m else 0.0)
+            elif 0 <= a < k:
+                add_pull(a)
+                counts[a] += 1
+                dead_offsets.append(t - start)
+                v = 0.0
+            else:
+                raise ValueError(
+                    f"policy returned arm {a} outside [0, {k}) at round {t}"
+                )
+            add_reward(v)
             if feedback is not None:
                 feedback(t, u, a, v)
-        gone = _departures([counts], bar, phase)
+        record.pulls[start:end] = phase_pulls
+        record.realized_rewards[start:end] = rewards
+        dead = record.dead_pulls[start:end]
+        dead[:] = False
+        dead[dead_offsets] = True
+        gone = _departures([counts], bar, start // tau + 1)
         if gone:
             viable = viable.difference(a for _, a in gone)
             departures.extend(gone)
-        phase += 1
-    return pulls, realized, dead, departures
+    cell = _cells(record.arrivals[lo:hi], record.pulls[lo:hi], k)
+    return _live_counts(cell, record.dead_pulls[lo:hi], n, k)

@@ -467,14 +467,20 @@ class LcbPolicy(CommittedPolicy):
             self.bad_event_phases.append(t // self._tau + 1)
         return arm
 
-    def plan_phases(self, arrivals: np.ndarray) -> np.ndarray:
-        """Every phase's replay of its segment's matching at once,
-        through :func:`lcb_replay` (see
+    def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
+        """The replay of phases ``first`` on, each of its segment's
+        matching, at once through :func:`lcb_replay` (see
         :class:`~exposure_bandits.env.CommittedPolicy`)."""
-        segs = self.segments
-        pulls, self.bad_event_phases = lcb_replay(
-            [s.phases for s in segs], [s.matching.M for s in segs], self.instance.mu,
-            self._deltas, arrivals)
+        last = first + len(arrivals)
+        lengths, M, deltas = [], [], []
+        for seg, seg_deltas, end in zip(self.segments, self._deltas, self._ends):
+            overlap = min(end, last) - max(end - seg.phases, first)
+            if overlap > 0:
+                lengths.append(overlap)
+                M.append(seg.matching.M)
+                deltas.append(seg_deltas)
+        pulls, fired = lcb_replay(lengths, M, self.instance.mu, deltas, arrivals)
+        self.bad_event_phases += [p + first for p in fired]
         return pulls
 
 

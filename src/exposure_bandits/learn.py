@@ -24,10 +24,9 @@ from .core import (
     Instance,
     InfeasibleError,
     GammaResult,
+    Observables,
     gamma_from_parts,
     subset_count,
-    thresholds,
-    validate_sizes,
 )
 from .dp import DpPolicy, largest_commitment, table_cells
 from .env import NO_PULL, Policy, RunRecord
@@ -62,38 +61,6 @@ PLANNERS = {
     "alcb_star": AlcbPolicy,
     "llcb": LlcbPolicy,
 }
-
-
-@dataclass(frozen=True)
-class Observables:
-    """What a learner may know up front: sizes, horizon, thresholds.
-
-    Deliberately excludes P and mu.  Checked when built by the rules an
-    :class:`~exposure_bandits.core.Instance` follows
-    (:func:`~exposure_bandits.core.validate_sizes`), so a horizon that
-    is not a multiple of the phase length fails here, not at the end of
-    exploration.
-    """
-
-    n: int
-    k: int
-    tau: int
-    T: int
-    delta: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", thresholds(self.delta))
-        validate_sizes(self.n, self.k, self.tau, self.T, self.delta)
-
-    @staticmethod
-    def from_instance(instance: Instance) -> "Observables":
-        return Observables(
-            n=instance.n,
-            k=instance.k,
-            tau=instance.tau,
-            T=instance.T,
-            delta=instance.delta,
-        )
 
 
 @dataclass
@@ -273,7 +240,7 @@ class EesPolicy(Policy):
     wants_feedback = True
 
     def __init__(self, observables: Observables, config: EesConfig = EesConfig()):
-        self.obs = observables
+        self.observables = observables
         self.config = config
         self.gamma = gamma_from_parts(
             observables.delta, observables.tau, observables.k
@@ -307,7 +274,7 @@ class EesPolicy(Policy):
 
     def start(self, rng) -> None:
         self._rng = rng
-        self._phase_counts = [0] * self.obs.k
+        self._phase_counts = [0] * self.observables.k
         self._log = []  # (type, arm, reward) of each exploration round
         self.estimates = None
         self.planner = None
@@ -321,7 +288,7 @@ class EesPolicy(Policy):
         return [p + self.exploration_phases for p in self.planner.bad_event_phases]
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        o = self.obs
+        o = self.observables
         if t < self.T0:
             if t % o.tau == 0:
                 # the quota schedule must have kept everything alive
@@ -345,27 +312,29 @@ class EesPolicy(Policy):
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord) -> np.ndarray:
-        """The exploration phases on the first call, then the planner's
-        segments (see :class:`~exposure_bandits.env.Policy`)."""
+        """The exploration phases up to the end of the block, then the
+        planner's segments (see :class:`~exposure_bandits.env.Policy`)."""
+        o = self.observables
         played = len(past.pulls)
-        if self.planner is None:
-            if played == 0:
-                return self._explore_phases()
-            if played < self.T0:
-                # where the loop's check at the next phase start fires
+        if played < self.T0:
+            if len(viable) != o.k:
+                # where the loop's check at the phase start fires
                 raise ContractError(
                     f"an arm departed during exploration (round {played})"
                 )
+            return self._explore_phases(
+                min(len(arrivals), self.exploration_phases - played // o.tau))
+        if self.planner is None:
             self._plan(past)
         return self.planner.play_phases(arrivals, viable, past)
 
-    def _explore_phases(self) -> np.ndarray:
-        """Every exploration phase's pulls, one :func:`explore_phase_step`
-        per round as :meth:`choose` makes them; the rule never reads the
-        arrival."""
-        o = self.obs
+    def _explore_phases(self, count: int) -> np.ndarray:
+        """The next ``count`` exploration phases' pulls, one
+        :func:`explore_phase_step` per round as :meth:`choose` makes
+        them; the rule never reads the arrival."""
+        o = self.observables
         pulls = []
-        for _ in range(self.exploration_phases):
+        for _ in range(count):
             counts = [0] * o.k
             for _ in range(o.tau):
                 a = explore_phase_step(counts, self.gamma, o.delta, self._rng)
@@ -390,7 +359,7 @@ class EesPolicy(Policy):
     def _plan(self, record: RunRecord) -> None:
         """Estimate from the first T0 rounds of ``record`` and hand the
         rest of the horizon to the planner built on the estimates."""
-        o = self.obs
+        o = self.observables
         self.estimates = estimate(record, self.T0, o.n, o.k)
         self.planner = PLANNERS[self.config.sso](Instance(
             n=o.n,
@@ -430,7 +399,7 @@ class MyopicPolicy(Policy):
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord) -> np.ndarray:
-        """Every remaining phase through one per-type lookup over
+        """Every phase of ``arrivals`` through one per-type lookup over
         ``viable`` (see :class:`~exposure_bandits.env.Policy`)."""
         return self._lookup(viable)[arrivals]
 
@@ -457,7 +426,8 @@ class BlindSubsidizePolicy(MyopicPolicy):
     def start(self, rng) -> None:
         self._counts = [0] * self._k
         self._cursor = 0
-        self._starts = None  # cursor at each phase start of the last segment
+        self._starts = None  # cursor at each phase start of the last call
+        self._first = 0  # the round the last call started at
 
     def _subsidy(self, counts, viable: frozenset) -> int | None:
         """The next subsidy pull: the first viable arm from the cursor on
@@ -496,13 +466,15 @@ class BlindSubsidizePolicy(MyopicPolicy):
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord) -> np.ndarray:
-        """Every remaining phase: the subsidy prefix, which ignores the
+        """Every phase of ``arrivals``: the subsidy prefix, which ignores the
         arrivals and so depends only on the cursor the phase starts from
         (one prefix per cursor value), then the myopic lookup (see
         :class:`~exposure_bandits.env.Policy`)."""
+        played = len(past.pulls)
         if self._starts is not None:
             # resume from the cursor at the end of the last kept phase
-            self._cursor = self._starts[-1 - len(arrivals)]
+            self._cursor = self._starts[(played - self._first) // self._tau]
+        self._first = played
         prefixes = {}  # phase-start cursor -> (subsidy arms, cursor after)
         starts = [self._cursor]
         for _ in range(len(arrivals)):
@@ -531,6 +503,7 @@ class GreedyBanditPolicy(Policy):
     wants_feedback = True
 
     def __init__(self, observables: Observables):
+        self.observables = observables
         self._n = observables.n
         self._k = observables.k
 
@@ -539,8 +512,13 @@ class GreedyBanditPolicy(Policy):
         self._sums = [[0.0] * k for _ in range(n)]
         self._counts = [[0] * k for _ in range(n)]
         self._type_rounds = [0] * n
+        self._viable = None
+        self._arms = []  # the viable set, sorted once per change
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
+        if viable is not self._viable:
+            self._viable = viable
+            self._arms = sorted(viable)
         if not viable:
             return None
         counts = self._counts[u]
@@ -548,10 +526,11 @@ class GreedyBanditPolicy(Policy):
         nu = self._type_rounds[u] + 1
         bonus = math.log(nu)
         best, best_a = None, None
-        for a in sorted(viable):
-            if counts[a] == 0:
+        for a in self._arms:
+            c = counts[a]
+            if c == 0:
                 return a
-            idx = sums[a] / counts[a] + math.sqrt(2.0 * bonus / counts[a])
+            idx = sums[a] / c + math.sqrt(2.0 * bonus / c)
             if best is None or idx > best:
                 best, best_a = idx, a
         return best_a
