@@ -122,11 +122,10 @@ def save_instance(instance: Instance, path, seed: int = 0) -> None:
         fh.write(f"k = {instance.k}\n")
         fh.write(f"tau = {instance.tau}\n")
         fh.write(f"T = {instance.T}\n")
-        fh.write("P = " + " ".join(_fmt(p) for p in instance.P) + "\n")
+        # repr is the shortest string that reads back as the same float
+        fh.write("P = " + " ".join(repr(p) for p in instance.P) + "\n")
         fh.write("delta = " + " ".join(str(d) for d in instance.delta) + "\n")
-        fh.write(
-            "mu = " + " ".join(_fmt(v) for row in instance.mu for v in row) + "\n"
-        )
+        fh.write("mu = " + " ".join(repr(v) for row in instance.mu for v in row) + "\n")
         fh.write(f"reward_kind = {instance.reward_kind}\n")
         fh.write(f"seed = {seed}\n")
 
@@ -151,11 +150,11 @@ def make_policy(algo: str, instance: Instance, explore_override: int | None = No
 
 
 def _reward_mode(mode: str, policy: Policy) -> str:
-    """``auto`` scores learners (policies that take feedback) on sampled
-    rewards and everything else in expectation."""
+    """``auto`` scores learners (policies built from ``Observables``) on
+    sampled rewards and everything else in expectation."""
     if mode != "auto":
         return mode
-    return "sampled" if policy.wants_feedback else "expected"
+    return "sampled" if policy.observables is not None else "expected"
 
 
 def _run_seeds(instance: Instance, policy: Policy, seeds, mode: str) -> list[tuple]:
@@ -289,7 +288,7 @@ def cmd_experiment(args) -> int:
     benchmarks = {T: _benchmark_value(args.benchmark, inst) for T, inst in horizons.items()}
 
     seeds = range(base, base + args.seeds)
-    keys = [(algo, T) for algo in sorted(algos) for T in sorted(sweep)]
+    keys = [(algo, T) for algo in sorted(algos) for T in sorted(horizons)]
     groups = [
         (horizons[T], algo, seeds, args.reward_mode, args.explore_override)
         for algo, T in keys

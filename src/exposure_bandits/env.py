@@ -84,14 +84,15 @@ class Policy:
 
     A policy object serves one episode at a time; :meth:`start` must reset
     all per-episode state so the same object can be reused across seeds.
-    Learning policies set ``wants_feedback`` and override :meth:`feedback`
-    to observe realized rewards; planners that know the instance ignore it.
+    A learner is a policy built from an
+    :class:`~exposure_bandits.core.Observables` view, which it keeps as
+    its ``observables``; a policy built from the instance itself keeps
+    ``None`` there.  :func:`run_episode` refuses an instance the view
+    does not describe.  The loop hands every round's realized reward to
+    :meth:`feedback`, a no-op unless a learner overrides it.
     ``bad_event_phases`` lists the 1-based phases of the last episode in
     which the policy's confidence-floor fallback fired; it stays empty for
-    policies without one.  ``observables`` is the
-    :class:`~exposure_bandits.core.Observables` view a learner was built
-    from, ``None`` for a policy built from the instance itself;
-    :func:`run_episode` refuses an instance the view does not describe.
+    policies without one.
 
     A policy whose play in a phase depends only on the viable set, that
     phase's arrivals and the earlier phases may also define
@@ -118,7 +119,6 @@ class Policy:
     does not and runs on the loop.
     """
 
-    wants_feedback = False
     play_phases = None
     bad_event_phases = ()
     observables = None
@@ -445,8 +445,7 @@ def _play_loop(instance: Instance, policy: Policy, record: RunRecord,
     mu = [list(row) for row in instance.mu]
     departures = record.departure_events
     viable, bar = _state(instance, record)
-    choose = policy.choose
-    feedback = policy.feedback if policy.wants_feedback else None
+    choose, feedback = policy.choose, policy.feedback
     no_draws = [None] * tau
     for start in range(lo, hi, tau):
         end = start + tau
@@ -478,8 +477,7 @@ def _play_loop(instance: Instance, policy: Policy, record: RunRecord,
                     f"policy returned arm {a} outside [0, {k}) at round {t}"
                 )
             add_reward(v)
-            if feedback is not None:
-                feedback(t, u, a, v)
+            feedback(t, u, a, v)
         record.pulls[start:end] = phase_pulls
         record.realized_rewards[start:end] = rewards
         dead = record.dead_pulls[start:end]

@@ -29,7 +29,7 @@ from .core import (
     subset_count,
 )
 from .dp import DpPolicy, largest_commitment, table_cells
-from .env import NO_PULL, Policy, RunRecord
+from .env import NO_PULL, Policy, RunRecord, _cells, _live_counts
 from .lcb import AlcbPolicy, LcbPolicy
 from .lmatch import LlcbPolicy, plan_pairs
 
@@ -75,7 +75,6 @@ class Estimates:
     P_hat: tuple[float, ...]
     mu_hat: tuple[tuple[float, ...], ...]
     T0: int
-    pull_counts: tuple[tuple[int, ...], ...]
     observation_counts: tuple[tuple[int, ...], ...]
     eps1: tuple[float, ...] | None = None
     eps2: float | None = None
@@ -100,14 +99,13 @@ class EesConfig:
 
 
 def _icbrt(x: int) -> int:
-    """Exact floor cube root of a nonnegative integer."""
+    """Exact floor cube root of a nonnegative integer: Newton's method
+    in integers, which descends to it from any root at least as large."""
     if x < 0:
         raise ValueError("negative")
-    r = round(x ** (1 / 3)) if x else 0
+    r = 1 << -(-x.bit_length() // 3)  # 2^ceil(bits/3) > cube root
     while r**3 > x:
-        r -= 1
-    while (r + 1) ** 3 <= x:
-        r += 1
+        r = (2 * r + x // (r * r)) // 3
     return r
 
 
@@ -150,32 +148,24 @@ def explore_phase_step(counts, gamma: GammaResult, delta, rng) -> int:
 def estimate(record: RunRecord, T0: int, n: int, k: int) -> Estimates:
     """Empirical estimates from the first T0 rounds of a trajectory.
 
-    P_hat is the arrival frequency; mu_hat[u][a] averages realized
-    rewards over live pulls of a at arrivals of u (dead pulls carry no
-    reward signal and are excluded); unobserved cells get UNOBSERVED_MU.
+    P_hat is the arrival frequency; mu_hat[u][a] averages, in round
+    order, the realized rewards of the live pulls of a at arrivals of u
+    (the simulator's :func:`~exposure_bandits.env._live_counts`: declined
+    and dead pulls carry no reward signal); unobserved cells get
+    UNOBSERVED_MU.
     """
     if T0 <= 0:
         raise ValueError("exploration log is empty")
     if T0 > len(record.arrivals):
         raise ValueError("T0 exceeds the recorded horizon")
-    arrival_counts = [0] * n
-    reward_sums = [[0.0] * k for _ in range(n)]
-    obs_counts = [[0] * k for _ in range(n)]
-    pull_counts = [[0] * k for _ in range(n)]
-    arrivals = record.arrivals[:T0].tolist()
-    pulls = record.pulls[:T0].tolist()
-    rewards = record.realized_rewards[:T0].tolist()
-    dead = record.dead_pulls[:T0].tolist()
-    for t in range(T0):
-        u = arrivals[t]
-        arrival_counts[u] += 1
-        a = pulls[t]
-        if a < 0:
-            continue
-        pull_counts[u][a] += 1
-        if not dead[t]:
-            obs_counts[u][a] += 1
-            reward_sums[u][a] += rewards[t]
+    cell = _cells(record.arrivals[:T0], record.pulls[:T0], k)
+    dead = record.dead_pulls[:T0]
+    obs_counts = _live_counts(cell, dead, n, k).tolist()
+    # a declined round's cell heads its type's row, which is dropped
+    reward_sums = np.bincount(
+        cell[~dead], weights=record.realized_rewards[:T0][~dead], minlength=n * (k + 1)
+    ).reshape(n, k + 1)[:, 1:].tolist()
+    arrival_counts = np.bincount(record.arrivals[:T0], minlength=n).tolist()
     P_hat = [c / T0 for c in arrival_counts]
     # a type that never arrived would make the estimated instance
     # degenerate; give it half an arrival's worth of mass and renormalize
@@ -196,7 +186,6 @@ def estimate(record: RunRecord, T0: int, n: int, k: int) -> Estimates:
         P_hat=tuple(P_hat),
         mu_hat=mu_hat,
         T0=T0,
-        pull_counts=tuple(tuple(row) for row in pull_counts),
         observation_counts=tuple(tuple(row) for row in obs_counts),
     )
 
@@ -237,8 +226,6 @@ class EesPolicy(Policy):
     would exceed their cap, rather than after exploring.
     """
 
-    wants_feedback = True
-
     def __init__(self, observables: Observables, config: EesConfig = EesConfig()):
         self.observables = observables
         self.config = config
@@ -274,7 +261,7 @@ class EesPolicy(Policy):
 
     def start(self, rng) -> None:
         self._rng = rng
-        self._phase_counts = [0] * self.observables.k
+        self._phase = None  # the pulls of the current exploration phase
         self._log = []  # (type, arm, reward) of each exploration round
         self.estimates = None
         self.planner = None
@@ -290,18 +277,15 @@ class EesPolicy(Policy):
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         o = self.observables
         if t < self.T0:
-            if t % o.tau == 0:
+            r = t % o.tau
+            if r == 0:
                 # the quota schedule must have kept everything alive
                 if len(viable) != o.k:
                     raise ContractError(
                         f"an arm departed during exploration (round {t})"
                     )
-                self._phase_counts = [0] * o.k
-            a = explore_phase_step(
-                self._phase_counts, self.gamma, o.delta, self._rng
-            )
-            self._phase_counts[a] += 1
-            return a
+                self._phase = self._explore_phases(1)[0].tolist()
+            return self._phase[r]
         if self.planner is None:
             self._finish_exploration()
         return self.planner.choose(t - self.T0, u, viable)
@@ -330,8 +314,8 @@ class EesPolicy(Policy):
 
     def _explore_phases(self, count: int) -> np.ndarray:
         """The next ``count`` exploration phases' pulls, one
-        :func:`explore_phase_step` per round as :meth:`choose` makes
-        them; the rule never reads the arrival."""
+        :func:`explore_phase_step` per round; the rule never reads the
+        arrival.  :meth:`choose` asks for one phase at a time."""
         o = self.observables
         pulls = []
         for _ in range(count):
@@ -343,16 +327,12 @@ class EesPolicy(Policy):
         return np.array(pulls, dtype=np.int16).reshape(-1, o.tau)
 
     def _finish_exploration(self) -> None:
-        arrivals, pulls, rewards = zip(*self._log)
+        arrivals, pulls, rewards = map(np.array, zip(*self._log))
         # estimate reads only the per-round arrays; no arm departs while
         # exploring, so no pull is dead
         self._plan(RunRecord(
-            arrivals=np.array(arrivals),
-            pulls=np.array(pulls),
-            realized_rewards=np.array(rewards, dtype=np.float64),
-            expected_reward=math.nan,
-            departure_events=[],
-            seed=-1,
+            arrivals=arrivals, pulls=pulls, realized_rewards=rewards,
+            expected_reward=math.nan, departure_events=[], seed=-1,
             dead_pulls=np.zeros(self.T0, dtype=bool),
         ))
 
@@ -424,42 +404,36 @@ class BlindSubsidizePolicy(MyopicPolicy):
         self._k = instance.k
 
     def start(self, rng) -> None:
-        self._counts = [0] * self._k
         self._cursor = 0
+        self._subsidies = []  # the subsidy prefix of the current phase
         self._starts = None  # cursor at each phase start of the last call
         self._first = 0  # the round the last call started at
 
-    def _subsidy(self, counts, viable: frozenset) -> int | None:
-        """The next subsidy pull: the first viable arm from the cursor on
-        still short of its threshold, which the cursor then moves past;
-        ``None`` once every viable arm has met its threshold."""
-        k = self._k
-        for i in range(k):
-            a = (self._cursor + i) % k
-            if a in viable and counts[a] < self._delta[a]:
-                self._cursor = (a + 1) % k
-                return a
-        return None
-
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        if t % self._tau == 0:
-            self._counts = [0] * self._k
-        a = self._subsidy(self._counts, viable)
-        if a is None:
-            a = super().choose(t, u, viable)
-        if a is not None:
-            self._counts[a] += 1
-        return a
+        r = t % self._tau
+        if r == 0:
+            self._subsidies = self._prefix(viable)
+        if r < len(self._subsidies):
+            return self._subsidies[r]
+        return super().choose(t, u, viable)
 
     def _prefix(self, viable: frozenset) -> list[int]:
-        """The subsidy rounds of a phase that starts at the cursor.  They
-        number min(tau, sum of the viable thresholds) from any cursor."""
-        counts = [0] * self._k
+        """The subsidy rounds of a phase that starts at the cursor: each
+        pulls the first viable arm from the cursor on still short of its
+        threshold, which the cursor then moves past, until every viable
+        arm has met its threshold.  They number min(tau, sum of the
+        viable thresholds) from any cursor."""
+        k = self._k
+        counts = [0] * k
         arms = []
         while len(arms) < self._tau:
-            a = self._subsidy(counts, viable)
-            if a is None:
+            for i in range(k):
+                a = (self._cursor + i) % k
+                if a in viable and counts[a] < self._delta[a]:
+                    break
+            else:
                 break
+            self._cursor = (a + 1) % k
             counts[a] += 1
             arms.append(a)
         return arms
@@ -499,8 +473,6 @@ class GreedyBanditPolicy(Policy):
     Knows only the observables; learns from sampled feedback, including
     the zeros of dead pulls.
     """
-
-    wants_feedback = True
 
     def __init__(self, observables: Observables):
         self.observables = observables

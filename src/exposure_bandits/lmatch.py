@@ -31,8 +31,11 @@ completes an optimal plan.  Read back, the chain stays at a set m for
 as long as R_{i-c}(m) + c v(m, m) = R_i(m), which holds for every c up
 to some largest one, found by bisection; so the plan comes out as
 run-length segments, at most 2k + 1 of them, one per drop and one per
-run of self-loops.  ``total_value`` is the left-to-right float sum of
-the phase values, the number the per-phase DP reports.
+run of self-loops.  The plan holds only these segments, so nothing
+its construction keeps grows with N either; ``chain``, ``matchings``
+and ``total_value`` are derived from them, phase by phase, when read.
+``total_value`` is the left-to-right float sum of the phase values,
+the number the per-phase DP reports.
 
 The online policy is the committed policy's replay
 (:class:`~exposure_bandits.lcb.LcbPolicy`) over the plan's segments
@@ -74,13 +77,21 @@ def plan_pairs(k: int) -> int:
 class LmatchPlan:
     """Exact plan over all phases.
 
-    ``segments`` cover the phases in order; ``chain`` lists the planned
-    surviving sets Z^0 down to Z^N (nested nonincreasing), and
-    ``total_value`` is the plan's value, summed phase by phase.
+    ``segments`` cover the phases in order.  Derived from them, one
+    entry per phase: ``chain`` lists the planned surviving sets Z^0
+    down to Z^N (nested nonincreasing), and ``total_value`` is the
+    plan's value, summed phase by phase.
     """
 
     segments: tuple[PlanSegment, ...]
-    total_value: float
+
+    @property
+    def total_value(self) -> float:
+        """The phase values added one phase at a time, as the per-phase
+        DP does: accumulate is sequential (sum would add pairwise)."""
+        values = np.repeat([s.matching.value for s in self.segments],
+                           [s.phases for s in self.segments])
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
     @property
     def chain(self) -> tuple[frozenset, ...]:
@@ -234,11 +245,7 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
         PlanSegment(phases=c, matching=match[m1, m2], available=sets[m1], kept=sets[m2])
         for m1, m2, c in runs
     )
-    # phase values added one phase at a time, as the per-phase DP does:
-    # accumulate is sequential (sum would add pairwise)
-    values = np.repeat([s.matching.value for s in segments], [s.phases for s in segments])
-    total = float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
-    return LmatchPlan(segments=segments, total_value=total)
+    return LmatchPlan(segments=segments)
 
 
 class LlcbPolicy(LcbPolicy):

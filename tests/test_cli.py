@@ -4,15 +4,27 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import exposure_bandits
-from exposure_bandits import presets, run_episode
-from exposure_bandits.cli import load_instance, main, make_policy, save_instance
+from exposure_bandits import Instance, presets, run_episode
+from exposure_bandits.cli import (
+    ALGORITHMS,
+    KINDS,
+    load_instance,
+    main,
+    make_policy,
+    save_instance,
+)
 from conftest import make_instance
+
+INSTANCES = Path(__file__).parents[1] / "instances"
+PRESET_FILES = sorted(INSTANCES.glob("*.txt"))
 
 
 @pytest.fixture
@@ -28,6 +40,35 @@ def test_instance_files_round_trip(tiny_path):
     loaded, seed = load_instance(path)
     assert loaded == inst
     assert seed == 7
+
+
+@st.composite
+def instances(draw):
+    """Instances whose floats need all 17 significant digits, and some
+    whose entries are thirds."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    tau = draw(st.integers(1, 50))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    P = [w / sum(weights) for w in weights]
+    P[-1] = 1.0 - sum(P[:-1])  # on the simplex to well within its tolerance
+    unit = st.floats(0.0, 1.0) | st.sampled_from((1 / 3, 2 / 3, 0.1))
+    return Instance(
+        n=n, k=k, tau=tau, T=tau * draw(st.integers(1, 5)),
+        P=draw(st.sampled_from((tuple(P), (1 / n,) * n))),
+        delta=tuple(draw(st.lists(st.integers(0, tau), min_size=k, max_size=k))),
+        mu=tuple(tuple(draw(st.lists(unit, min_size=k, max_size=k))) for _ in range(n)),
+        reward_kind=draw(st.sampled_from(("bernoulli", "deterministic"))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2**31))
+def test_a_saved_instance_loads_back_equal(inst, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.txt"
+        save_instance(inst, path, seed=seed)
+        assert load_instance(path) == (inst, seed)
 
 
 def test_loader_accepts_comments_and_commas(tmp_path):
@@ -220,6 +261,31 @@ def test_solve_prints_a_plan_of_segments_run_length_encoded(tmp_path, capsys):
     assert "commitment: {0,1}->{0}x1999->{}" in lines
 
 
+def test_a_plan_over_a_huge_horizon_exits_four(tmp_path, capsys):
+    # 10^12 phases: the plan holds its segments, not a value per phase,
+    # and the episode is refused at the rounds guard
+    path = tmp_path / "huge.txt"
+    save_instance(presets.subsidy_worthwhile(T=10**14), path)
+    assert main(["solve", "--instance", str(path), "--algo", "l-lcb",
+                 "--seeds", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert "commitment: {0,1}x1000000000000->{}" in out.splitlines()
+    assert "cap" in err
+
+
+def test_a_repeated_sweep_horizon_runs_once(tiny_path, tmp_path):
+    path, _ = tiny_path
+    texts = []
+    for sweep in ("20,40,20", "20,40"):
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--instance", str(path), "--algo", "myopic",
+                     "--seeds", "2", "--sweep", sweep, "--out", str(out)]) == 0
+        texts.append([row[:-1] for row in csv.reader(out.read_text().splitlines())])
+    # one block of 2 seeds + mean + stderr per distinct horizon
+    assert texts[0] == texts[1]
+    assert [row[1] for row in texts[0][1:]] == ["20"] * 4 + ["40"] * 4
+
+
 def test_experiment_rejects_misaligned_sweeps(tiny_path):
     path, _ = tiny_path
     assert main(["experiment", "--instance", str(path), "--sweep", "25",
@@ -267,3 +333,67 @@ def test_a_rare_type_is_warned_about_once_per_run(tmp_path):
     warned = [line for line in proc.stderr.splitlines()
               if "type 1 arrives less than once per phase" in line]
     assert len(warned) == 1, proc.stderr
+
+
+# -- bad input ---------------------------------------------------------------
+
+SIZE_KEYS = ("n", "k", "tau", "T", "seed")
+BAD_SIZES = ("0", "-1", "1", "2", "100", "2000", "1e3", "nan", "100000000000000",
+             str(10**30), str(10**200))
+BAD_ENTRIES = ("nan", "inf", "-inf", "0", "-0.5", "1", "0.5", "40.5", "100", "1e-300",
+               "1e400", "100000000000000")
+# every command a user can run on an instance file, each with one seed
+COMMANDS = (
+    [["solve", "--algo", algo] for algo in KINDS]
+    + [[cmd, "--algo", algo] for cmd in ("learn", "experiment") for algo in ALGORITHMS]
+    + [["match"], ["gamma"]]
+)
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset file with one or two lines set to bad or extreme values,
+    dropped, or repeated with another value."""
+    lines = draw(st.sampled_from(PRESET_FILES)).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, _, value = (part.strip() for part in lines[i].partition("="))
+        if key in SIZE_KEYS:
+            new = draw(st.sampled_from(BAD_SIZES))
+        elif key == "reward_kind":
+            new = draw(st.sampled_from(("deterministic", "poisson", "")))
+        else:
+            entries = value.split()
+            j = draw(st.integers(0, len(entries)))  # past the end: one more
+            entries[j:j + 1] = [draw(st.sampled_from(BAD_ENTRIES))]
+            new = " ".join(entries)
+        action = draw(st.sampled_from(("set", "drop", "repeat")))
+        if action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.append(f"{key} = {new}")
+        else:
+            lines[i] = f"{key} = {new}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_presets(), st.sampled_from(COMMANDS))
+@example(
+    (INSTANCES / "subsidy_worthwhile.txt").read_text()
+    .replace("T = 1000\n", "T = 100000000000000\n"),
+    ["solve", "--algo", "l-lcb"],
+)
+@example(
+    (INSTANCES / "subsidy_worthwhile.txt").read_text()
+    .replace("T = 1000\n", f"T = {10**200}\n"),
+    ["learn", "--algo", "ees-lcb-star"],
+)
+def test_a_bad_instance_file_exits_with_a_code(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.txt"
+        path.write_text(text)
+        args = [command[0], "--instance", str(path), *command[1:]]
+        if command[0] not in ("match", "gamma"):
+            args += ["--seeds", "1"]
+        assert main(args) in (0, 2, 3, 4)

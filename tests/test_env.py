@@ -275,7 +275,7 @@ class LoopOnly(Policy):
 
     def __init__(self, inner):
         self.inner = inner
-        self.wants_feedback = inner.wants_feedback
+        self.observables = inner.observables
 
     def start(self, rng):
         self.inner.start(rng)
@@ -372,7 +372,7 @@ def test_segments_match_the_loop_on_the_presets(algo, preset):
 def test_segments_match_the_loop_where_the_fallback_fires(algo):
     inst = shortfall(20_000)
     policy = make_policy(algo, inst)
-    mode = "sampled" if policy.wants_feedback else "expected"
+    mode = "sampled" if policy.observables is not None else "expected"
     rec, fallbacks = run_both(inst, policy, 12345, mode)
     assert isinstance(rec, RunRecord)
     if "lcb" in algo:

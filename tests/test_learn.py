@@ -5,16 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     ContractError,
     DpPolicy,
     EesConfig,
     EesPolicy,
+    Estimates,
     InfeasibleError,
     LlcbPolicy,
     Observables,
     ResourceGuardError,
+    RunRecord,
     baseline_policy,
     concentration_radii,
     default_exploration_phases,
@@ -24,6 +27,7 @@ from exposure_bandits import (
     run_episode,
 )
 from exposure_bandits.core import gamma_from_parts
+from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy
 from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
 from conftest import make_instance
 
@@ -42,6 +46,14 @@ def test_exploration_phase_count_is_exact_on_perfect_cubes():
     assert default_exploration_phases(8_000, G_EX2) == 10
     g7 = gamma_from_parts((0, 0), 35, 5)  # quota 7
     assert default_exploration_phases(8_000, g7) == math.ceil(400 / 7)
+
+
+def test_exploration_phase_count_is_exact_past_float_range():
+    # the cube roots of T and T^2 are taken in integers: 10^198 is a cube,
+    # 10^200 is not, and 10^400 overflows a float
+    assert default_exploration_phases(10**198, G_EX2) == 10**132 // 40
+    phases = default_exploration_phases(10**200, G_EX2)
+    assert ((phases - 1) * 40) ** 3 < 10**400 <= (phases * 40) ** 3
 
 
 def test_exploration_phase_count_never_undershoots():
@@ -129,6 +141,68 @@ def test_dead_pulls_are_excluded_from_reward_estimates():
     est = estimate(rec, T, 1, 1)
     assert est.mu_hat[0][0] == 1.0
     assert est.observation_counts[0][0] == 5
+
+
+def reference_estimate(record, T0, n, k):
+    """:func:`estimate` written round by round: an independent count of
+    the live pulls and their rewards."""
+    arrival_counts = [0] * n
+    reward_sums = [[0.0] * k for _ in range(n)]
+    obs_counts = [[0] * k for _ in range(n)]
+    rounds = zip(record.arrivals[:T0].tolist(), record.pulls[:T0].tolist(),
+                 record.realized_rewards[:T0].tolist(), record.dead_pulls[:T0].tolist())
+    for u, a, x, dead in rounds:
+        arrival_counts[u] += 1
+        if a >= 0 and not dead:
+            obs_counts[u][a] += 1
+            reward_sums[u][a] += x
+    P_hat = [c / T0 for c in arrival_counts]
+    if 0 in arrival_counts:
+        P_hat = [max(p, 0.5 / T0) for p in P_hat]
+        P_hat = [p / sum(P_hat) for p in P_hat]
+    mu_hat = tuple(
+        tuple(min(1.0, max(0.0, reward_sums[u][a] / obs_counts[u][a]))
+              if obs_counts[u][a] else UNOBSERVED_MU for a in range(k))
+        for u in range(n)
+    )
+    return Estimates(P_hat=tuple(P_hat), mu_hat=mu_hat, T0=T0,
+                     observation_counts=tuple(map(tuple, obs_counts)))
+
+
+def hexed(est):
+    """Every number of an estimate, floats as their exact hex strings."""
+    return (tuple(p.hex() for p in est.P_hat),
+            tuple(tuple(m.hex() for m in row) for row in est.mu_hat),
+            est.T0, est.observation_counts)
+
+
+@st.composite
+def exploration_logs(draw):
+    """A record whose arrivals cover only some of the types, whose pulls
+    include declines and dead pulls, and whose rewards are any floats;
+    many cells go unobserved."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 60))
+    seen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    arrivals = draw(st.lists(st.sampled_from(seen), min_size=T, max_size=T))
+    pulls = draw(st.lists(st.integers(-1, k - 1), min_size=T, max_size=T))
+    dead = [a >= 0 and d for a, d in
+            zip(pulls, draw(st.lists(st.booleans(), min_size=T, max_size=T)))]
+    rewards = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=T, max_size=T))
+    record = RunRecord(arrivals=np.array(arrivals, dtype=np.int16),
+                       pulls=np.array(pulls, dtype=np.int16),
+                       realized_rewards=np.array(rewards, dtype=np.float64),
+                       expected_reward=math.nan, departure_events=[], seed=0,
+                       dead_pulls=np.array(dead, dtype=bool))
+    return record, draw(st.integers(1, T)), n, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(exploration_logs())
+def test_estimates_equal_the_per_round_count_to_the_bit(log):
+    record, T0, n, k = log
+    assert hexed(estimate(record, T0, n, k)) == hexed(reference_estimate(record, T0, n, k))
 
 
 def test_concentration_radii_follow_the_advertised_formulas():
@@ -282,6 +356,49 @@ def test_subsidizing_blind_keeps_the_deterministic_ceiling():
     assert rec.departure_events == []
 
 
+def reference_subsidies(k, delta, tau, viable, cursor, fill):
+    """One phase of the blind baseline walked round by round: each round
+    the first viable arm from the cursor on still short of its threshold,
+    which the cursor then moves past, or else the next ``fill`` arm,
+    counted like any pull.  Returns the subsidy rounds' arms and offsets,
+    and the cursor after the phase."""
+    counts = [0] * k
+    arms, offsets = [], []
+    for r in range(tau):
+        short = [a for a in (*range(cursor, k), *range(cursor)) if a in viable
+                 and counts[a] < delta[a]]
+        if short:
+            a = short[0]
+            cursor = (a + 1) % k
+            arms.append(a)
+            offsets.append(r)
+        else:
+            a = fill[r % len(fill)]
+        counts[a] += 1
+    return arms, offsets, cursor
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_blind_prefix_is_the_per_round_subsidy_walk(data):
+    k = data.draw(st.integers(1, 5))
+    tau = data.draw(st.integers(1, 12))
+    delta = tuple(data.draw(st.lists(st.integers(0, tau), min_size=k, max_size=k)))
+    viable = frozenset(data.draw(st.sets(st.integers(0, k - 1))))
+    cursor = data.draw(st.integers(0, k - 1))
+    fill = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=tau))
+    policy = BlindSubsidizePolicy(make_instance(n=1, k=k, tau=tau, phases=1, P=(1.0,),
+                                                delta=delta, mu=((0.5,) * k,)))
+    policy.start(np.random.default_rng(0))
+    policy._cursor = cursor
+    arms, offsets, after = reference_subsidies(k, delta, tau, viable, cursor, fill)
+    # the subsidy rounds come first, and no pull after them adds one
+    assert offsets == list(range(len(arms)))
+    assert policy._prefix(viable) == arms
+    assert policy._cursor == after
+    assert len(arms) == min(tau, sum(delta[a] for a in viable))
+
+
 def test_never_subsidizing_loses_the_subsidy_arm():
     inst = make_instance(tau=100, phases=1000, delta=(10, 60))
     never = baseline_policy("never_subsidize", inst)
@@ -294,7 +411,7 @@ def test_greedy_bandit_runs_on_observables_alone():
     inst = make_instance(tau=100, phases=10, delta=(10, 60))
     gb = baseline_policy("greedy_bandit",
                          observables=Observables.from_instance(inst))
-    assert gb.wants_feedback
+    assert gb.observables is not None
     rec = run_episode(inst, gb, 0, reward_mode="sampled")
     assert rec.expected_reward > 0
 

@@ -153,7 +153,7 @@ def test_an_episode_holds_its_record_and_a_block(algo):
     policy = make_policy(algo, inst)
     tracemalloc.start()
     try:
-        run_episode(inst, policy, 1, "sampled" if policy.wants_feedback else "expected")
+        run_episode(inst, policy, 1, "sampled" if policy.observables is not None else "expected")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
