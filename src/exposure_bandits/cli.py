@@ -9,8 +9,8 @@ match       show the shaved aggregate and its optimal matching
 oracle      brute-force optimum vs the committed planner on tiny instances
 gamma       feasibility margin of the exploration schedule
 
-Instance files are plain text, one ``key = value`` per line, lists
-space-separated, ``mu`` row-major::
+Instance files are plain text, one ``key = value`` per line, each key
+at most once, lists space-separated, ``mu`` row-major::
 
     n = 2
     k = 2
@@ -44,12 +44,19 @@ from .core import (
     compute_gamma,
 )
 from .dp import DpPolicy, dp_star, planned_total_value
-from .env import Policy, run_episode
+from .env import Policy, recompute_expected_reward, run_episode
 from .lcb import LcbPolicy, lcb_star
-from .learn import PLANNERS, EesConfig, EesPolicy, Observables, baseline_policy
+from .learn import (
+    BASELINES,
+    PLANNERS,
+    EesConfig,
+    EesPolicy,
+    Observables,
+    baseline_policy,
+)
 from .matching import build_lcb_aggregate
 
-__all__ = ["main", "entry", "load_instance", "save_instance", "make_policy"]
+__all__ = ["main", "entry", "load_instance", "save_instance", "make_policy", "policy_class"]
 
 # algorithm id -> library kind: a key of learn.PLANNERS or learn.BASELINES.
 # "ees-<planner id>" explores, estimates, then plans with that planner.
@@ -72,8 +79,10 @@ _LIST_KEYS = ("P", "delta", "mu")
 
 
 def load_instance(path) -> tuple[Instance, int]:
-    """Parse the key-value instance format; returns (instance, seed)."""
+    """Parse the key-value instance format; returns (instance, seed).
+    A key given twice is an error that names both lines."""
     fields: dict[str, object] = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -84,6 +93,11 @@ def load_instance(path) -> tuple[Instance, int]:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in seen:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} repeats line {seen[key]}"
+                )
+            seen[key] = lineno
             try:
                 if key in _INT_KEYS:
                     fields[key] = int(value)
@@ -136,17 +150,27 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def policy_class(algo: str) -> type[Policy]:
+    """The class of the policy :func:`make_policy` builds for an
+    algorithm id (see ``KINDS``)."""
+    if algo.startswith("ees-") and KINDS.get(algo[4:]) in PLANNERS:
+        return EesPolicy
+    kind = KINDS.get(algo)
+    if kind is None:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    return PLANNERS[kind] if kind in PLANNERS else BASELINES[kind]
+
+
 def make_policy(algo: str, instance: Instance, explore_override: int | None = None) -> Policy:
     """Build the policy for an algorithm id (see ``KINDS``)."""
-    if algo.startswith("ees-") and KINDS.get(algo[4:]) in PLANNERS:
+    cls = policy_class(algo)
+    if cls is EesPolicy:
         config = EesConfig(sso=KINDS[algo[4:]], exploration_phases=explore_override)
         return EesPolicy(Observables.from_instance(instance), config)
-    kind = KINDS.get(algo)
+    kind = KINDS[algo]
     if kind in PLANNERS:
-        return PLANNERS[kind](instance)
-    if kind is not None:
-        return baseline_policy(kind, instance)
-    raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        return cls(instance)
+    return baseline_policy(kind, instance)
 
 
 def _reward_mode(mode: str, policy: Policy) -> str:
@@ -157,30 +181,37 @@ def _reward_mode(mode: str, policy: Policy) -> str:
     return "sampled" if policy.observables is not None else "expected"
 
 
-def _run_seeds(instance: Instance, policy: Policy, seeds, mode: str) -> list[tuple]:
-    """Run one episode per seed with the same policy object; one row of
-    (expected reward, departures, fallback phases, wall time) per seed.
-    The wall time covers ``run_episode`` only."""
-    rows = []
+def _run_seeds(horizons, policy: Policy, seeds, mode: str) -> list[list[tuple]]:
+    """Run one episode per seed with the same policy object, at the last
+    (longest) of ``horizons``, instances that differ only in ``T``.
+    Returns, per horizon, one row per seed of (expected reward,
+    departures, fallback phases, wall time) over the episode's first
+    ``T`` rounds: a shorter horizon reads the prefix, which is its own
+    episode when the policy is ``horizon_free``.  The wall time covers
+    the ``run_episode`` call only."""
+    instance = horizons[-1]
+    rows = [[] for _ in horizons]
     for seed in seeds:
         t0 = time.perf_counter()
         record = run_episode(instance, policy, seed, mode)
         wall = time.perf_counter() - t0
-        rows.append((
-            record.expected_reward,
-            len(record.departure_events),
-            len(policy.bad_event_phases),
-            wall,
-        ))
+        for out, served in zip(rows, horizons):
+            prefix = record.prefix(served.T, served.tau)
+            # the record's own total is the same exact sum: reusing it
+            # spares counting a whole (possibly long) episode again
+            reward = (record.expected_reward if served.T == instance.T
+                      else recompute_expected_reward(prefix, served))
+            fired = [p for p in policy.bad_event_phases if p <= served.phases]
+            out.append((reward, len(prefix.departure_events), len(fired), wall))
     return rows
 
 
-def _run_group(group) -> list[tuple]:
-    """One (algorithm, horizon) group of an experiment: build the policy
-    once, then :func:`_run_seeds`."""
-    instance, algo, seeds, mode, explore_override = group
-    policy = make_policy(algo, instance, explore_override)
-    return _run_seeds(instance, policy, seeds, _reward_mode(mode, policy))
+def _run_group(group) -> list[list[tuple]]:
+    """One (algorithm, horizons) group of an experiment: build the policy
+    once, at the longest horizon, then :func:`_run_seeds`."""
+    horizons, algo, seeds, mode, explore_override = group
+    policy = make_policy(algo, horizons[-1], explore_override)
+    return _run_seeds(horizons, policy, seeds, _reward_mode(mode, policy))
 
 
 def _mean_stderr(xs):
@@ -225,9 +256,8 @@ def cmd_solve(args) -> int:
         print(f"commitment: {commitment}")
         print(f"per-phase value: {_fmt(per_phase)}")
     base = args.seed_base if args.seed_base is not None else file_seed
-    rewards, departures, _, _ = zip(
-        *_run_seeds(instance, policy, range(base, base + args.seeds), mode)
-    )
+    [rows] = _run_seeds([instance], policy, range(base, base + args.seeds), mode)
+    rewards, departures, _, _ = zip(*rows)
     m, se = _mean_stderr(rewards)
     print(f"episodes: {args.seeds} (seeds {base}..{base + args.seeds - 1}, "
           f"reward_mode={mode})")
@@ -244,9 +274,8 @@ def cmd_learn(args) -> int:
         print(f"exploration phases: {policy.exploration_phases}")
         print(f"exploration rounds: {policy.T0}")
     base = args.seed_base if args.seed_base is not None else file_seed
-    rewards, _, bad, _ = zip(
-        *_run_seeds(instance, policy, range(base, base + args.seeds), mode)
-    )
+    [rows] = _run_seeds([instance], policy, range(base, base + args.seeds), mode)
+    rewards, _, bad, _ = zip(*rows)
     m, se = _mean_stderr(rewards)
     print(f"algorithm: {args.algo}")
     print(f"episodes: {args.seeds} (seeds {base}..{base + args.seeds - 1}, "
@@ -257,14 +286,17 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _benchmark_value(kind: str, instance: Instance) -> float:
+def _benchmark_values(kind: str, horizons) -> list[float]:
+    """The benchmark of each of ``horizons``, instances that differ only
+    in ``T``: ``pico`` plans the phase policy once, since its table does
+    not depend on the horizon."""
     if kind == "pico":
-        _, table = dp_star(instance)
-        return planned_total_value(instance, table)
+        _, table = dp_star(horizons[0])
+        return [planned_total_value(instance, table) for instance in horizons]
     if kind == "oracle-opt":
         from .oracle import exact_opt
 
-        return exact_opt(instance).value
+        return [exact_opt(instance).value for instance in horizons]
     raise ValueError(f"unknown benchmark {kind!r}")
 
 
@@ -282,16 +314,21 @@ def cmd_experiment(args) -> int:
             raise ValueError("empty sweep")
     else:
         sweep = [instance.T]
-    # one instance per horizon, which refuses a T that is not a multiple of tau
-    horizons = {T: replace(instance, T=T) for T in sweep}
+    sweep = sorted(set(sweep))
+    # one instance per horizon, shortest first, which refuses a T that is
+    # not a multiple of tau
+    horizons = [replace(instance, T=T) for T in sweep]
     base = args.seed_base if args.seed_base is not None else file_seed
-    benchmarks = {T: _benchmark_value(args.benchmark, inst) for T, inst in horizons.items()}
+    benchmarks = dict(zip(sweep, _benchmark_values(args.benchmark, horizons)))
 
     seeds = range(base, base + args.seeds)
-    keys = [(algo, T) for algo in sorted(algos) for T in sorted(horizons)]
+    # a horizon-free algorithm plays each seed once, at the longest
+    # horizon, and serves every horizon from that episode's prefixes
     groups = [
-        (horizons[T], algo, seeds, args.reward_mode, args.explore_override)
-        for algo, T in keys
+        (group, algo, seeds, args.reward_mode, args.explore_override)
+        for algo in sorted(set(algos))
+        for group in ([horizons] if policy_class(algo).horizon_free
+                      else [[h] for h in horizons])
     ]
     # a worker past one per group would have nothing to run
     workers = min(args.workers, len(groups))
@@ -299,9 +336,15 @@ def cmd_experiment(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(keys, pool.map(_run_group, groups)))
+            outcomes = list(pool.map(_run_group, groups))
     else:
-        results = dict(zip(keys, map(_run_group, groups)))
+        outcomes = list(map(_run_group, groups))
+    results = {
+        (algo, h.T): rows
+        for (group, algo, *_), per_horizon in zip(groups, outcomes)
+        for h, rows in zip(group, per_horizon)
+    }
+    keys = [(algo, T) for algo in sorted(algos) for T in sweep]
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -402,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["pico", "oracle-opt"])
     sp.add_argument("--out", default=None, help="CSV output path")
     sp.add_argument("--workers", type=int, default=1,
-                    help="processes running the (algorithm, horizon) groups")
+                    help="processes running the (algorithm, horizons) groups")
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("match", help="aggregate + optimal matching")

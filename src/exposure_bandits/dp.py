@@ -283,8 +283,11 @@ class DpPolicy(CommittedPolicy):
     into an int8 action table with one row per decision state (by rank)
     and one column per type, so a round costs one table lookup and one
     successor lookup; :meth:`plan_phases` makes them for every phase of
-    a block at once.
+    a block at once.  Every phase plays alike, so the play never reads
+    the horizon.
     """
+
+    horizon_free = True
 
     def __init__(self, instance: Instance):
         Z, table = dp_star(instance)

@@ -92,7 +92,10 @@ class Policy:
     :meth:`feedback`, a no-op unless a learner overrides it.
     ``bad_event_phases`` lists the 1-based phases of the last episode in
     which the policy's confidence-floor fallback fired; it stays empty for
-    policies without one.
+    policies without one.  A policy declares ``horizon_free`` when its
+    play in round ``t`` does not depend on the horizon ``T``: then the
+    first ``H`` rounds of an episode equal, seed for seed, the episode of
+    horizon ``H`` (see :meth:`RunRecord.prefix`).
 
     A policy whose play in a phase depends only on the viable set, that
     phase's arrivals and the earlier phases may also define
@@ -122,6 +125,7 @@ class Policy:
     play_phases = None
     bad_event_phases = ()
     observables = None
+    horizon_free = False
 
     def start(self, rng: np.random.Generator) -> None:
         """Reset per-episode state; ``rng`` is the policy-private stream."""
@@ -188,6 +192,20 @@ class RunRecord:
     @property
     def realized_total(self) -> float:
         return float(self.realized_rewards.sum())
+
+    def prefix(self, rounds: int, tau: int) -> RunRecord:
+        """The record of the first ``rounds`` rounds, a multiple of
+        ``tau``: views of the arrays and the departures up to phase
+        ``rounds / tau``; ``expected_reward`` is NaN."""
+        return RunRecord(
+            arrivals=self.arrivals[:rounds],
+            pulls=self.pulls[:rounds],
+            realized_rewards=self.realized_rewards[:rounds],
+            expected_reward=math.nan,
+            departure_events=[e for e in self.departure_events if e[0] * tau <= rounds],
+            seed=self.seed,
+            dead_pulls=self.dead_pulls[:rounds],
+        )
 
 
 def sample_arrivals(P, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -370,15 +388,7 @@ def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
     start = lo
     while start < hi:
         left = (hi - start) // tau
-        past = RunRecord(
-            arrivals=arrivals[:start],
-            pulls=pulls[:start],
-            realized_rewards=realized[:start],
-            expected_reward=math.nan,
-            departure_events=list(departures),
-            seed=record.seed,
-            dead_pulls=dead[:start],
-        )
+        past = record.prefix(start, tau)
         seg = np.asarray(policy.play_phases(block[len(block) - left:], viable, past))
         if seg.ndim != 2 or seg.shape[1] != tau or not 1 <= len(seg) <= left:
             raise ValueError(

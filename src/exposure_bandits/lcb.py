@@ -430,7 +430,11 @@ class LcbPolicy(CommittedPolicy):
 
     ``bad_event_phases`` collects the 1-based phases whose arrivals
     missed some confidence floor (diagnosed by the fallback firing).
+    One segment plays every phase alike, so the play never reads the
+    horizon; a plan of several segments (``LlcbPolicy``) does.
     """
+
+    horizon_free = True
 
     def __init__(self, instance: Instance):
         self.Z, self.template = lcb_star(instance)

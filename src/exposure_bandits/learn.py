@@ -223,8 +223,11 @@ class EesPolicy(Policy):
     schedule relies on it to keep every arm viable), and with
     ResourceGuardError if the dp_star planner's largest table, the
     subsets it and lcb_star search, or the llcb planner's subset pairs
-    would exceed their cap, rather than after exploring.
+    would exceed their cap, rather than after exploring.  The length of
+    exploration grows with the horizon, so the play depends on it.
     """
+
+    horizon_free = False
 
     def __init__(self, observables: Observables, config: EesConfig = EesConfig()):
         self.observables = observables
@@ -354,7 +357,10 @@ class EesPolicy(Policy):
 
 
 class MyopicPolicy(Policy):
-    """Best viable arm for the arriving type; ignores thresholds."""
+    """Best viable arm for the arriving type; ignores thresholds and
+    the horizon."""
+
+    horizon_free = True
 
     def __init__(self, instance: Instance):
         # preference order per type: utility desc, index asc
@@ -471,8 +477,10 @@ class GreedyBanditPolicy(Policy):
     subsidy: the standard bandit answer transplanted unchanged.
 
     Knows only the observables; learns from sampled feedback, including
-    the zeros of dead pulls.
+    the zeros of dead pulls.  The index never reads the horizon.
     """
+
+    horizon_free = True
 
     def __init__(self, observables: Observables):
         self.observables = observables

@@ -32,8 +32,8 @@ as long as R_{i-c}(m) + c v(m, m) = R_i(m), which holds for every c up
 to some largest one, found by bisection; so the plan comes out as
 run-length segments, at most 2k + 1 of them, one per drop and one per
 run of self-loops.  The plan holds only these segments, so nothing
-its construction keeps grows with N either; ``chain``, ``matchings``
-and ``total_value`` are derived from them, phase by phase, when read.
+its construction keeps grows with N either; ``chain`` and
+``total_value`` are derived from them, phase by phase, when read.
 ``total_value`` is the left-to-right float sum of the phase values,
 the number the per-phase DP reports.
 
@@ -57,7 +57,7 @@ from .core import (
     ResourceGuardError,
 )
 from .lcb import LcbPolicy, PlanSegment
-from .matching import Aggregate, Matching, build_lcb_aggregate, doalg
+from .matching import Aggregate, build_lcb_aggregate, doalg
 
 __all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
 
@@ -98,11 +98,6 @@ class LmatchPlan:
         """Z^0, then the set kept after each phase, phase 1 first."""
         return (self.segments[0].available,
                 *(s.kept for s in self.segments for _ in range(s.phases)))
-
-    @property
-    def matchings(self) -> tuple[Matching, ...]:
-        """The matching of every phase, phase 1 first."""
-        return tuple(s.matching for s in self.segments for _ in range(s.phases))
 
 
 def _mask_set(mask: int, k: int) -> frozenset:
@@ -250,7 +245,10 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
 
 class LlcbPolicy(LcbPolicy):
     """The committed replay over the segments of the :func:`lmatch`
-    plan, each with its own matching and kept set."""
+    plan, each with its own matching and kept set.  The plan looks
+    ahead to the last phase, so the play depends on the horizon."""
+
+    horizon_free = False
 
     def __init__(self, instance: Instance):
         self.plan = lmatch(instance, build_lcb_aggregate(instance.P, instance.tau))

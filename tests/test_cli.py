@@ -108,6 +108,19 @@ def test_loader_rejects_malformed_files(tmp_path):
         assert main(["gamma", "--instance", str(path)]) == 2
 
 
+def test_loader_rejects_a_repeated_key(tmp_path, capsys):
+    # a later value would otherwise override the earlier one in silence
+    path = tmp_path / "inst.txt"
+    path.write_text(
+        "n = 2\nk = 2\ntau = 10\nT = 1000\nP = 0.5 0.5\n"
+        "delta = 2 3\nmu = 1 0 0 1\n# a second horizon\nT = 2000\n"
+    )
+    with pytest.raises(ValueError, match=r"inst.txt:9: key 'T' repeats line 4"):
+        load_instance(path)
+    assert main(["solve", "--instance", str(path), "--seeds", "1"]) == 2
+    assert "'T' repeats line 4" in capsys.readouterr().err
+
+
 def test_gamma_subcommand(tiny_path, capsys):
     path, _ = tiny_path
     assert main(["gamma", "--instance", str(path)]) == 0
@@ -248,6 +261,43 @@ def test_experiment_starts_no_more_workers_than_groups(tiny_path, tmp_path,
     # serially; the CSV is the serial one bar the timing column
     assert started == [2]
     assert outs[1] == outs[0]
+
+
+def assert_sweep_equals_single_horizons(path, algos, horizons, workers, tmp_path):
+    """An experiment over ``horizons`` (strings, ascending) writes the
+    rows of one experiment per horizon, bar the timing column: a
+    horizon-free algorithm serves the shorter horizons from the prefix of
+    its longest episode, every other runs each horizon on its own."""
+
+    def experiment(sweep):
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--instance", str(path), "--algo", ",".join(algos),
+                     "--seeds", "3", "--sweep", sweep, "--out", str(out),
+                     "--workers", workers]) == 0
+        return [row[:-1] for row in csv.reader(out.read_text().splitlines())]
+
+    single = [experiment(T) for T in horizons]
+    joined = single[0] + [row for rows in single[1:] for row in rows[1:]]
+    # the sweep writes each algorithm's horizons together, shortest first
+    joined[1:] = sorted(joined[1:], key=lambda row: (row[0], horizons.index(row[1])))
+    assert experiment(",".join(reversed(horizons))) == joined
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_equals_its_horizons_run_one_at_a_time(tiny_path, tmp_path, workers):
+    path, _ = tiny_path
+    assert_sweep_equals_single_horizons(path, ALGORITHMS, ["40", "60", "100"], workers,
+                                        tmp_path)
+
+
+def test_a_sweep_counts_only_the_fallbacks_within_each_horizon(tmp_path):
+    # at tau=4 the LCB fallback fires in a few phases of each thousand,
+    # so the longest episode's count overstates the shorter horizons'
+    path = tmp_path / "shortfall.txt"
+    save_instance(make_instance(tau=4, phases=10_000, P=(0.84, 0.16), delta=(1, 1),
+                                mu=((0.9, 0.2), (0.1, 0.8))), path)
+    assert_sweep_equals_single_horizons(path, ["a-lcb-star", "lcb-star"],
+                                        ["4000", "12000", "40000"], "1", tmp_path)
 
 
 def test_solve_prints_a_plan_of_segments_run_length_encoded(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exposure_bandits import (
     NO_PULL,
@@ -22,7 +22,7 @@ from exposure_bandits import (
     run_episode,
     sample_arrivals,
 )
-from exposure_bandits.cli import ALGORITHMS, make_policy
+from exposure_bandits.cli import ALGORITHMS, make_policy, policy_class
 from exposure_bandits.presets import (
     early_harvest,
     subsidy_wasteful,
@@ -560,3 +560,71 @@ def test_segments_match_the_loop_on_random_instances(inst, algo, explore, mode, 
     except (InfeasibleError, ResourceGuardError):
         return
     run_both(inst, policy, seed, mode)
+
+
+# -- horizon-free play: a shorter episode is a prefix of a longer one --------
+
+HORIZON_FREE_IDS = tuple(a for a in ALGORITHMS if policy_class(a).horizon_free)
+
+
+def prefix_outcome(inst, algo, seed, mode):
+    """The record of one episode of a fresh policy, and its fallback
+    phases, or the type and text of the refusal it raised."""
+    try:
+        policy = make_policy(algo, inst)
+        return run_episode(inst, policy, seed, reward_mode=mode), list(policy.bad_event_phases)
+    except (ContractError, InfeasibleError, ResourceGuardError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def is_prefix(short, long, tau) -> bool:
+    """Whether the episode ``short`` (a record and its fallback phases)
+    is the first rounds of the longer ``long``."""
+    (record, fired), (whole, whole_fired) = short, long
+    T = len(record.pulls)
+    prefix = whole.prefix(T, tau)
+    return (
+        all(np.array_equal(getattr(record, f), getattr(prefix, f))
+            for f in ("arrivals", "pulls", "realized_rewards", "dead_pulls"))
+        and record.departure_events == prefix.departure_events
+        and fired == [p for p in whole_fired if p <= T // tau]
+    )
+
+
+def test_the_horizon_free_ids_are_the_planners_and_baselines_that_never_look_ahead():
+    assert set(HORIZON_FREE_IDS) == {
+        "dp-star", "lcb-star", "a-lcb-star", "myopic", "never-subsidize", "blind",
+        "greedy-bandit",
+    }
+    assert LlcbPolicy.horizon_free is False and issubclass(LlcbPolicy, LcbPolicy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.sampled_from(HORIZON_FREE_IDS), st.integers(1, 25),
+       st.sampled_from(("expected", "sampled")), st.integers(0, 2**32 - 1))
+# the fallback fires in phases 393, 1291, 1987 and 2114, and later
+@example(shortfall(4000), "lcb-star", 6000, "expected", 1)
+def test_a_horizon_free_episode_is_a_prefix_of_a_longer_one(inst, algo, extra, mode, seed):
+    longer = replace(inst, T=inst.T + extra * inst.tau)
+    short = prefix_outcome(inst, algo, seed, mode)
+    long = prefix_outcome(longer, algo, seed, mode)
+    if not isinstance(short[0], RunRecord):
+        # a policy the instance refuses is refused at every horizon
+        assert short == long
+        return
+    assert is_prefix(short, long, inst.tau)
+    record, _ = short
+    prefix = long[0].prefix(inst.T, inst.tau)
+    assert recompute_expected_reward(prefix, inst).hex() == record.expected_reward.hex()
+
+
+@pytest.mark.parametrize("algo,mode", [("l-lcb", "expected"), ("ees-dp-star", "sampled")])
+def test_a_planner_that_looks_ahead_plays_another_prefix(algo, mode):
+    # the L-LCB plan stops subsidising before the horizon ends, and EES
+    # explores longer on a longer horizon: neither may read a shorter
+    # horizon off a longer episode
+    assert not policy_class(algo).horizon_free
+    tau = subsidy_worthwhile().tau
+    short, long = (prefix_outcome(subsidy_worthwhile(T=tau * phases), algo, 0, mode)
+                   for phases in (400, 1500))
+    assert not is_prefix(short, long, tau)

@@ -319,6 +319,35 @@ def test_doalg_matches_the_dict_flow_solve_on_tie_prone_aggregates(inst, data):
     assert_same_matching(agg, allowed, committed, inst)
 
 
+def value_of(matching) -> float:
+    """A matching's value, with ``NEG_INF`` read as minus infinity."""
+    return -math.inf if matching is NEG_INF else matching.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_prone_instances(), st.data())
+def test_doalg_value_is_monotone_in_allowed_and_committed(inst, data):
+    # one aggregate; three nested arm sets small <= middle <= large
+    counts = data.draw(st.lists(st.integers(0, inst.tau), min_size=inst.n,
+                                max_size=inst.n))
+    slack = inst.tau - sum(counts)
+    if slack >= 0:
+        agg = Aggregate(counts=tuple(counts) + (slack,), has_slack=True)
+    else:
+        agg = build_lcb_aggregate(inst.P, inst.tau)
+    large = frozenset(a for a in range(inst.k) if data.draw(st.booleans()))
+    middle = frozenset(a for a in large if data.draw(st.booleans()))
+    small = frozenset(a for a in middle if data.draw(st.booleans()))
+    # more allowed arms, the same committed ones: never worse
+    assert value_of(doalg(agg, large, small, inst)) >= (
+        value_of(doalg(agg, middle, small, inst)) - 1e-9
+    )
+    # more committed arms within the same allowed ones: never better
+    assert value_of(doalg(agg, large, middle, inst)) <= (
+        value_of(doalg(agg, large, small, inst)) + 1e-9
+    )
+
+
 def test_doalg_matches_the_dict_flow_solve_on_wide_aggregates():
     # more arms and longer phases than the property test reaches, half of
     # them on a four-value utility grid where ties are common
