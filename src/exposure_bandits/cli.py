@@ -344,7 +344,7 @@ def cmd_experiment(args) -> int:
         for (group, algo, *_), per_horizon in zip(groups, outcomes)
         for h, rows in zip(group, per_horizon)
     }
-    keys = [(algo, T) for algo in sorted(algos) for T in sweep]
+    keys = [(algo, T) for algo in sorted(set(algos)) for T in sweep]
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

@@ -18,21 +18,23 @@ working arrays, and an episode whose record would not fit under
 
 Two paths play a block.  An arm can depart only at a phase boundary, so
 the viable set is fixed for the whole of a phase, and a policy whose
-play depends only on that set, the phase's arrivals and the earlier
-phases can be played a phase segment at a time: it defines
-``play_phases`` (see :class:`Policy`), and the segment path asks it for
-the pulls of the block's phases not yet played, keeps them up to and
-including the first phase that ends with a departure, and asks again
-with the smaller viable set.  The committed planners (``DpPolicy``,
+play depends only on that set, the phase's arrivals, the earlier phases
+and the rewards of its own pulls can be played a phase segment at a
+time: it defines ``play_phases`` (see :class:`Policy`), and the segment
+path asks it for the pulls of the block's phases not yet played, keeps
+them up to and including the first phase that ends with a departure,
+and asks again with the smaller viable set.  A learner asks the segment
+path for the rewards its pulls realize, on demand.  Every policy of the
+package takes it: the committed planners (``DpPolicy``,
 ``LcbPolicy``, ``AlcbPolicy``, ``LlcbPolicy``, all
 :class:`CommittedPolicy`), the explore-estimate-plan learner
-(``EesPolicy``) and the informed baselines (``MyopicPolicy``,
-``NeverSubsidizePolicy``, ``BlindSubsidizePolicy``) take it.  The loop
-calls the policy's ``choose`` once per round and is the reference; the
-round-by-round learner (``GreedyBanditPolicy``), which updates on every
-reward, runs on it.  The policy's type alone picks the path.  Both
-paths end every phase with the same departure rule and share the reward
-accounting, and they produce identical records.
+(``EesPolicy``), the informed baselines (``MyopicPolicy``,
+``NeverSubsidizePolicy``, ``BlindSubsidizePolicy``) and the bandit
+baseline (``GreedyBanditPolicy``).  The loop calls the policy's
+``choose`` and ``feedback`` once per round and is the reference the
+segment path is checked against.  The policy's type alone picks the
+path.  Both paths end every phase with the same departure rule and
+share the reward accounting, and they produce identical records.
 
 One master seed splits into three independent streams (arrivals, reward
 noise, policy randomness), so changing the reward model never perturbs
@@ -98,28 +100,37 @@ class Policy:
     horizon ``H`` (see :meth:`RunRecord.prefix`).
 
     A policy whose play in a phase depends only on the viable set, that
-    phase's arrivals and the earlier phases may also define
-    ``play_phases(arrivals, viable, past)``, the segment contract:
+    phase's arrivals, the earlier phases and the rewards of its own pulls
+    may also define ``play_phases(arrivals, viable, past, reward)``, the
+    segment contract:
 
     - ``arrivals`` is the int16 ``(m, tau)`` rest of the current block:
       its phases not yet played;
     - ``viable`` is the current viable set;
     - ``past`` is the :class:`RunRecord` prefix of the rounds played so
       far (``expected_reward`` is NaN there), so ``len(past.pulls)`` is
-      the round ``arrivals`` starts at.
+      the round ``arrivals`` starts at;
+    - ``reward(arm, rounds)`` gives, as a float64 array, the rewards that
+      pulls of ``arm`` would realize at ``rounds``, indices into
+      ``arrivals.ravel()`` (``arm`` may be an integer array that
+      broadcasts against them): ``noise < mu`` when Bernoulli rewards
+      are sampled, ``mu`` otherwise, and 0 for an arm outside
+      ``viable``, as the record will hold them.  It draws nothing and
+      costs nothing unless called; a policy that does not learn ignores
+      it.
 
     It returns the ``(m', tau)`` pulls, ``1 <= m' <= m``, that
     :meth:`choose` would make round by round in the first ``m'`` of
-    those phases if ``viable`` stayed fixed (``NO_PULL`` for a declined
-    round).  :func:`run_episode` then calls it, after :meth:`start`,
-    instead of calling :meth:`choose` every round: it keeps the pulls up
-    to and including the first phase that ends with a departure, and
-    calls again with the rest of the block, then with the next block.
-    Such a policy must not rely on :meth:`feedback`, which the segment
-    path never calls.  The committed planners
-    (:class:`CommittedPolicy`), ``EesPolicy`` and the informed baselines
-    define it; ``GreedyBanditPolicy``, which learns from every reward,
-    does not and runs on the loop.
+    those phases if ``viable`` stayed fixed and :meth:`feedback` were
+    handed each round's reward (``NO_PULL`` for a declined round).
+    :func:`run_episode` then calls it, after :meth:`start`, instead of
+    calling :meth:`choose` and :meth:`feedback` every round: it keeps
+    the pulls up to and including the first phase that ends with a
+    departure, and calls again with the rest of the block, then with the
+    next block.  A policy that learns from its rewards finds its state
+    ahead of ``past`` after such a cut and must bring it back to
+    ``past``.  Every policy of the package defines it; :meth:`choose`
+    and :meth:`feedback` stay as the loop's reference.
     """
 
     play_phases = None
@@ -161,7 +172,7 @@ class CommittedPolicy(Policy):
         raise NotImplementedError
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
-                    past: RunRecord) -> np.ndarray:
+                    past: RunRecord, reward) -> np.ndarray:
         played = len(past.pulls)
         if self._origin is None:
             self._origin = self._plan_end = played
@@ -389,7 +400,18 @@ def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
     while start < hi:
         left = (hi - start) // tau
         past = record.prefix(start, tau)
-        seg = np.asarray(policy.play_phases(block[len(block) - left:], viable, past))
+        if len(viable) == k:
+            table = value.ravel()
+        else:
+            # a dead pull realizes 0
+            table = value.copy()
+            table[:, [1 + a for a in range(k) if a not in viable]] = 0.0
+            table = table.ravel()
+        rest = noise[start - lo :] if noise is not None else None
+        seg = np.asarray(policy.play_phases(
+            block[len(block) - left:], viable, past,
+            _reward(table, arrivals[start:hi], rest, k),
+        ))
         if seg.ndim != 2 or seg.shape[1] != tau or not 1 <= len(seg) <= left:
             raise ValueError(
                 f"play_phases returned shape {seg.shape} for {left} "
@@ -420,16 +442,12 @@ def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
         pulls[start:end] = seg
         if len(viable) == k:
             dead[start:end] = False
-            table = value.ravel()
         else:
             # a pull is dead when its arm is not viable; NO_PULL never is
             dead_arm = np.ones(k + 1, dtype=bool)
             dead_arm[list(viable)] = False
             dead_arm[NO_PULL] = False
             dead[start:end] = dead_arm[seg]
-            table = value.copy()
-            table[:, [1 + a for a in range(k) if a not in viable]] = 0.0
-            table = table.ravel()
         # each round's utility, 0 for a declined or dead pull
         cell = _cells(arrivals[start:end], seg, k)
         if noise is not None:
@@ -443,6 +461,21 @@ def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
         departures.extend(gone)
         start = end
     return live
+
+
+def _reward(table, arrivals, noise, k: int):
+    """The ``reward(arm, rounds)`` of the segment contract (see
+    :class:`Policy`) over the offered ``arrivals`` and their ``noise``
+    draws (``None`` when rewards are the means), from the utility table
+    the segment's rounds are realized from."""
+
+    def reward(arm, rounds):
+        cell = arrivals[rounds].astype(np.intp) * (k + 1) + (np.asarray(arm) + 1)
+        if noise is None:
+            return table[cell]
+        return (noise[rounds] < table[cell]).astype(np.float64)
+
+    return reward
 
 
 def _play_loop(instance: Instance, policy: Policy, record: RunRecord,

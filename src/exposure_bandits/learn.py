@@ -298,7 +298,7 @@ class EesPolicy(Policy):
             self._log.append((u, arm, value))
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
-                    past: RunRecord) -> np.ndarray:
+                    past: RunRecord, reward) -> np.ndarray:
         """The exploration phases up to the end of the block, then the
         planner's segments (see :class:`~exposure_bandits.env.Policy`)."""
         o = self.observables
@@ -313,7 +313,7 @@ class EesPolicy(Policy):
                 min(len(arrivals), self.exploration_phases - played // o.tau))
         if self.planner is None:
             self._plan(past)
-        return self.planner.play_phases(arrivals, viable, past)
+        return self.planner.play_phases(arrivals, viable, past, reward)
 
     def _explore_phases(self, count: int) -> np.ndarray:
         """The next ``count`` exploration phases' pulls, one
@@ -384,7 +384,7 @@ class MyopicPolicy(Policy):
         )
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
-                    past: RunRecord) -> np.ndarray:
+                    past: RunRecord, reward) -> np.ndarray:
         """Every phase of ``arrivals`` through one per-type lookup over
         ``viable`` (see :class:`~exposure_bandits.env.Policy`)."""
         return self._lookup(viable)[arrivals]
@@ -445,7 +445,7 @@ class BlindSubsidizePolicy(MyopicPolicy):
         return arms
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
-                    past: RunRecord) -> np.ndarray:
+                    past: RunRecord, reward) -> np.ndarray:
         """Every phase of ``arrivals``: the subsidy prefix, which ignores the
         arrivals and so depends only on the cursor the phase starts from
         (one prefix per cursor value), then the myopic lookup (see
@@ -472,15 +472,115 @@ class BlindSubsidizePolicy(MyopicPolicy):
         return pulls
 
 
+# The windows of the bandit index take log(nu) for nu below
+# LOG_TABLE_SIZE from one table of math.log values (np.log rounds some
+# integers the other way), grown as far as the rounds played need it.
+# It caches a pure function, so it is kept across episodes; at most one
+# block's worth of entries keeps it within an episode's working memory.
+# Larger nu are taken one window at a time.
+LOG_TABLE_SIZE = 1 << 17
+_log_table = np.zeros(1)  # entry 0 is never read
+_sqrt = math.sqrt  # bound once: a scalar step calls it for every arm
+
+
+def _logs(first: int, count: int) -> np.ndarray:
+    """``math.log`` of the integers ``first``, ..., ``first + count - 1``
+    (``first >= 1``), as a float64 array."""
+    global _log_table
+    end = first + count
+    have = len(_log_table)
+    if have < end <= LOG_TABLE_SIZE:
+        size = min(LOG_TABLE_SIZE, max(end, 2 * have))
+        _log_table = np.concatenate(
+            (_log_table, np.fromiter(map(math.log, range(have, size)), np.float64))
+        )
+    if end <= len(_log_table):
+        return _log_table[first:end]
+    return np.fromiter(map(math.log, range(first, end)), np.float64, count)
+
+
+def _ucb_pick(arms, sums, counts, nu: int) -> int:
+    """The bandit's pick among ``arms`` (ascending) for a type at its
+    ``nu``-th arrival: the first arm never pulled, else the first arm of
+    largest index ``sums[a] / c + sqrt(2 log(nu) / c)``, ``c = counts[a]``."""
+    bonus = 2.0 * math.log(nu)
+    best, best_a = -math.inf, None
+    for a in arms:
+        c = counts[a]
+        if c == 0:
+            return a
+        idx = sums[a] / c + _sqrt(bonus / c)
+        if idx > best:
+            best, best_a = idx, a
+    return best_a
+
+
+def _indices(sums: np.ndarray, counts: np.ndarray, twolog: np.ndarray) -> np.ndarray:
+    """:func:`_ucb_pick`'s index ``sums / counts + sqrt(twolog / counts)``
+    elementwise, ``twolog`` holding ``2 log(nu)``: the same float
+    operations in the same order, so each entry is the scalar index to
+    the bit."""
+    return sums / counts + np.sqrt(twolog / counts)
+
+
+def _run_length(arms, sums, counts, nu: int, b: int, rewards: np.ndarray):
+    """How many of a type's next ``len(rewards)`` arrivals, from its
+    ``nu``-th on, pick arm ``b`` in a row when ``b``'s pulls there
+    realize ``rewards``, and ``b``'s reward sum after them.
+
+    Every round's index comes from :func:`_indices`, ``b``'s sums from a
+    sequential running sum, which adds in the order :meth:`feedback`
+    does.  ``b`` is picked while its index beats every earlier arm's
+    and ties or beats every later arm's; every arm has been pulled."""
+    w = len(rewards)
+    twolog = 2.0 * _logs(nu, w)
+    total = np.empty(w + 1)
+    total[0] = sums[b]
+    total[1:] = rewards
+    np.cumsum(total, out=total)
+    mine = _indices(total[:w], np.arange(counts[b], counts[b] + w, dtype=np.float64), twolog)
+    picked = np.ones(w, dtype=bool)
+    for others, wins in (([a for a in arms if a < b], np.greater),
+                         ([a for a in arms if a > b], np.greater_equal)):
+        if others:
+            theirs = _indices(np.array([[sums[a]] for a in others]),
+                              np.array([[counts[a]] for a in others], dtype=np.float64),
+                              twolog)
+            picked &= wins(mine, theirs.max(axis=0))
+    j = w if picked.all() else int(picked.argmin())
+    return j, float(total[j])
+
+
 class GreedyBanditPolicy(Policy):
     """Optimism index over (type, arm) cells, viable arms only, no
     subsidy: the standard bandit answer transplanted unchanged.
 
     Knows only the observables; learns from sampled feedback, including
     the zeros of dead pulls.  The index never reads the horizon.
+
+    On the segment path a type's state moves only at its own arrivals
+    and the viable set is fixed, so each type's rounds of a segment are
+    played on their own, in runs: scalar steps of :meth:`choose`'s
+    index until one arm has been picked ``RUN`` times in a row, then a
+    check of the type's next rounds at once (:func:`_run_length`), over
+    windows that double from ``WINDOW`` while that arm keeps winning,
+    and scalar steps again from the first round it loses.  After a check
+    that wins fewer than ``RUN`` rounds the next one waits for twice as
+    many picks in a row, up to ``PATIENCE_CAP``.  A call plays the whole
+    phases of at most ``FIRST_ROUNDS`` rounds, and each next call twice
+    as many, so a segment cut short by a departure wastes little.  After
+    such a cut the state is ahead of the rounds kept, and it is rebuilt
+    from ``past``: sums by a weighted count that adds in round order, as
+    :meth:`feedback` does, and counts of pulls and arrivals.
     """
 
     horizon_free = True
+    RUN = 8  # picks of one arm in a row before its next rounds are checked at once
+    WINDOW = 32  # rounds of the first check; later ones double
+    WINDOW_CAP = 1 << 14  # rounds of the largest check
+    PATIENCE_CAP = 256  # the most picks in a row a check ever waits for
+    FETCH = 256  # rounds whose rewards are fetched at once for scalar steps
+    FIRST_ROUNDS = 1 << 12  # rounds a call plays at most, at first and after a cut
 
     def __init__(self, observables: Observables):
         self.observables = observables
@@ -494,6 +594,8 @@ class GreedyBanditPolicy(Policy):
         self._type_rounds = [0] * n
         self._viable = None
         self._arms = []  # the viable set, sorted once per change
+        self._played = 0  # the rounds the state covers
+        self._rounds = self.FIRST_ROUNDS  # the rounds the next call plays at most
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         if viable is not self._viable:
@@ -501,19 +603,8 @@ class GreedyBanditPolicy(Policy):
             self._arms = sorted(viable)
         if not viable:
             return None
-        counts = self._counts[u]
-        sums = self._sums[u]
-        nu = self._type_rounds[u] + 1
-        bonus = math.log(nu)
-        best, best_a = None, None
-        for a in self._arms:
-            c = counts[a]
-            if c == 0:
-                return a
-            idx = sums[a] / c + math.sqrt(2.0 * bonus / c)
-            if best is None or idx > best:
-                best, best_a = idx, a
-        return best_a
+        return _ucb_pick(self._arms, self._sums[u], self._counts[u],
+                         self._type_rounds[u] + 1)
 
     def feedback(self, t: int, u: int, arm, value: float) -> None:
         self._type_rounds[u] += 1
@@ -521,6 +612,95 @@ class GreedyBanditPolicy(Policy):
             return
         self._sums[u][arm] += value
         self._counts[u][arm] += 1
+
+    def play_phases(self, arrivals: np.ndarray, viable: frozenset,
+                    past: RunRecord, reward) -> np.ndarray:
+        """The pulls of the first phases of ``arrivals``, each type's in
+        runs (see :class:`~exposure_bandits.env.Policy`)."""
+        played = len(past.pulls)
+        if played != self._played:
+            # a departure cut the last call's phases short
+            self._rebuild(past)
+            self._rounds = self.FIRST_ROUNDS
+        tau = arrivals.shape[1]
+        arrivals = arrivals[: max(1, self._rounds // tau)]
+        self._rounds *= 2
+        flat = arrivals.ravel()
+        pulls = np.full(flat.size, NO_PULL, dtype=np.int16)
+        arms = sorted(viable)
+        for u in range(self._n):
+            rounds = np.flatnonzero(flat == u)
+            if arms and len(rounds):
+                pulls[rounds] = self._play_type(u, rounds, arms, reward)
+            else:
+                self._type_rounds[u] += len(rounds)
+        self._played = played + flat.size
+        return pulls.reshape(arrivals.shape)
+
+    def _play_type(self, u: int, rounds: np.ndarray, arms: list, reward) -> np.ndarray:
+        """Type ``u``'s pulls at ``rounds``, its arrivals among the
+        offered ones, over the nonempty viable ``arms``."""
+        sums, counts = self._sums[u], self._counts[u]
+        seen = self._type_rounds[u]  # type u's arrivals before rounds[i]
+        run_arms, run_ends = [], []
+        every = np.arange(self._k)[:, None]
+        fetch = self.FETCH
+        first, got = -fetch, None
+        patience = self.RUN  # picks of one arm in a row before a check
+        last, streak = None, 0
+        i, total = 0, len(rounds)
+        while i < total:
+            a = _ucb_pick(arms, sums, counts, seen + 1)
+            if i - first >= fetch:
+                # got[a, i - first]: the reward of a pull of a at rounds[i]
+                first, got = i, memoryview(reward(every, rounds[i : i + fetch]))
+            sums[a] += got[a, i - first]
+            counts[a] += 1
+            seen += 1
+            i += 1
+            if a != last:
+                if last is not None:
+                    run_arms.append(last)
+                    run_ends.append(i - 1)
+                last, streak = a, 1
+                continue
+            streak += 1
+            if streak < patience:
+                continue
+            w, checked = self.WINDOW, i
+            while i < total:
+                w = min(w, total - i)
+                j, sums[a] = _run_length(arms, sums, counts, seen + 1, a,
+                                         reward(a, rounds[i : i + w]))
+                counts[a] += j
+                seen += j
+                i += j
+                if j < w:
+                    break
+                w = min(2 * w, self.WINDOW_CAP)
+            # a check that wins fewer rounds than RUN costs more than the
+            # scalar steps it replaces: wait twice as long for the next
+            if i - checked < self.RUN:
+                patience = min(2 * patience, self.PATIENCE_CAP)
+            else:
+                patience = self.RUN
+        run_arms.append(last)
+        run_ends.append(total)
+        self._type_rounds[u] = seen
+        return np.repeat(np.array(run_arms, dtype=np.int16), np.diff(run_ends, prepend=0))
+
+    def _rebuild(self, past: RunRecord) -> None:
+        """The state after the rounds of ``past``, what :meth:`feedback`
+        would have made of them."""
+        n, k = self._n, self._k
+        cell = _cells(past.arrivals, past.pulls, k)
+        # a declined round's cell heads its type's row, which is dropped
+        self._counts = np.bincount(cell, minlength=n * (k + 1)).reshape(
+            n, k + 1)[:, 1:].tolist()
+        self._sums = np.bincount(
+            cell, weights=past.realized_rewards, minlength=n * (k + 1)
+        ).reshape(n, k + 1)[:, 1:].tolist()
+        self._type_rounds = np.bincount(past.arrivals, minlength=n).tolist()
 
 
 BASELINES = {

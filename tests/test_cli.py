@@ -336,6 +336,19 @@ def test_a_repeated_sweep_horizon_runs_once(tiny_path, tmp_path):
     assert [row[1] for row in texts[0][1:]] == ["20"] * 4 + ["40"] * 4
 
 
+def test_a_repeated_algorithm_is_written_once(tiny_path, tmp_path):
+    path, _ = tiny_path
+    texts = []
+    for algos in ("myopic,dp-star,myopic", "dp-star,myopic"):
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--instance", str(path), "--algo", algos,
+                     "--seeds", "2", "--sweep", "20,40", "--out", str(out)]) == 0
+        texts.append([row[:-1] for row in csv.reader(out.read_text().splitlines())])
+    # one block of 2 seeds + mean + stderr per (algorithm, horizon)
+    assert texts[0] == texts[1]
+    assert [row[0] for row in texts[0][1:]] == ["dp-star"] * 8 + ["myopic"] * 8
+
+
 def test_experiment_rejects_misaligned_sweeps(tiny_path):
     path, _ = tiny_path
     assert main(["experiment", "--instance", str(path), "--sweep", "25",

@@ -261,9 +261,9 @@ def test_baseline_keeps_arm_alive_only_if_it_wants_to():
 
 # -- the segment path against the loop ---------------------------------------
 
-# every algorithm id but the round-by-round learner plays in phase segments;
+# every algorithm id plays in phase segments, the bandit learner included;
 # a new id joins this harness, and fails it unless it has a segment path
-SEGMENT_IDS = tuple(a for a in ALGORITHMS if a != "greedy-bandit")
+SEGMENT_IDS = ALGORITHMS
 # (reward mode, reward kind)
 REWARDS = [(mode, kind) for mode in ("expected", "sampled")
            for kind in ("bernoulli", "deterministic")]
@@ -345,7 +345,7 @@ def shortfall(phases):
                          mu=((0.9, 0.2), (0.1, 0.8)))
 
 
-def test_every_id_but_the_bandit_plays_in_segments():
+def test_every_id_plays_in_segments():
     inst = subsidy_worthwhile(T=100 * 40)
     for algo in ALGORITHMS:
         policy = make_policy(algo, inst)
@@ -471,17 +471,17 @@ def test_the_exploration_contract_breaks_where_the_loop_breaks_it():
         T0 = policy.T0
         for played in range(tau, T0 + 1, tau):
             policy.start(np.random.default_rng(0))
-            first = policy.play_phases(arrivals, frozenset({0, 1}), past_of(0))
+            first = policy.play_phases(arrivals, frozenset({0, 1}), past_of(0), no_reward)
             assert first.shape == (T0 // tau, tau)
             past = past_of(played)
             rest = arrivals[played // tau:]
             if played < T0:
                 with pytest.raises(ContractError, match=rf"\(round {played}\)$"):
-                    policy.play_phases(rest, frozenset({0}), past)
+                    policy.play_phases(rest, frozenset({0}), past, no_reward)
                 with pytest.raises(ContractError, match=rf"\(round {played}\)$"):
                     policy.choose(played, 0, frozenset({0}))
             else:
-                assert len(policy.play_phases(rest, frozenset({0}), past)) == len(rest)
+                assert len(policy.play_phases(rest, frozenset({0}), past, no_reward)) == len(rest)
                 assert policy.estimates is not None
 
 
@@ -493,6 +493,11 @@ def past_of(rounds):
                      realized_rewards=np.ones(rounds), expected_reward=math.nan,
                      departure_events=[], seed=0,
                      dead_pulls=np.zeros(rounds, dtype=bool))
+
+
+def no_reward(arm, rounds):
+    """The segment contract's reward, for a policy that must not read it."""
+    raise AssertionError("the policy read a reward")
 
 
 class StubbornPhases(Policy):
@@ -507,7 +512,7 @@ class StubbornPhases(Policy):
             return None
         return 0 if t < self.tau else (t + u) % self.k
 
-    def play_phases(self, arrivals, viable, past):
+    def play_phases(self, arrivals, viable, past, reward):
         t = np.arange(arrivals.size).reshape(arrivals.shape) + past.pulls.size
         pulls = np.where(t < self.tau, 0, (t + arrivals) % self.k)
         return np.where(t % 5 == 4, NO_PULL, pulls)

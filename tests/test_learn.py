@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exposure_bandits import (
+    NO_PULL,
     ContractError,
     DpPolicy,
     EesConfig,
     EesPolicy,
     Estimates,
     InfeasibleError,
+    Instance,
     LlcbPolicy,
     Observables,
     ResourceGuardError,
@@ -21,15 +23,18 @@ from exposure_bandits import (
     baseline_policy,
     concentration_radii,
     default_exploration_phases,
+    env,
     estimate,
     explore_phase_step,
+    learn,
     relaxed_exploration_phases,
     run_episode,
 )
 from exposure_bandits.core import gamma_from_parts
-from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy
+from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy, GreedyBanditPolicy
 from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
 from conftest import make_instance
+from test_env import LoopOnly, assert_same_record
 
 
 G_EX2 = gamma_from_parts((10, 60), 100, 2)  # quota 40
@@ -414,6 +419,126 @@ def test_greedy_bandit_runs_on_observables_alone():
     assert gb.observables is not None
     rec = run_episode(inst, gb, 0, reward_mode="sampled")
     assert rec.expected_reward > 0
+
+
+# -- the bandit's runs on the segment path --------------------------------------
+
+@st.composite
+def dyadic_bandit_cases(draw):
+    """Instances with n, k <= 4 whose utilities are multiples of 1/4, so
+    the bandit's indices tie exactly (0/1 rewards when sampled, dyadic
+    means when expected), or else any floats, whose running sums round;
+    thresholds up to tau, so arms often depart, and sometimes all."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    tau = draw(st.integers(1, 8))
+    phases = draw(st.integers(1, 40))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    delta = tuple(draw(st.lists(st.integers(0, tau), min_size=k, max_size=k)))
+    unit = (st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)) if draw(st.booleans())
+            else st.floats(0.0, 1.0))
+    mu = tuple(tuple(draw(st.lists(unit, min_size=k, max_size=k))) for _ in range(n))
+    return Instance(n=n, k=k, tau=tau, T=tau * phases,
+                    P=tuple(w / sum(weights) for w in weights), delta=delta, mu=mu)
+
+
+def bandit_state(policy):
+    """The bandit's per-type sums (as hex), pull counts and arrivals."""
+    return ([[x.hex() for x in row] for row in policy._sums], policy._counts,
+            policy._type_rounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_bandit_cases(), st.sampled_from(("expected", "sampled")),
+       st.sampled_from((1, 3, None)), st.sampled_from((2, 8)), st.sampled_from((1, 2, 32)),
+       st.sampled_from((1, 3, 256)), st.sampled_from((1, 64, 4096)),
+       st.integers(0, 2**32 - 1))
+def test_the_bandit_plays_its_runs_as_the_loop_plays_its_rounds(
+        inst, mode, block, run, window, fetch, first, seed):
+    # a block of 1 or 3 phases puts departures inside blocks and cuts
+    # the policy's segments short; the knobs put checks, reward fetches
+    # and calls at every boundary
+    policy = GreedyBanditPolicy(Observables.from_instance(inst))
+    policy.RUN, policy.WINDOW, policy.FETCH, policy.FIRST_ROUNDS = run, window, fetch, first
+    with pytest.MonkeyPatch.context() as m:
+        if block is not None:
+            m.setattr(env, "BLOCK_ROUNDS", block * inst.tau)
+        segments = run_episode(inst, policy, seed, mode)
+        state = bandit_state(policy)
+        loop = run_episode(inst, LoopOnly(policy), seed, mode)
+    assert_same_record(segments, loop)
+    assert state == bandit_state(policy)
+
+
+def test_the_bandit_rebuilds_after_a_cut_and_declines_with_no_arm_left(monkeypatch):
+    # every arm needs every round of a phase, so all three leave after
+    # phase 1, which cuts the first 3-phase block short
+    inst = make_instance(tau=4, phases=12, delta=(4, 4, 4), k=3,
+                         mu=((1.0, 0.5, 0.0), (0.0, 0.5, 1.0)))
+    monkeypatch.setattr(env, "BLOCK_ROUNDS", 3 * inst.tau)
+    rebuilt = []
+    rebuild = GreedyBanditPolicy._rebuild
+    monkeypatch.setattr(GreedyBanditPolicy, "_rebuild",
+                        lambda self, past: rebuilt.append(len(past.pulls)) or rebuild(self, past))
+    policy = GreedyBanditPolicy(Observables.from_instance(inst))
+    for mode in ("expected", "sampled"):
+        rebuilt.clear()
+        rec = run_episode(inst, policy, 5, mode)
+        state = bandit_state(policy)
+        assert_same_record(rec, run_episode(inst, LoopOnly(policy), 5, mode))
+        assert state == bandit_state(policy)
+        assert rec.departure_events == [(1, 0), (1, 1), (1, 2)]
+        assert rebuilt == [inst.tau]
+        assert (rec.pulls[inst.tau:] == NO_PULL).all()
+
+
+@st.composite
+def bandit_states(draw):
+    """A type's state over up to four pulled arms, with few counts and
+    dyadic means, so that indices tie; an arm on a run, the rewards of
+    its next pulls and the type's next arrival."""
+    k = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    means = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+    sums = [c * draw(means) for c in counts]
+    b = draw(st.integers(0, k - 1))
+    rewards = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)) | st.just(sums[b] / counts[b]),
+                            min_size=1, max_size=40))
+    nu = draw(st.integers(sum(counts), 2000))
+    return list(range(k)), sums, counts, b, rewards, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(bandit_states())
+def test_a_window_stops_where_the_scalar_steps_leave_the_arm(case):
+    arms, sums, counts, b, rewards, nu = case
+    got = learn._run_length(arms, sums, counts, nu, b, np.array(rewards))
+    # the scalar steps: the pick, then the feedback of b's pull
+    sums, counts = list(sums), list(counts)
+    j = 0
+    while j < len(rewards) and learn._ucb_pick(arms, sums, counts, nu + j) == b:
+        sums[b] += rewards[j]
+        counts[b] += 1
+        j += 1
+    assert got[0] == j
+    assert got[1].hex() == sums[b].hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**7),
+       st.lists(st.tuples(st.integers(1, 10**6), st.floats(0.0, 1.0)), min_size=1, max_size=64))
+# a window across the end of the log table
+@example(learn.LOG_TABLE_SIZE - 3, [(c, 0.3) for c in (1, 2, 3, 5, 8, 13, 21, 34)])
+def test_the_window_index_is_the_scalar_index_to_the_bit(nu, cells):
+    # per round of a window at nu, nu + 1, ...: a count and a mean reward;
+    # each entry must carry the bits of the scalar index
+    counts = [c for c, _ in cells]
+    sums = [c * mean for c, mean in cells]
+    got = learn._indices(np.array(sums), np.array(counts, dtype=np.float64),
+                         2.0 * learn._logs(nu, len(cells)))
+    for j, (s, c) in enumerate(zip(sums, counts)):
+        want = s / c + math.sqrt(2.0 * math.log(nu + j) / c)
+        assert float(got[j]).hex() == want.hex()
 
 
 def test_unknown_baseline_kind_raises():

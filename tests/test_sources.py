@@ -35,3 +35,18 @@ def test_the_oracles_share_no_code_with_the_fast_paths():
     ours = {(m, name) for m, name in imported if m.startswith((".", "exposure_bandits"))}
     assert {(m, name) for m, name in ours if m != ".core"} == {(".matching", "Aggregate")}
     assert (".core", "Instance") in ours
+
+
+def test_the_bandit_takes_its_logs_from_math_log():
+    # np.log rounds some integers differently from math.log, which the
+    # bandit's scalar index uses, so its window index must not call it
+    tree = ast.parse(Path(exposure_bandits.learn.__file__).read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "log"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name == "log" for alias in node.names))
+    ]
+    assert found == []
