@@ -16,25 +16,18 @@ episode holds its record, ``RECORD_BYTES`` per round, plus one block of
 working arrays, and an episode whose record would not fit under
 ``EPISODE_BYTE_CAP`` is refused before anything is allocated.
 
-Two paths play a block.  An arm can depart only at a phase boundary, so
-the viable set is fixed for the whole of a phase, and a policy whose
-play depends only on that set, the phase's arrivals, the earlier phases
-and the rewards of its own pulls can be played a phase segment at a
-time: it defines ``play_phases`` (see :class:`Policy`), and the segment
-path asks it for the pulls of the block's phases not yet played, keeps
-them up to and including the first phase that ends with a departure,
-and asks again with the smaller viable set.  A learner asks the segment
-path for the rewards its pulls realize, on demand.  Every policy of the
-package takes it: the committed planners (``DpPolicy``,
-``LcbPolicy``, ``AlcbPolicy``, ``LlcbPolicy``, all
-:class:`CommittedPolicy`), the explore-estimate-plan learner
-(``EesPolicy``), the informed baselines (``MyopicPolicy``,
-``NeverSubsidizePolicy``, ``BlindSubsidizePolicy``) and the bandit
-baseline (``GreedyBanditPolicy``).  The loop calls the policy's
-``choose`` and ``feedback`` once per round and is the reference the
-segment path is checked against.  The policy's type alone picks the
-path.  Both paths end every phase with the same departure rule and
-share the reward accounting, and they produce identical records.
+An arm can depart only at a phase boundary, so the viable set is fixed
+for the whole of a phase, and a block is played a phase segment at a
+time: the simulator asks the policy's ``play_phases`` (see
+:class:`Policy`) for the pulls of the block's phases not yet played,
+keeps them up to and including the first phase that ends with a
+departure, and asks again with the smaller viable set.  A learner asks
+for the rewards its pulls realize, on demand.  The range check, the
+dead-pull flags, the realized rewards and the live counts have this one
+implementation.  Every policy also keeps ``choose`` and ``feedback``,
+its round-by-round reference, which the tests drive and compare with
+``play_phases``; ``None`` from ``choose`` is the reference's decline,
+``NO_PULL`` in the pulls.
 
 One master seed splits into three independent streams (arrivals, reward
 noise, policy randomness), so changing the reward model never perturbs
@@ -82,7 +75,7 @@ EPISODE_BYTE_CAP = 2**31  # record plus one block
 
 
 class Policy:
-    """Base class for round-by-round decision makers.
+    """Base class for decision makers, played a phase segment at a time.
 
     A policy object serves one episode at a time; :meth:`start` must reset
     all per-episode state so the same object can be reused across seeds.
@@ -90,19 +83,18 @@ class Policy:
     :class:`~exposure_bandits.core.Observables` view, which it keeps as
     its ``observables``; a policy built from the instance itself keeps
     ``None`` there.  :func:`run_episode` refuses an instance the view
-    does not describe.  The loop hands every round's realized reward to
-    :meth:`feedback`, a no-op unless a learner overrides it.
-    ``bad_event_phases`` lists the 1-based phases of the last episode in
-    which the policy's confidence-floor fallback fired; it stays empty for
-    policies without one.  A policy declares ``horizon_free`` when its
-    play in round ``t`` does not depend on the horizon ``T``: then the
-    first ``H`` rounds of an episode equal, seed for seed, the episode of
-    horizon ``H`` (see :meth:`RunRecord.prefix`).
+    does not describe.  ``bad_event_phases`` lists the 1-based phases of
+    the last episode in which the policy's confidence-floor fallback
+    fired; it stays empty for policies without one.  A policy declares
+    ``horizon_free`` when its play in round ``t`` does not depend on the
+    horizon ``T``: then the first ``H`` rounds of an episode equal, seed
+    for seed, the episode of horizon ``H`` (see :meth:`RunRecord.prefix`).
 
-    A policy whose play in a phase depends only on the viable set, that
-    phase's arrivals, the earlier phases and the rewards of its own pulls
-    may also define ``play_phases(arrivals, viable, past, reward)``, the
-    segment contract:
+    A policy's play in a phase may depend only on the viable set, that
+    phase's arrivals, the earlier phases and the rewards of its own
+    pulls.  :func:`run_episode` plays it, after :meth:`start`, through
+    ``play_phases(arrivals, viable, past, reward)``, the segment
+    contract:
 
     - ``arrivals`` is the int16 ``(m, tau)`` rest of the current block:
       its phases not yet played;
@@ -122,24 +114,28 @@ class Policy:
     It returns the ``(m', tau)`` pulls, ``1 <= m' <= m``, that
     :meth:`choose` would make round by round in the first ``m'`` of
     those phases if ``viable`` stayed fixed and :meth:`feedback` were
-    handed each round's reward (``NO_PULL`` for a declined round).
-    :func:`run_episode` then calls it, after :meth:`start`, instead of
-    calling :meth:`choose` and :meth:`feedback` every round: it keeps
-    the pulls up to and including the first phase that ends with a
-    departure, and calls again with the rest of the block, then with the
-    next block.  A policy that learns from its rewards finds its state
-    ahead of ``past`` after such a cut and must bring it back to
-    ``past``.  Every policy of the package defines it; :meth:`choose`
-    and :meth:`feedback` stay as the loop's reference.
+    handed each round's reward (``NO_PULL`` where :meth:`choose`
+    returns ``None``, its decline).  The simulator keeps the pulls up
+    to and including the first phase that ends with a departure, and
+    calls again with the rest of the block, then with the next block.
+    A policy that learns from its rewards finds its state ahead of
+    ``past`` after such a cut and must bring it back to ``past``.
+    :meth:`choose` and :meth:`feedback` are the per-round reference:
+    the simulator never calls them, and the tests drive them round by
+    round to check :meth:`play_phases` against.
     """
 
-    play_phases = None
     bad_event_phases = ()
     observables = None
     horizon_free = False
 
     def start(self, rng: np.random.Generator) -> None:
         """Reset per-episode state; ``rng`` is the policy-private stream."""
+
+    def play_phases(self, arrivals: np.ndarray, viable: frozenset,
+                    past: RunRecord, reward) -> np.ndarray:
+        """The pulls of the first phases of ``arrivals`` (see above)."""
+        raise NotImplementedError
 
     def choose(self, t: int, u: int, viable: frozenset) -> int | None:
         """Return the arm to pull this round, or ``None`` for a no-op."""
@@ -279,23 +275,19 @@ def _live_counts(cell, dead, n: int, k: int) -> np.ndarray:
     return counts.reshape(n, k + 1)[:, 1:]
 
 
-def _departures(counts, bar: list, first_phase: int) -> list[tuple[int, int]]:
-    """The departure rule at the end of consecutive phases.
+def _departures(counts, bar: list, phase: int) -> list[tuple[int, int]]:
+    """The departure rule at the end of 1-based phase ``phase``.
 
-    ``counts`` holds one row per phase, from phase ``first_phase`` on, of
-    pulls per arm, dead pulls included; ``bar`` holds each arm's threshold
-    while it is viable and 0 once it has departed.  An arm departs at the
-    end of the first phase in which it got strictly fewer pulls than its
-    bar (meeting the threshold exactly is enough), and its bar drops to 0
-    in place.  Returns the departures as (phase, arm) pairs, ordered by
-    phase, then arm.
+    ``counts`` holds the phase's pulls per arm, dead pulls included;
+    ``bar`` holds each arm's threshold while it is viable and 0 once it
+    has departed.  An arm departs when it got strictly fewer pulls than
+    its bar (meeting the threshold exactly is enough), and its bar drops
+    to 0 in place.  Returns the departures as (phase, arm) pairs, ordered
+    by arm.
     """
-    events = []
-    for phase, row in enumerate(counts, first_phase):
-        for a, (c, b) in enumerate(zip(row, bar)):
-            if c < b:
-                bar[a] = 0
-                events.append((phase, a))
+    events = [(phase, a) for a, (c, b) in enumerate(zip(counts, bar)) if c < b]
+    for _, a in events:
+        bar[a] = 0
     return events
 
 
@@ -305,10 +297,10 @@ def run_episode(
     seed: int,
     reward_mode: str = "expected",
 ) -> RunRecord:
-    """Simulate ``instance.T`` rounds of ``policy`` against the instance.
-
-    Policies that define ``play_phases`` take the segment path, all
-    others the round-by-round loop; both give the same record.
+    """Simulate ``instance.T`` rounds of ``policy`` against the instance,
+    in phase segments from ``policy.play_phases`` (see :class:`Policy`),
+    the only path; ``choose`` and ``feedback`` are the reference the
+    tests drive round by round.
 
     Parameters
     ----------
@@ -322,8 +314,8 @@ def run_episode(
     ``observables`` do not describe ``instance``, and during it if the
     policy returns an arm outside ``[0, k)``; ``ResourceGuardError``
     before anything is allocated if the record and one block exceed
-    ``EPISODE_BYTE_CAP`` bytes.  Rounds with no pull (policy returned
-    ``None``) yield 0.
+    ``EPISODE_BYTE_CAP`` bytes.  Rounds with no pull (``NO_PULL``, the
+    reference's ``None``) yield 0.
     """
     if reward_mode not in REWARD_MODES:
         raise ValueError(f"reward_mode {reward_mode!r} not in {REWARD_MODES}")
@@ -356,7 +348,6 @@ def run_episode(
         seed=seed,
         dead_pulls=np.empty(T, dtype=bool),
     )
-    play = _play_loop if policy.play_phases is None else _play_segments
     policy.start(policy_rng)
     counts = np.zeros((n, k), dtype=np.int64)
     step = max(1, BLOCK_ROUNDS // tau) * tau
@@ -366,7 +357,7 @@ def run_episode(
         # positional noise: round t always consumes the t-th draw, so the
         # policy's choices cannot shift the reward stream
         noise = reward_rng.random(hi - lo) if sample_bernoulli else None
-        counts += play(instance, policy, record, lo, hi, noise)
+        counts += _play_segments(instance, policy, record, lo, hi, noise)
     record.expected_reward = recompute_expected_reward(record, instance, counts)
     return record
 
@@ -434,8 +425,7 @@ def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
             # the viable set changes after the first short phase: keep up
             # to it, and let the departure rule name who leaves there
             first = int(short.argmax())
-            gone = _departures(counts[first : first + 1].tolist(), bar,
-                               start // tau + 1 + first)
+            gone = _departures(counts[first].tolist(), bar, start // tau + 1 + first)
             seg = seg[: first + 1]
         end = start + seg.size
         seg = seg.ravel()
@@ -476,59 +466,3 @@ def _reward(table, arrivals, noise, k: int):
         return (noise[rounds] < table[cell]).astype(np.float64)
 
     return reward
-
-
-def _play_loop(instance: Instance, policy: Policy, record: RunRecord,
-               lo: int, hi: int, noise) -> np.ndarray:
-    """Rounds ``lo:hi`` through ``policy.choose``, one round at a time:
-    the reference path.  Each phase is kept in Python lists and written
-    into the record with one slice assignment per array.  Returns the
-    live pulls per (type, arm) (see :func:`_live_counts`)."""
-    n, k, tau = instance.n, instance.k, instance.tau
-    mu = [list(row) for row in instance.mu]
-    departures = record.departure_events
-    viable, bar = _state(instance, record)
-    choose, feedback = policy.choose, policy.feedback
-    no_draws = [None] * tau
-    for start in range(lo, hi, tau):
-        end = start + tau
-        types = record.arrivals[start:end].tolist()
-        # expected rewards draw no noise: every round reads the mean
-        draws = noise[start - lo : end - lo].tolist() if noise is not None else no_draws
-        phase_pulls = []
-        rewards = []
-        dead_offsets = []
-        add_pull, add_reward = phase_pulls.append, rewards.append
-        counts = [0] * k
-        for t, u, x in zip(range(start, end), types, draws):
-            a = choose(t, u, viable)
-            if a is None:
-                add_pull(NO_PULL)
-                v = 0.0
-            elif a in viable:
-                add_pull(a)
-                counts[a] += 1
-                m = mu[u][a]
-                v = m if x is None else (1.0 if x < m else 0.0)
-            elif 0 <= a < k:
-                add_pull(a)
-                counts[a] += 1
-                dead_offsets.append(t - start)
-                v = 0.0
-            else:
-                raise ValueError(
-                    f"policy returned arm {a} outside [0, {k}) at round {t}"
-                )
-            add_reward(v)
-            feedback(t, u, a, v)
-        record.pulls[start:end] = phase_pulls
-        record.realized_rewards[start:end] = rewards
-        dead = record.dead_pulls[start:end]
-        dead[:] = False
-        dead[dead_offsets] = True
-        gone = _departures([counts], bar, start // tau + 1)
-        if gone:
-            viable = viable.difference(a for _, a in gone)
-            departures.extend(gone)
-    cell = _cells(record.arrivals[lo:hi], record.pulls[lo:hi], k)
-    return _live_counts(cell, record.dead_pulls[lo:hi], n, k)

@@ -305,7 +305,7 @@ class EesPolicy(Policy):
         played = len(past.pulls)
         if played < self.T0:
             if len(viable) != o.k:
-                # where the loop's check at the phase start fires
+                # where choose's check at the phase start fires
                 raise ContractError(
                     f"an arm departed during exploration (round {played})"
                 )

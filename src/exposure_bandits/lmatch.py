@@ -33,7 +33,8 @@ to some largest one, found by bisection; so the plan comes out as
 run-length segments, at most 2k + 1 of them, one per drop and one per
 run of self-loops.  The plan holds only these segments, so nothing
 its construction keeps grows with N either; ``chain`` and
-``total_value`` are derived from them, phase by phase, when read.
+``total_value`` are derived from them, phase by phase, when read, and
+refused for a plan longer than any episode the simulator accepts.
 ``total_value`` is the left-to-right float sum of the phase values,
 the number the per-phase DP reports.
 
@@ -56,6 +57,7 @@ from .core import (
     NEG_INF,
     ResourceGuardError,
 )
+from .env import BLOCK_BYTES, EPISODE_BYTE_CAP, RECORD_BYTES
 from .lcb import LcbPolicy, PlanSegment
 from .matching import Aggregate, build_lcb_aggregate, doalg
 
@@ -80,24 +82,38 @@ class LmatchPlan:
     ``segments`` cover the phases in order.  Derived from them, one
     entry per phase: ``chain`` lists the planned surviving sets Z^0
     down to Z^N (nested nonincreasing), and ``total_value`` is the
-    plan's value, summed phase by phase.
+    plan's value, summed phase by phase.  Both raise
+    ``ResourceGuardError`` before building anything per phase when the
+    plan has more phases than the longest episode the simulator accepts
+    has rounds.
     """
 
     segments: tuple[PlanSegment, ...]
+
+    def _phases(self) -> list[int]:
+        """Each segment's phases, once the plan is known to be no longer
+        than the longest episode the simulator accepts."""
+        phases = [s.phases for s in self.segments]
+        longest = (EPISODE_BYTE_CAP - BLOCK_BYTES) // RECORD_BYTES
+        if sum(phases) > longest:
+            raise ResourceGuardError(
+                f"a plan of {sum(phases)} phases is longer than any episode "
+                f"the simulator accepts ({longest} rounds)"
+            )
+        return phases
 
     @property
     def total_value(self) -> float:
         """The phase values added one phase at a time, as the per-phase
         DP does: accumulate is sequential (sum would add pairwise)."""
-        values = np.repeat([s.matching.value for s in self.segments],
-                           [s.phases for s in self.segments])
+        values = np.repeat([s.matching.value for s in self.segments], self._phases())
         return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
     @property
     def chain(self) -> tuple[frozenset, ...]:
         """Z^0, then the set kept after each phase, phase 1 first."""
         return (self.segments[0].available,
-                *(s.kept for s in self.segments for _ in range(s.phases)))
+                *(s.kept for s, c in zip(self.segments, self._phases()) for _ in range(c)))
 
 
 def _mask_set(mask: int, k: int) -> frozenset:

@@ -22,6 +22,7 @@ from exposure_bandits import (
     run_episode,
     sample_arrivals,
 )
+from exposure_bandits import env
 from exposure_bandits.cli import ALGORITHMS, make_policy, policy_class
 from exposure_bandits.presets import (
     early_harvest,
@@ -32,7 +33,46 @@ from exposure_bandits.presets import (
 from conftest import IDENTITY2, make_instance, stepped_phases
 
 
-class FixedArmPolicy(Policy):
+class RoundByRound(Policy):
+    """Plays each offered phase round by round through :meth:`choose` and
+    :meth:`feedback`: the per-round reference, on the segment contract.
+
+    Each call fetches the rewards of every viable arm over the rounds it
+    may play at once; an arm outside the viable set realizes 0 and a
+    decline realizes 0.  Given the instance's thresholds ``delta``, it
+    plays until the first phase in which a viable arm got fewer pulls
+    than its threshold, the phase the simulator cuts its segment after;
+    without them it plays one phase per call.
+    """
+
+    delta = None
+
+    def play_phases(self, arrivals, viable, past, reward):
+        if self.delta is None:
+            arrivals = arrivals[:1]
+        arms = sorted(viable)
+        fetched = reward(np.array(arms, dtype=np.intp)[:, None], np.arange(arrivals.size))
+        values = dict(zip(arms, fetched.tolist()))
+        bars = [(a, self.delta[a]) for a in arms if self.delta and self.delta[a]]
+        choose, feedback = self.choose, self.feedback
+        first = t = len(past.pulls)
+        pulls = []
+        for types in arrivals.tolist():
+            phase = []
+            for u in types:
+                a = choose(t, u, viable)
+                phase.append(NO_PULL if a is None else a)
+                # a declined, dead or out-of-range pull realizes 0 (the
+                # simulator then rejects an arm out of range)
+                feedback(t, u, a, values[a][t - first] if a in values else 0.0)
+                t += 1
+            pulls.append(phase)
+            if any(phase.count(a) < d for a, d in bars):
+                break
+        return np.array(pulls)
+
+
+class FixedArmPolicy(RoundByRound):
     """Always pulls the same arm, viable or not."""
 
     def __init__(self, arm):
@@ -42,7 +82,7 @@ class FixedArmPolicy(Policy):
         return self.arm
 
 
-class ScriptedPolicy(Policy):
+class ScriptedPolicy(RoundByRound):
     """Pulls ``script[t]`` in round t (``None`` declines)."""
 
     def __init__(self, script):
@@ -52,7 +92,7 @@ class ScriptedPolicy(Policy):
         return self.script[t]
 
 
-class OwnArmPolicy(Policy):
+class OwnArmPolicy(RoundByRound):
     """Each type pulls its own arm (identity preference)."""
 
     def choose(self, t, u, viable):
@@ -132,7 +172,7 @@ def test_expected_reward_matches_recomputation():
     inst = make_instance(tau=10, phases=20, delta=(2, 4),
                          mu=((0.7, 0.1), (0.3, 0.6)))
 
-    class Drifting(Policy):
+    class Drifting(RoundByRound):
         def choose(self, t, u, viable):
             return u if t < inst.tau else (t + u) % 3 % 2
 
@@ -176,7 +216,7 @@ def test_neglected_arm_departs_and_later_pulls_are_dead():
     rec2 = run_episode(inst, FixedArmPolicy(1), 0, reward_mode="expected")
     assert rec2.departure_events == []
     # pin arm 1 to depart, then pull it anyway: flagged dead, zero reward
-    class Stubborn(Policy):
+    class Stubborn(RoundByRound):
         def choose(self, t, u, viable):
             return 1 if t >= inst.tau else 0
 
@@ -230,7 +270,7 @@ def test_arm_departs_exactly_when_viable_and_short_of_its_threshold(case):
 
 
 def test_no_pull_rounds_are_recorded_as_such():
-    class Abstain(Policy):
+    class Abstain(RoundByRound):
         def choose(self, t, u, viable):
             return None
 
@@ -259,7 +299,7 @@ def test_baseline_keeps_arm_alive_only_if_it_wants_to():
     assert rec2.departure_events == []
 
 
-# -- the segment path against the loop ---------------------------------------
+# -- play_phases against the round-by-round reference (the "loop") ----------
 
 # every algorithm id plays in phase segments, the bandit learner included;
 # a new id joins this harness, and fails it unless it has a segment path
@@ -269,12 +309,14 @@ REWARDS = [(mode, kind) for mode in ("expected", "sampled")
            for kind in ("bernoulli", "deterministic")]
 
 
-class LoopOnly(Policy):
-    """Runs ``inner`` on the round-by-round loop: it forwards everything
-    but ``play_phases``."""
+class LoopOnly(RoundByRound):
+    """Plays ``inner`` round by round through its ``choose`` and
+    ``feedback``, the reference its ``play_phases`` is checked against;
+    ``delta`` is the thresholds of the instance it plays."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, delta):
         self.inner = inner
+        self.delta = delta
         self.observables = inner.observables
 
     def start(self, rng):
@@ -316,13 +358,11 @@ def outcome(inst, policy, seed, mode):
 
 
 def run_both(inst, policy, seed, mode):
-    """The segment and the loop record of one episode, checked equal, and
-    the segment run's fallback phases (checked equal too)."""
-    assert policy.play_phases is not None
-    assert LoopOnly(policy).play_phases is None
+    """The segment and the round-by-round record of one episode, checked
+    equal, and the segment run's fallback phases (checked equal too)."""
     segments = outcome(inst, policy, seed, mode)
     seen = reported(policy)
-    loop = outcome(inst, LoopOnly(policy), seed, mode)
+    loop = outcome(inst, LoopOnly(policy, inst.delta), seed, mode)
     if isinstance(segments, RunRecord):
         assert_same_record(segments, loop)
     else:
@@ -349,7 +389,7 @@ def test_every_id_plays_in_segments():
     inst = subsidy_worthwhile(T=100 * 40)
     for algo in ALGORITHMS:
         policy = make_policy(algo, inst)
-        assert (policy.play_phases is None) == (algo not in SEGMENT_IDS), algo
+        assert type(policy).play_phases is not Policy.play_phases, algo
 
 
 @pytest.mark.parametrize("preset", [symmetric_tight, subsidy_worthwhile, subsidy_wasteful,
@@ -462,7 +502,7 @@ def test_segments_resume_after_a_departure(algo, k, tau, delta, departures):
 
 def test_the_exploration_contract_breaks_where_the_loop_breaks_it():
     # the quota schedule keeps every arm alive, so a departure during
-    # exploration is a broken contract: the loop raises at the start of
+    # exploration is a broken contract: choose raises at the start of
     # the next phase, the segment path at the call that would play it
     inst = make_instance(tau=100, phases=100, delta=(10, 60))
     tau = inst.tau
@@ -535,7 +575,7 @@ def test_batched_path_rejects_arms_outside_the_instance():
     with pytest.raises(ValueError):
         run_episode(inst, policy, 0)
     with pytest.raises(ValueError):
-        run_episode(inst, LoopOnly(policy), 0)
+        run_episode(inst, LoopOnly(policy, inst.delta), 0)
 
 
 @st.composite
@@ -565,6 +605,63 @@ def test_segments_match_the_loop_on_random_instances(inst, algo, explore, mode, 
     except (InfeasibleError, ResourceGuardError):
         return
     run_both(inst, policy, seed, mode)
+
+
+def reference_streams(inst, seed):
+    """The episode's arrivals and reward noise, drawn afresh from the
+    seed's first two streams: types by searching the cumulative law."""
+    arrival_rng, reward_rng, _ = map(np.random.default_rng,
+                                     np.random.SeedSequence(seed).spawn(3))
+    cum = np.cumsum(inst.P)
+    arrivals = np.minimum(np.searchsorted(cum, arrival_rng.random(inst.T), side="right"),
+                          inst.n - 1)
+    return arrivals.tolist(), reward_rng.random(inst.T).tolist()
+
+
+def live_rounds(inst, script):
+    """Whether each round of ``script`` pulls a viable arm, by the
+    departure rule applied phase by phase."""
+    viable = set(range(inst.k))
+    live = []
+    for p in range(inst.phases):
+        phase = script[p * inst.tau : (p + 1) * inst.tau]
+        live += [a is not None and a in viable for a in phase]
+        viable -= {a for a in viable if phase.count(a) < inst.delta[a]}
+    return live
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.sampled_from(("expected", "sampled")), st.sampled_from((1, 3)),
+       st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_every_round_realizes_what_the_reward_model_says(inst, mode, block, pin, seed, pick):
+    # a script of declines and arms; thresholds up to tau make arms
+    # depart, so later pulls of them are dead
+    drawn = np.random.default_rng(pick).integers(-1, inst.k, inst.T).tolist()
+    script = [None if a < 0 else a for a in drawn]
+    types, noise = reference_streams(inst, seed)
+    live = live_rounds(inst, script)
+    sampled = mode == "sampled" and inst.reward_kind == "bernoulli"
+    if pin and sampled and any(live):
+        # a utility equal to the noise of a round that pulls it: a live
+        # pull realizes 1 only when the noise is strictly below it
+        t = live.index(True)
+        mu = [list(row) for row in inst.mu]
+        mu[types[t]][script[t]] = noise[t]
+        inst = replace(inst, mu=tuple(map(tuple, mu)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(env, "BLOCK_ROUNDS", block * inst.tau)
+        rec = run_episode(inst, ScriptedPolicy(script), seed, reward_mode=mode)
+    assert rec.arrivals.tolist() == types
+    assert rec.pulls.tolist() == [NO_PULL if a is None else a for a in script]
+    assert rec.dead_pulls.tolist() == [a is not None and not v for a, v in zip(script, live)]
+    for t, (u, a, x, v) in enumerate(zip(types, script, noise, live)):
+        if not v:
+            want = 0.0
+        elif sampled:
+            want = float(x < inst.mu[u][a])
+        else:
+            want = inst.mu[u][a]
+        assert rec.realized_rewards[t].hex() == want.hex(), t
 
 
 # -- horizon-free play: a shorter episode is a prefix of a longer one --------

@@ -465,7 +465,7 @@ def test_the_bandit_plays_its_runs_as_the_loop_plays_its_rounds(
             m.setattr(env, "BLOCK_ROUNDS", block * inst.tau)
         segments = run_episode(inst, policy, seed, mode)
         state = bandit_state(policy)
-        loop = run_episode(inst, LoopOnly(policy), seed, mode)
+        loop = run_episode(inst, LoopOnly(policy, inst.delta), seed, mode)
     assert_same_record(segments, loop)
     assert state == bandit_state(policy)
 
@@ -485,7 +485,7 @@ def test_the_bandit_rebuilds_after_a_cut_and_declines_with_no_arm_left(monkeypat
         rebuilt.clear()
         rec = run_episode(inst, policy, 5, mode)
         state = bandit_state(policy)
-        assert_same_record(rec, run_episode(inst, LoopOnly(policy), 5, mode))
+        assert_same_record(rec, run_episode(inst, LoopOnly(policy, inst.delta), 5, mode))
         assert state == bandit_state(policy)
         assert rec.departure_events == [(1, 0), (1, 1), (1, 2)]
         assert rebuilt == [inst.tau]

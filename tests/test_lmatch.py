@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from exposure_bandits import (
     Aggregate,
     InfeasibleError,
     LlcbPolicy,
+    ResourceGuardError,
     build_lcb_aggregate,
     brute_matching,
     doalg,
@@ -21,7 +24,8 @@ from exposure_bandits import (
     planned_total_value,
     run_episode,
 )
-from exposure_bandits.presets import early_harvest
+from exposure_bandits.env import BLOCK_BYTES, RECORD_BYTES
+from exposure_bandits.presets import early_harvest, subsidy_worthwhile
 from conftest import make_instance, random_instance, tie_prone_instances
 
 
@@ -230,6 +234,37 @@ def test_plan_cost_does_not_grow_with_the_horizon():
     assert len(long.chain) == 100_001
 
 
+def test_a_plan_longer_than_any_episode_is_not_read_phase_by_phase():
+    # 2 segments over 10^12 phases: one chain entry per phase would take
+    # terabytes, so both reads refuse before building anything per phase
+    plan = LlcbPolicy(subsidy_worthwhile(T=10**14)).plan
+    assert [s.phases for s in plan.segments] == [10**12 - 1, 1]
+    tracemalloc.start()
+    try:
+        for read in ("chain", "total_value"):
+            with pytest.raises(ResourceGuardError, match="longer than any episode"):
+                getattr(plan, read)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_plan_as_long_as_the_longest_episode_is_read(monkeypatch):
+    # with the cap at the record of 6 rounds plus a block, a plan of 6
+    # phases is read and one of 7 is refused
+    plan = LlcbPolicy(early_harvest(tau=200, phases=6)).plan
+    longer = LlcbPolicy(early_harvest(tau=200, phases=7)).plan
+    chain, total = plan.chain, plan.total_value
+    # the package exports the function lmatch under the module's name
+    module = importlib.import_module("exposure_bandits.lmatch")
+    monkeypatch.setattr(module, "EPISODE_BYTE_CAP", BLOCK_BYTES + 6 * RECORD_BYTES)
+    assert plan.chain == chain and plan.total_value.hex() == total.hex()
+    for read in ("chain", "total_value"):
+        with pytest.raises(ResourceGuardError):
+            getattr(longer, read)
+
+
 def test_policy_follows_the_plan_without_losing_planned_arms():
     inst = early_harvest(tau=200, phases=4)
     policy = LlcbPolicy(inst)
@@ -263,6 +298,6 @@ def test_the_round_by_round_loop_finds_each_phase_segment():
     for seed in range(2):
         batched = run_episode(inst, policy, seed, reward_mode="expected")
         fallbacks = policy.bad_event_phases
-        loop = run_episode(inst, LoopOnly(policy), seed, reward_mode="expected")
+        loop = run_episode(inst, LoopOnly(policy, inst.delta), seed, reward_mode="expected")
         assert_same_record(batched, loop)
         assert fallbacks == policy.bad_event_phases

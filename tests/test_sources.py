@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import exposure_bandits
+from exposure_bandits import Policy
 
 SOURCES = sorted(Path(exposure_bandits.__file__).parent.glob("*.py"))
 
@@ -50,3 +52,25 @@ def test_the_bandit_takes_its_logs_from_math_log():
             and any(alias.name == "log" for alias in node.names))
     ]
     assert found == []
+
+
+def leaves_to_subclasses(cls) -> bool:
+    """Whether ``cls`` defines a stub, a method that ends by raising
+    NotImplementedError, for the policies built on it to fill in."""
+    return any(inspect.isfunction(f)
+               and inspect.getsource(f).rstrip().endswith("raise NotImplementedError")
+               for f in vars(cls).values())
+
+
+def test_every_policy_of_the_package_plays_segments_and_keeps_its_reference():
+    # the simulator plays only play_phases; choose is the per-round
+    # reference the tests check it against, so every policy needs both
+    found, stack = [], list(Policy.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack += cls.__subclasses__()
+        if cls.__module__.startswith("exposure_bandits.") and not leaves_to_subclasses(cls):
+            found.append(cls.__name__)
+            assert cls.play_phases is not Policy.play_phases, cls
+            assert cls.choose is not Policy.choose, cls
+    assert {"DpPolicy", "LcbPolicy", "LlcbPolicy", "EesPolicy", "GreedyBanditPolicy"} <= set(found)

@@ -118,7 +118,7 @@ def play(inst, path, policy, seed, mode):
 def test_the_block_size_never_moves_a_record(algo, monkeypatch):
     for inst, seed, modes in block_cases(algo):
         policy = make_policy(algo, inst)
-        paths = [policy] if policy.play_phases is None else [policy, LoopOnly(policy)]
+        paths = [policy, LoopOnly(policy, inst.delta)]
         for mode in modes:
             want, seen = play(inst, policy, policy, seed, mode)
             assert isinstance(want, RunRecord)
