@@ -20,7 +20,7 @@ from .core import (
     iter_subsets,
     validate,
 )
-from .dp import DpPolicy, MerTable, dp_star, dp_step, mer_table, planned_total_value
+from .dp import DpPolicy, MerTable, dp_star, mer_table, planned_total_value
 from .env import (
     NO_PULL,
     CommittedPolicy,
@@ -51,7 +51,7 @@ from .learn import (
     explore_phase_step,
     relaxed_exploration_phases,
 )
-from .lmatch import LlcbPolicy, LmatchPlan, lmatch
+from .lmatch import LlcbPolicy, LmatchPlan
 from .matching import (
     Aggregate,
     Matching,
@@ -96,7 +96,6 @@ __all__ = [
     "doalg",
     "doalg_graph_reference",
     "dp_star",
-    "dp_step",
     "enumerate_phase_policies",
     "estimate",
     "exact_opt",
@@ -106,7 +105,6 @@ __all__ = [
     "iter_subsets",
     "lcb_policy_step",
     "lcb_star",
-    "lmatch",
     "mer_table",
     "planned_total_value",
     "recompute_expected_reward",

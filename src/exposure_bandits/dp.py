@@ -44,7 +44,6 @@ __all__ = [
     "table_cells",
     "largest_commitment",
     "mer_table",
-    "dp_step",
     "dp_star",
     "planned_total_value",
     "DpPolicy",
@@ -261,21 +260,6 @@ def _best_moves(table: MerTable, s, rows) -> np.ndarray:
     return acts
 
 
-def dp_step(table: MerTable, counts, u: int) -> int:
-    """Arm to pull now at within-phase counts over Z, by the rule of
-    :func:`_best_moves`.  Calling this on a sentinel state or an exhausted
-    phase raises ValueError.
-    """
-    rank = table.index_of(counts)
-    if table.values[rank] == -np.inf:
-        raise ValueError("dp_step called on an infeasible state")
-    s = sum(counts)
-    if s >= table.tau:
-        raise ValueError("phase already exhausted")
-    row = np.array([rank - table.starts[s]])
-    return table.Z[int(_best_moves(table, s, row)[0, u])]
-
-
 class DpPolicy(CommittedPolicy):
     """Round-by-round policy committing to the best subset up front.
 
@@ -304,20 +288,6 @@ class DpPolicy(CommittedPolicy):
         self._acts = acts
         self._starts = table.starts.tolist()
         self._arms = list(table.Z)
-        self._tau = instance.tau
-        self._pos = 0
-
-    def start(self, rng) -> None:
-        super().start(rng)
-        self._pos = 0
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        s = t % self._tau
-        if s == 0:
-            self._pos = 0
-        j = self._acts.item(self._starts[s] + self._pos, u)
-        self._pos = self.table.next.item(j, self._pos)
-        return self._arms[j]
 
     def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
         """Every phase's pulls, one vectorised table lookup per round of

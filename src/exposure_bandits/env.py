@@ -24,10 +24,7 @@ keeps them up to and including the first phase that ends with a
 departure, and asks again with the smaller viable set.  A learner asks
 for the rewards its pulls realize, on demand.  The range check, the
 dead-pull flags, the realized rewards and the live counts have this one
-implementation.  Every policy also keeps ``choose`` and ``feedback``,
-its round-by-round reference, which the tests drive and compare with
-``play_phases``; ``None`` from ``choose`` is the reference's decline,
-``NO_PULL`` in the pulls.
+implementation.
 
 One master seed splits into three independent streams (arrivals, reward
 noise, policy randomness), so changing the reward model never perturbs
@@ -111,18 +108,14 @@ class Policy:
       costs nothing unless called; a policy that does not learn ignores
       it.
 
-    It returns the ``(m', tau)`` pulls, ``1 <= m' <= m``, that
-    :meth:`choose` would make round by round in the first ``m'`` of
-    those phases if ``viable`` stayed fixed and :meth:`feedback` were
-    handed each round's reward (``NO_PULL`` where :meth:`choose`
-    returns ``None``, its decline).  The simulator keeps the pulls up
-    to and including the first phase that ends with a departure, and
-    calls again with the rest of the block, then with the next block.
-    A policy that learns from its rewards finds its state ahead of
-    ``past`` after such a cut and must bring it back to ``past``.
-    :meth:`choose` and :meth:`feedback` are the per-round reference:
-    the simulator never calls them, and the tests drive them round by
-    round to check :meth:`play_phases` against.
+    It returns the ``(m', tau)`` pulls, ``1 <= m' <= m``, of the first
+    ``m'`` of those phases, played as if ``viable`` stayed fixed
+    (``NO_PULL`` where the policy declines).  The simulator keeps the
+    pulls up to and including the first phase that ends with a
+    departure, and calls again with the rest of the block, then with
+    the next block.  A policy that learns from its rewards finds its
+    state ahead of ``past`` after such a cut and must bring it back to
+    ``past``.
     """
 
     bad_event_phases = ()
@@ -136,13 +129,6 @@ class Policy:
                     past: RunRecord, reward) -> np.ndarray:
         """The pulls of the first phases of ``arrivals`` (see above)."""
         raise NotImplementedError
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        """Return the arm to pull this round, or ``None`` for a no-op."""
-        raise NotImplementedError
-
-    def feedback(self, t: int, u: int, arm: int | None, value: float) -> None:
-        """Observe the realized reward of this round's pull."""
 
 
 class CommittedPolicy(Policy):
@@ -298,9 +284,7 @@ def run_episode(
     reward_mode: str = "expected",
 ) -> RunRecord:
     """Simulate ``instance.T`` rounds of ``policy`` against the instance,
-    in phase segments from ``policy.play_phases`` (see :class:`Policy`),
-    the only path; ``choose`` and ``feedback`` are the reference the
-    tests drive round by round.
+    in phase segments from ``policy.play_phases`` (see :class:`Policy`).
 
     Parameters
     ----------
@@ -314,8 +298,8 @@ def run_episode(
     ``observables`` do not describe ``instance``, and during it if the
     policy returns an arm outside ``[0, k)``; ``ResourceGuardError``
     before anything is allocated if the record and one block exceed
-    ``EPISODE_BYTE_CAP`` bytes.  Rounds with no pull (``NO_PULL``, the
-    reference's ``None``) yield 0.
+    ``EPISODE_BYTE_CAP`` bytes.  Rounds with no pull (``NO_PULL``)
+    yield 0.
     """
     if reward_mode not in REWARD_MODES:
         raise ValueError(f"reward_mode {reward_mode!r} not in {REWARD_MODES}")

@@ -26,7 +26,6 @@ included: the tie-break and the salvage have that one implementation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -444,7 +443,6 @@ class LcbPolicy(CommittedPolicy):
         """Replay ``segments``, which cover the instance's phases in order."""
         self.instance = instance
         self.segments = tuple(segments)
-        self._mu = [list(row) for row in instance.mu]
         # each segment's thresholds: those of the arms it keeps
         self._deltas = [
             [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)]
@@ -452,24 +450,11 @@ class LcbPolicy(CommittedPolicy):
         ]
         # the first phase index past each segment
         self._ends = list(accumulate(seg.phases for seg in self.segments))
-        self._tau = instance.tau
         self.bad_event_phases: list[int] = []
 
     def start(self, rng) -> None:
         super().start(rng)
         self.bad_event_phases = []
-        self._current = None
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        if t % self._tau == 0:
-            i = bisect_right(self._ends, t // self._tau)
-            self._current = LcbState(self.segments[i].matching.M, self._mu, self._deltas[i])
-        state = self._current
-        flagged = state.bad_event_flag
-        arm = lcb_policy_step(state, u)
-        if state.bad_event_flag and not flagged:
-            self.bad_event_phases.append(t // self._tau + 1)
-        return arm
 
     def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
         """The replay of phases ``first`` on, each of its segment's

@@ -264,8 +264,6 @@ class EesPolicy(Policy):
 
     def start(self, rng) -> None:
         self._rng = rng
-        self._phase = None  # the pulls of the current exploration phase
-        self._log = []  # (type, arm, reward) of each exploration round
         self.estimates = None
         self.planner = None
 
@@ -277,26 +275,6 @@ class EesPolicy(Policy):
             return []
         return [p + self.exploration_phases for p in self.planner.bad_event_phases]
 
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        o = self.observables
-        if t < self.T0:
-            r = t % o.tau
-            if r == 0:
-                # the quota schedule must have kept everything alive
-                if len(viable) != o.k:
-                    raise ContractError(
-                        f"an arm departed during exploration (round {t})"
-                    )
-                self._phase = self._explore_phases(1)[0].tolist()
-            return self._phase[r]
-        if self.planner is None:
-            self._finish_exploration()
-        return self.planner.choose(t - self.T0, u, viable)
-
-    def feedback(self, t: int, u: int, arm, value: float) -> None:
-        if t < self.T0:
-            self._log.append((u, arm, value))
-
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord, reward) -> np.ndarray:
         """The exploration phases up to the end of the block, then the
@@ -305,7 +283,7 @@ class EesPolicy(Policy):
         played = len(past.pulls)
         if played < self.T0:
             if len(viable) != o.k:
-                # where choose's check at the phase start fires
+                # the quota schedule must have kept everything alive
                 raise ContractError(
                     f"an arm departed during exploration (round {played})"
                 )
@@ -318,7 +296,7 @@ class EesPolicy(Policy):
     def _explore_phases(self, count: int) -> np.ndarray:
         """The next ``count`` exploration phases' pulls, one
         :func:`explore_phase_step` per round; the rule never reads the
-        arrival.  :meth:`choose` asks for one phase at a time."""
+        arrival."""
         o = self.observables
         pulls = []
         for _ in range(count):
@@ -328,16 +306,6 @@ class EesPolicy(Policy):
                 counts[a] += 1
                 pulls.append(a)
         return np.array(pulls, dtype=np.int16).reshape(-1, o.tau)
-
-    def _finish_exploration(self) -> None:
-        arrivals, pulls, rewards = map(np.array, zip(*self._log))
-        # estimate reads only the per-round arrays; no arm departs while
-        # exploring, so no pull is dead
-        self._plan(RunRecord(
-            arrivals=arrivals, pulls=pulls, realized_rewards=rewards,
-            expected_reward=math.nan, departure_events=[], seed=-1,
-            dead_pulls=np.zeros(self.T0, dtype=bool),
-        ))
 
     def _plan(self, record: RunRecord) -> None:
         """Estimate from the first T0 rounds of ``record`` and hand the
@@ -369,15 +337,9 @@ class MyopicPolicy(Policy):
             for u in range(instance.n)
         ]
 
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        for a in self._pref[u]:
-            if a in viable:
-                return a
-        return None
-
     def _lookup(self, viable: frozenset) -> np.ndarray:
-        """Each type's :meth:`choose` over ``viable``, ``NO_PULL`` for
-        a decline."""
+        """Each type's pull: the first arm of its preference order in
+        ``viable``, ``NO_PULL`` for a decline."""
         return np.array(
             [next((a for a in pref if a in viable), NO_PULL) for pref in self._pref],
             dtype=np.int16,
@@ -411,17 +373,8 @@ class BlindSubsidizePolicy(MyopicPolicy):
 
     def start(self, rng) -> None:
         self._cursor = 0
-        self._subsidies = []  # the subsidy prefix of the current phase
         self._starts = None  # cursor at each phase start of the last call
         self._first = 0  # the round the last call started at
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        r = t % self._tau
-        if r == 0:
-            self._subsidies = self._prefix(viable)
-        if r < len(self._subsidies):
-            return self._subsidies[r]
-        return super().choose(t, u, viable)
 
     def _prefix(self, viable: frozenset) -> list[int]:
         """The subsidy rounds of a phase that starts at the cursor: each
@@ -529,8 +482,8 @@ def _run_length(arms, sums, counts, nu: int, b: int, rewards: np.ndarray):
     realize ``rewards``, and ``b``'s reward sum after them.
 
     Every round's index comes from :func:`_indices`, ``b``'s sums from a
-    sequential running sum, which adds in the order :meth:`feedback`
-    does.  ``b`` is picked while its index beats every earlier arm's
+    sequential running sum, which adds in the order the scalar steps
+    do.  ``b`` is picked while its index beats every earlier arm's
     and ties or beats every later arm's; every arm has been pulled."""
     w = len(rewards)
     twolog = 2.0 * _logs(nu, w)
@@ -558,11 +511,12 @@ class GreedyBanditPolicy(Policy):
     Knows only the observables; learns from sampled feedback, including
     the zeros of dead pulls.  The index never reads the horizon.
 
-    On the segment path a type's state moves only at its own arrivals
-    and the viable set is fixed, so each type's rounds of a segment are
-    played on their own, in runs: scalar steps of :meth:`choose`'s
-    index until one arm has been picked ``RUN`` times in a row, then a
-    check of the type's next rounds at once (:func:`_run_length`), over
+    A type's state moves only at its own arrivals and the viable set is
+    fixed within a segment, so each type's rounds of a segment are
+    played on their own, in runs: scalar steps, each a
+    :func:`_ucb_pick` that adds its pull's reward to the arm's sum,
+    until one arm has been picked ``RUN`` times in a row, then a check
+    of the type's next rounds at once (:func:`_run_length`), over
     windows that double from ``WINDOW`` while that arm keeps winning,
     and scalar steps again from the first round it loses.  After a check
     that wins fewer than ``RUN`` rounds the next one waits for twice as
@@ -571,7 +525,7 @@ class GreedyBanditPolicy(Policy):
     as many, so a segment cut short by a departure wastes little.  After
     such a cut the state is ahead of the rounds kept, and it is rebuilt
     from ``past``: sums by a weighted count that adds in round order, as
-    :meth:`feedback` does, and counts of pulls and arrivals.
+    the scalar steps do, and counts of pulls and arrivals.
     """
 
     horizon_free = True
@@ -592,26 +546,8 @@ class GreedyBanditPolicy(Policy):
         self._sums = [[0.0] * k for _ in range(n)]
         self._counts = [[0] * k for _ in range(n)]
         self._type_rounds = [0] * n
-        self._viable = None
-        self._arms = []  # the viable set, sorted once per change
         self._played = 0  # the rounds the state covers
         self._rounds = self.FIRST_ROUNDS  # the rounds the next call plays at most
-
-    def choose(self, t: int, u: int, viable: frozenset) -> int | None:
-        if viable is not self._viable:
-            self._viable = viable
-            self._arms = sorted(viable)
-        if not viable:
-            return None
-        return _ucb_pick(self._arms, self._sums[u], self._counts[u],
-                         self._type_rounds[u] + 1)
-
-    def feedback(self, t: int, u: int, arm, value: float) -> None:
-        self._type_rounds[u] += 1
-        if arm is None:
-            return
-        self._sums[u][arm] += value
-        self._counts[u][arm] += 1
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord, reward) -> np.ndarray:
@@ -690,7 +626,7 @@ class GreedyBanditPolicy(Policy):
         return np.repeat(np.array(run_arms, dtype=np.int16), np.diff(run_ends, prepend=0))
 
     def _rebuild(self, past: RunRecord) -> None:
-        """The state after the rounds of ``past``, what :meth:`feedback`
+        """The state after the rounds of ``past``, what the scalar steps
         would have made of them."""
         n, k = self._n, self._k
         cell = _cells(past.arrivals, past.pulls, k)

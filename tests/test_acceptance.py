@@ -33,7 +33,6 @@ from exposure_bandits import (
     greedy_subset,
     iter_subsets,
     lcb_star,
-    lmatch,
     mer_table,
     planned_total_value,
     run_episode,
@@ -42,6 +41,7 @@ from exposure_bandits import (
 )
 from exposure_bandits.cli import main as cli_main, save_instance
 from exposure_bandits.learn import Observables
+from exposure_bandits.lmatch import lmatch
 from exposure_bandits.presets import (
     early_harvest,
     one_type_two_arms,

@@ -13,13 +13,12 @@ from exposure_bandits import (
     Instance,
     InfeasibleError,
     dp_star,
-    dp_step,
     iter_subsets,
     mer_table,
     planned_total_value,
     run_episode,
 )
-from exposure_bandits.dp import largest_commitment
+from exposure_bandits.dp import _best_moves, largest_commitment
 from conftest import make_instance, random_instance, tie_prone_instances
 
 
@@ -47,27 +46,27 @@ def test_state_count_respects_the_analytic_bound():
         assert table.state_count <= inst.tau * (inst.tau + m) ** (m - 1)
 
 
+def best_move(table, counts, u):
+    """The arm :func:`_best_moves` pulls at within-phase ``counts`` over Z."""
+    s = sum(counts)
+    row = np.array([table.index_of(counts) - table.starts[s]])
+    return table.Z[int(_best_moves(table, s, row)[0, u])]
+
+
 def test_dp_step_prefers_the_larger_deficit_on_ties():
     # both arms pay 1 to type 0; arm 1 is further from its threshold
     inst = make_instance(
         n=1, k=2, tau=6, phases=1, P=(1.0,), delta=(1, 3), mu=((1.0, 1.0),)
     )
     table = mer_table((0, 1), inst)
-    arm = dp_step(table, (0, 0), 0)
+    arm = best_move(table, (0, 0), 0)
     assert arm == 1
     # equal deficits: smaller index wins
     inst2 = make_instance(
         n=1, k=2, tau=6, phases=1, P=(1.0,), delta=(2, 2), mu=((1.0, 1.0),)
     )
-    arm2 = dp_step(mer_table((0, 1), inst2), (0, 0), 0)
+    arm2 = best_move(mer_table((0, 1), inst2), (0, 0), 0)
     assert arm2 == 0
-
-
-def test_dp_step_rejects_exhausted_phases():
-    inst = make_instance(tau=2, phases=1, delta=(1, 1))
-    table = mer_table((0, 1), inst)
-    with pytest.raises(ValueError):
-        dp_step(table, (1, 1), 0)
 
 
 def test_planner_subsidizes_when_the_phase_is_long_enough():
@@ -166,7 +165,7 @@ def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
             continue
         for u in range(inst.n):
             expected = _expected_pull(table, counts, u, inst.mu[u])
-            assert dp_step(table, counts, u) == expected
+            assert best_move(table, counts, u) == expected
 
     policy = DpPolicy(inst)
     rec = run_episode(inst, policy, 0)
@@ -175,7 +174,7 @@ def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
         counts = [0] * len(committed)
         for t in range(p * inst.tau, (p + 1) * inst.tau):
             arm = int(rec.pulls[t])
-            assert arm == dp_step(policy.table, counts, int(rec.arrivals[t]))
+            assert arm == best_move(policy.table, counts, int(rec.arrivals[t]))
             counts[committed.index(arm)] += 1
 
 
@@ -216,7 +215,7 @@ def _check_against_the_grid(inst):
         ranked = [float(table.values[table.index_of(c)]).hex() for c in states]
         assert ranked == [v.hex() for v in ref_values]
         for (c, u), j in ref_acts.items():
-            assert dp_step(table, c, u) == Z[j]
+            assert best_move(table, c, u) == Z[j]
     policy = DpPolicy(inst)
     table = policy.table
     _, _, ref_acts = _grid_reference(table.Z, inst)

@@ -22,8 +22,9 @@ from exposure_bandits import (
     run_episode,
     sample_arrivals,
 )
-from exposure_bandits import env
+from exposure_bandits import env, lcb
 from exposure_bandits.cli import ALGORITHMS, make_policy, policy_class
+from exposure_bandits.learn import GreedyBanditPolicy
 from exposure_bandits.presets import (
     early_harvest,
     subsidy_wasteful,
@@ -34,42 +35,15 @@ from conftest import IDENTITY2, make_instance, stepped_phases
 
 
 class RoundByRound(Policy):
-    """Plays each offered phase round by round through :meth:`choose` and
-    :meth:`feedback`: the per-round reference, on the segment contract.
-
-    Each call fetches the rewards of every viable arm over the rounds it
-    may play at once; an arm outside the viable set realizes 0 and a
-    decline realizes 0.  Given the instance's thresholds ``delta``, it
-    plays until the first phase in which a viable arm got fewer pulls
-    than its threshold, the phase the simulator cuts its segment after;
-    without them it plays one phase per call.
-    """
-
-    delta = None
+    """Plays the first offered phase round by round through
+    :meth:`choose`, which returns the arm of round ``t`` for an arriving
+    type ``u`` over the viable set, or ``None`` to decline: the driver of
+    the scripted test policies, on the segment contract."""
 
     def play_phases(self, arrivals, viable, past, reward):
-        if self.delta is None:
-            arrivals = arrivals[:1]
-        arms = sorted(viable)
-        fetched = reward(np.array(arms, dtype=np.intp)[:, None], np.arange(arrivals.size))
-        values = dict(zip(arms, fetched.tolist()))
-        bars = [(a, self.delta[a]) for a in arms if self.delta and self.delta[a]]
-        choose, feedback = self.choose, self.feedback
-        first = t = len(past.pulls)
-        pulls = []
-        for types in arrivals.tolist():
-            phase = []
-            for u in types:
-                a = choose(t, u, viable)
-                phase.append(NO_PULL if a is None else a)
-                # a declined, dead or out-of-range pull realizes 0 (the
-                # simulator then rejects an arm out of range)
-                feedback(t, u, a, values[a][t - first] if a in values else 0.0)
-                t += 1
-            pulls.append(phase)
-            if any(phase.count(a) < d for a, d in bars):
-                break
-        return np.array(pulls)
+        t = len(past.pulls)
+        picks = [self.choose(t + r, u, viable) for r, u in enumerate(arrivals[0].tolist())]
+        return np.array([[NO_PULL if a is None else a for a in picks]])
 
 
 class FixedArmPolicy(RoundByRound):
@@ -299,7 +273,7 @@ def test_baseline_keeps_arm_alive_only_if_it_wants_to():
     assert rec2.departure_events == []
 
 
-# -- play_phases against the round-by-round reference (the "loop") ----------
+# -- the fast paths against the package's scalar paths ----------------------
 
 # every algorithm id plays in phase segments, the bandit learner included;
 # a new id joins this harness, and fails it unless it has a segment path
@@ -309,29 +283,9 @@ REWARDS = [(mode, kind) for mode in ("expected", "sampled")
            for kind in ("bernoulli", "deterministic")]
 
 
-class LoopOnly(RoundByRound):
-    """Plays ``inner`` round by round through its ``choose`` and
-    ``feedback``, the reference its ``play_phases`` is checked against;
-    ``delta`` is the thresholds of the instance it plays."""
-
-    def __init__(self, inner, delta):
-        self.inner = inner
-        self.delta = delta
-        self.observables = inner.observables
-
-    def start(self, rng):
-        self.inner.start(rng)
-
-    def choose(self, t, u, viable):
-        return self.inner.choose(t, u, viable)
-
-    def feedback(self, t, u, arm, value):
-        self.inner.feedback(t, u, arm, value)
-
-
-def assert_same_record(segments, loop):
+def assert_same_record(record, reference):
     for f in fields(RunRecord):
-        a, b = getattr(segments, f.name), getattr(loop, f.name)
+        a, b = getattr(record, f.name), getattr(reference, f.name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, f.name
             assert np.array_equal(a, b), f.name
@@ -339,7 +293,7 @@ def assert_same_record(segments, loop):
             assert type(b) is float and a.hex() == b.hex(), f.name
         else:
             assert type(a) is type(b) and a == b, f.name
-    for event in segments.departure_events:
+    for event in record.departure_events:
         assert type(event) is tuple and all(type(x) is int for x in event)
 
 
@@ -357,18 +311,31 @@ def outcome(inst, policy, seed, mode):
         return type(exc), str(exc)
 
 
+def scalar_run(inst, policy, seed, mode):
+    """The :func:`outcome` of one episode on the package's scalar paths:
+    the LCB replay steps every phase through ``lcb_policy_step``, and
+    the bandit never checks a run, so each of its rounds is one
+    ``_ucb_pick`` step."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lcb, "_rank_replay",
+                  lambda Ms, mu, arrivals, out: np.zeros(len(arrivals), dtype=bool))
+        m.setattr(GreedyBanditPolicy, "RUN", inst.T + 1)
+        return outcome(inst, policy, seed, mode)
+
+
 def run_both(inst, policy, seed, mode):
-    """The segment and the round-by-round record of one episode, checked
-    equal, and the segment run's fallback phases (checked equal too)."""
-    segments = outcome(inst, policy, seed, mode)
+    """The record of one episode and the one :func:`scalar_run` plays,
+    checked equal, and the first run's fallback phases (checked equal
+    too)."""
+    fast = outcome(inst, policy, seed, mode)
     seen = reported(policy)
-    loop = outcome(inst, LoopOnly(policy, inst.delta), seed, mode)
-    if isinstance(segments, RunRecord):
-        assert_same_record(segments, loop)
+    scalar = scalar_run(inst, policy, seed, mode)
+    if isinstance(fast, RunRecord):
+        assert_same_record(fast, scalar)
     else:
-        assert segments == loop
+        assert fast == scalar
     assert seen == reported(policy)
-    return segments, seen[0]
+    return fast, seen[0]
 
 
 def indifferent_type(T):
@@ -441,11 +408,15 @@ def test_one_short_phase_among_clean_ones_steps_alone(preset, monkeypatch):
     inst = preset(T=100 * 50)
     policy = LcbPolicy(inst)
     assert [sum(row) for row in policy.template.M[:2]] == [28, 28]
-    rec, fallbacks = run_both(inst, policy, 643, "expected")
+    rec = run_episode(inst, policy, 643, reward_mode="expected")
+    fallbacks = policy.bad_event_phases
+    # the scalar run below steps every phase
+    assert stepped == [1]
+    assert_same_record(rec, scalar_run(inst, policy, 643, "expected"))
+    assert policy.bad_event_phases == fallbacks
     counts = np.stack([(rec.arrivals.reshape(50, 100) == u).sum(axis=1) for u in (0, 1)], 1)
     assert np.flatnonzero((counts < 28).any(axis=1)).tolist() == [28]
     assert fallbacks == [29]
-    assert stepped == [1]
 
 
 @pytest.mark.parametrize("preset", [symmetric_tight, subsidy_worthwhile, subsidy_wasteful])
@@ -502,8 +473,8 @@ def test_segments_resume_after_a_departure(algo, k, tau, delta, departures):
 
 def test_the_exploration_contract_breaks_where_the_loop_breaks_it():
     # the quota schedule keeps every arm alive, so a departure during
-    # exploration is a broken contract: choose raises at the start of
-    # the next phase, the segment path at the call that would play it
+    # exploration is a broken contract: the call that would play the
+    # next phase raises (test_learn covers a departure before round 0)
     inst = make_instance(tau=100, phases=100, delta=(10, 60))
     tau = inst.tau
     arrivals = np.zeros((inst.phases, tau), dtype=np.int16)
@@ -518,8 +489,6 @@ def test_the_exploration_contract_breaks_where_the_loop_breaks_it():
             if played < T0:
                 with pytest.raises(ContractError, match=rf"\(round {played}\)$"):
                     policy.play_phases(rest, frozenset({0}), past, no_reward)
-                with pytest.raises(ContractError, match=rf"\(round {played}\)$"):
-                    policy.choose(played, 0, frozenset({0}))
             else:
                 assert len(policy.play_phases(rest, frozenset({0}), past, no_reward)) == len(rest)
                 assert policy.estimates is not None
@@ -540,7 +509,7 @@ def no_reward(arm, rounds):
     raise AssertionError("the policy read a reward")
 
 
-class StubbornPhases(Policy):
+class StubbornRounds(RoundByRound):
     """Phase 1 serves arm 0 only; later phases cycle through the arms by
     round and type, departed or not, and every fifth round declines."""
 
@@ -551,6 +520,10 @@ class StubbornPhases(Policy):
         if t % 5 == 4:
             return None
         return 0 if t < self.tau else (t + u) % self.k
+
+
+class StubbornPhases(StubbornRounds):
+    """:class:`StubbornRounds`' pulls, every offered phase at once."""
 
     def play_phases(self, arrivals, viable, past, reward):
         t = np.arange(arrivals.size).reshape(arrivals.shape) + past.pulls.size
@@ -563,7 +536,9 @@ def test_batched_dead_pulls_match_the_loop(mode, kind):
     inst = make_instance(n=2, k=3, tau=10, phases=30, delta=(2, 3, 2),
                          mu=((0.7, 0.1, 0.4), (0.2, 0.6, 0.9)), reward_kind=kind)
     for seed in range(4):
-        rec, _ = run_both(inst, StubbornPhases(inst.k, inst.tau), seed, mode)
+        rec = run_episode(inst, StubbornPhases(inst.k, inst.tau), seed, reward_mode=mode)
+        assert_same_record(rec, run_episode(inst, StubbornRounds(inst.k, inst.tau), seed,
+                                            reward_mode=mode))
         assert rec.departure_events[:2] == [(1, 1), (1, 2)]
         assert rec.dead_pulls.any()
         assert (rec.pulls == NO_PULL).any()
@@ -571,11 +546,9 @@ def test_batched_dead_pulls_match_the_loop(mode, kind):
 
 def test_batched_path_rejects_arms_outside_the_instance():
     inst = make_instance(tau=10, phases=2)
-    policy = StubbornPhases(3, inst.tau)
-    with pytest.raises(ValueError):
-        run_episode(inst, policy, 0)
-    with pytest.raises(ValueError):
-        run_episode(inst, LoopOnly(policy, inst.delta), 0)
+    for policy in (StubbornPhases(3, inst.tau), StubbornRounds(3, inst.tau)):
+        with pytest.raises(ValueError):
+            run_episode(inst, policy, 0)
 
 
 @st.composite

@@ -34,7 +34,7 @@ from exposure_bandits.core import gamma_from_parts
 from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy, GreedyBanditPolicy
 from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
 from conftest import make_instance
-from test_env import LoopOnly, assert_same_record
+from test_env import assert_same_record, no_reward, past_of, scalar_run
 
 
 G_EX2 = gamma_from_parts((10, 60), 100, 2)  # quota 40
@@ -348,8 +348,9 @@ def test_a_departure_during_exploration_breaks_the_contract():
     inst = make_instance(tau=100, phases=100, delta=(10, 60))
     policy = EesPolicy(Observables.from_instance(inst))
     policy.start(np.random.default_rng(0))
+    arrivals = np.zeros((inst.phases, inst.tau), dtype=np.int16)
     with pytest.raises(ContractError):
-        policy.choose(0, 0, frozenset({0}))
+        policy.play_phases(arrivals, frozenset({0}), past_of(0), no_reward)
 
 
 def test_subsidizing_blind_keeps_the_deterministic_ceiling():
@@ -402,6 +403,15 @@ def test_the_blind_prefix_is_the_per_round_subsidy_walk(data):
     assert policy._prefix(viable) == arms
     assert policy._cursor == after
     assert len(arms) == min(tau, sum(delta[a] for a in viable))
+
+
+def test_each_blind_phase_subsidises_from_where_the_last_left_the_cursor():
+    # thresholds (2, 1): from cursor 0 a phase subsidises arms 0, 1, 0
+    # and leaves the cursor at 1, from where each later phase
+    # subsidises 1, 0, 0
+    inst = make_instance(tau=10, phases=6, delta=(2, 1), mu=((0.9, 0.2), (0.1, 0.8)))
+    rec = run_episode(inst, BlindSubsidizePolicy(inst), 0, reward_mode="expected")
+    assert rec.pulls.reshape(6, 10)[:, :3].tolist() == [[0, 1, 0]] + [[1, 0, 0]] * 5
 
 
 def test_never_subsidizing_loses_the_subsidy_arm():
@@ -459,14 +469,17 @@ def test_the_bandit_plays_its_runs_as_the_loop_plays_its_rounds(
     # the policy's segments short; the knobs put checks, reward fetches
     # and calls at every boundary
     policy = GreedyBanditPolicy(Observables.from_instance(inst))
-    policy.RUN, policy.WINDOW, policy.FETCH, policy.FIRST_ROUNDS = run, window, fetch, first
     with pytest.MonkeyPatch.context() as m:
         if block is not None:
             m.setattr(env, "BLOCK_ROUNDS", block * inst.tau)
-        segments = run_episode(inst, policy, seed, mode)
+        steps = scalar_run(inst, policy, seed, mode)
         state = bandit_state(policy)
-        loop = run_episode(inst, LoopOnly(policy, inst.delta), seed, mode)
-    assert_same_record(segments, loop)
+        policy.RUN, policy.WINDOW, policy.FETCH, policy.FIRST_ROUNDS = run, window, fetch, first
+        runs = run_episode(inst, policy, seed, mode)
+    assert_same_record(runs, steps)
+    assert state == bandit_state(policy)
+    # the state a cut rebuilds from the record is the one the steps reach
+    policy._rebuild(steps)
     assert state == bandit_state(policy)
 
 
@@ -485,10 +498,11 @@ def test_the_bandit_rebuilds_after_a_cut_and_declines_with_no_arm_left(monkeypat
         rebuilt.clear()
         rec = run_episode(inst, policy, 5, mode)
         state = bandit_state(policy)
-        assert_same_record(rec, run_episode(inst, LoopOnly(policy, inst.delta), 5, mode))
+        # the scalar run below is cut and rebuilds too
+        assert rebuilt == [inst.tau]
+        assert_same_record(rec, scalar_run(inst, policy, 5, mode))
         assert state == bandit_state(policy)
         assert rec.departure_events == [(1, 0), (1, 1), (1, 2)]
-        assert rebuilt == [inst.tau]
         assert (rec.pulls[inst.tau:] == NO_PULL).all()
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import itertools
 import math
 import tracemalloc
@@ -20,11 +19,11 @@ from exposure_bandits import (
     brute_matching,
     doalg,
     lcb_star,
-    lmatch,
     planned_total_value,
     run_episode,
 )
 from exposure_bandits.env import BLOCK_BYTES, RECORD_BYTES
+from exposure_bandits.lmatch import lmatch
 from exposure_bandits.presets import early_harvest, subsidy_worthwhile
 from conftest import make_instance, random_instance, tie_prone_instances
 
@@ -256,9 +255,8 @@ def test_a_plan_as_long_as_the_longest_episode_is_read(monkeypatch):
     plan = LlcbPolicy(early_harvest(tau=200, phases=6)).plan
     longer = LlcbPolicy(early_harvest(tau=200, phases=7)).plan
     chain, total = plan.chain, plan.total_value
-    # the package exports the function lmatch under the module's name
-    module = importlib.import_module("exposure_bandits.lmatch")
-    monkeypatch.setattr(module, "EPISODE_BYTE_CAP", BLOCK_BYTES + 6 * RECORD_BYTES)
+    monkeypatch.setattr("exposure_bandits.lmatch.EPISODE_BYTE_CAP",
+                        BLOCK_BYTES + 6 * RECORD_BYTES)
     assert plan.chain == chain and plan.total_value.hex() == total.hex()
     for read in ("chain", "total_value"):
         with pytest.raises(ResourceGuardError):
@@ -290,7 +288,7 @@ def test_policy_outearns_the_static_template_on_average():
 
 
 def test_the_round_by_round_loop_finds_each_phase_segment():
-    from test_env import LoopOnly, assert_same_record
+    from test_env import assert_same_record, scalar_run
 
     inst = early_harvest(tau=200, phases=6)
     policy = LlcbPolicy(inst)
@@ -298,6 +296,5 @@ def test_the_round_by_round_loop_finds_each_phase_segment():
     for seed in range(2):
         batched = run_episode(inst, policy, seed, reward_mode="expected")
         fallbacks = policy.bad_event_phases
-        loop = run_episode(inst, LoopOnly(policy, inst.delta), seed, reward_mode="expected")
-        assert_same_record(batched, loop)
+        assert_same_record(batched, scalar_run(inst, policy, seed, "expected"))
         assert fallbacks == policy.bad_event_phases

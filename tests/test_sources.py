@@ -62,15 +62,18 @@ def leaves_to_subclasses(cls) -> bool:
                for f in vars(cls).values())
 
 
-def test_every_policy_of_the_package_plays_segments_and_keeps_its_reference():
-    # the simulator plays only play_phases; choose is the per-round
-    # reference the tests check it against, so every policy needs both
-    found, stack = [], list(Policy.__subclasses__())
+def test_every_policy_of_the_package_plays_segments_and_nothing_else():
+    # the simulator plays only play_phases; the tests check each fast
+    # path against the package's own scalar paths, so no policy keeps a
+    # round-by-round copy (choose, feedback) of its play
+    found, stack = [], [Policy]
     while stack:
         cls = stack.pop()
         stack += cls.__subclasses__()
-        if cls.__module__.startswith("exposure_bandits.") and not leaves_to_subclasses(cls):
+        if not cls.__module__.startswith("exposure_bandits."):
+            continue
+        assert not {"choose", "feedback"} & set(vars(cls)), cls
+        if not leaves_to_subclasses(cls):
             found.append(cls.__name__)
             assert cls.play_phases is not Policy.play_phases, cls
-            assert cls.choose is not Policy.choose, cls
     assert {"DpPolicy", "LcbPolicy", "LlcbPolicy", "EesPolicy", "GreedyBanditPolicy"} <= set(found)

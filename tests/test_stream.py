@@ -23,7 +23,7 @@ from exposure_bandits import (
 from exposure_bandits.cli import ALGORITHMS, main, make_policy, save_instance
 from exposure_bandits.learn import GreedyBanditPolicy
 from exposure_bandits.presets import subsidy_worthwhile, symmetric_tight
-from test_env import LoopOnly, assert_same_record, outcome, reported
+from test_env import assert_same_record, outcome, reported, scalar_run
 
 NOISY_MU = ((0.9, 0.2), (0.1, 0.8))
 
@@ -108,19 +108,19 @@ def block_cases(algo):
     return cases
 
 
-def play(inst, path, policy, seed, mode):
-    """The record of ``policy`` run on ``path`` (itself, or its loop
-    wrapper), or what was raised, and what the policy reports."""
-    return outcome(inst, path, seed, mode), reported(policy)
+def play(run, inst, policy, seed, mode):
+    """The record of ``policy`` played by ``run`` (:func:`outcome`, or
+    :func:`scalar_run` on the scalar paths), or what was raised, and
+    what the policy reports."""
+    return run(inst, policy, seed, mode), reported(policy)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_the_block_size_never_moves_a_record(algo, monkeypatch):
     for inst, seed, modes in block_cases(algo):
         policy = make_policy(algo, inst)
-        paths = [policy, LoopOnly(policy, inst.delta)]
         for mode in modes:
-            want, seen = play(inst, policy, policy, seed, mode)
+            want, seen = play(outcome, inst, policy, seed, mode)
             assert isinstance(want, RunRecord)
             if inst.tau == 4 and "lcb" in algo:
                 assert seen[0] == [393, 1291]
@@ -128,8 +128,8 @@ def test_the_block_size_never_moves_a_record(algo, monkeypatch):
                 with monkeypatch.context() as m:
                     if phases is not None:
                         m.setattr(env, "BLOCK_ROUNDS", phases * inst.tau)
-                    for path in paths:
-                        got, got_seen = play(inst, path, policy, seed, mode)
+                    for run in (outcome, scalar_run):
+                        got, got_seen = play(run, inst, policy, seed, mode)
                         assert_same_record(got, want)
                         assert got_seen == seen
 
