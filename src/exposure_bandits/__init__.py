@@ -41,7 +41,6 @@ from .lcb import (
     subset_value_oracle,
 )
 from .learn import (
-    EesConfig,
     EesPolicy,
     Estimates,
     baseline_policy,
@@ -69,7 +68,6 @@ __all__ = [
     "CommittedPolicy",
     "ContractError",
     "DpPolicy",
-    "EesConfig",
     "EesPolicy",
     "Estimates",
     "GammaResult",

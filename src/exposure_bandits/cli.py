@@ -45,34 +45,36 @@ from .core import (
 )
 from .dp import DpPolicy, dp_star, planned_total_value
 from .env import Policy, recompute_expected_reward, run_episode
-from .lcb import LcbPolicy, lcb_star
-from .learn import (
-    BASELINES,
-    PLANNERS,
-    EesConfig,
-    EesPolicy,
-    Observables,
-    baseline_policy,
-)
+from .lcb import AlcbPolicy, LcbPolicy, lcb_star
+from .learn import BASELINES, EesPolicy, Observables, baseline_policy
+from .lmatch import LlcbPolicy
 from .matching import build_lcb_aggregate
 
 __all__ = ["main", "entry", "load_instance", "save_instance", "make_policy", "policy_class"]
 
-# algorithm id -> library kind: a key of learn.PLANNERS or learn.BASELINES.
-# "ees-<planner id>" explores, estimates, then plans with that planner.
-KINDS = {
-    "dp-star": "dp_star",
-    "lcb-star": "lcb_star",
-    "a-lcb-star": "alcb_star",
-    "l-lcb": "llcb",
+# planner id -> the planner; "ees-<planner id>" explores, estimates,
+# then hands the rest of the horizon to that planner
+PLANNERS = {
+    "dp-star": DpPolicy,
+    "lcb-star": LcbPolicy,
+    "a-lcb-star": AlcbPolicy,
+    "l-lcb": LlcbPolicy,
+}
+# baseline id -> its kind in learn.BASELINES
+BASELINE_KINDS = {
     "myopic": "myopic",
     "never-subsidize": "never_subsidize",
     "blind": "blind_subsidize",
     "greedy-bandit": "greedy_bandit",
 }
-ALGORITHMS = tuple(KINDS) + tuple(
-    f"ees-{algo}" for algo, kind in KINDS.items() if kind in PLANNERS
-)
+# algorithm id -> (the class of the policy it builds, and what besides the
+# instance it is built with: its planner for a learner, its kind for a baseline)
+POLICIES = {
+    **{algo: (cls, None) for algo, cls in PLANNERS.items()},
+    **{algo: (BASELINES[kind], kind) for algo, kind in BASELINE_KINDS.items()},
+    **{f"ees-{algo}": (EesPolicy, cls) for algo, cls in PLANNERS.items()},
+}
+ALGORITHMS = tuple(POLICIES)
 
 _INT_KEYS = ("n", "k", "tau", "T", "seed")
 _LIST_KEYS = ("P", "delta", "mu")
@@ -150,27 +152,28 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _entry(algo: str) -> tuple:
+    if algo not in POLICIES:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    return POLICIES[algo]
+
+
 def policy_class(algo: str) -> type[Policy]:
     """The class of the policy :func:`make_policy` builds for an
-    algorithm id (see ``KINDS``)."""
-    if algo.startswith("ees-") and KINDS.get(algo[4:]) in PLANNERS:
-        return EesPolicy
-    kind = KINDS.get(algo)
-    if kind is None:
-        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
-    return PLANNERS[kind] if kind in PLANNERS else BASELINES[kind]
+    algorithm id: a planner, a baseline or ``EesPolicy`` (see
+    ``POLICIES``)."""
+    return _entry(algo)[0]
 
 
 def make_policy(algo: str, instance: Instance, explore_override: int | None = None) -> Policy:
-    """Build the policy for an algorithm id (see ``KINDS``)."""
-    cls = policy_class(algo)
+    """Build the policy for an algorithm id (see ``POLICIES``); only a
+    learner reads ``explore_override``, its exploration phases."""
+    cls, arg = _entry(algo)
     if cls is EesPolicy:
-        config = EesConfig(sso=KINDS[algo[4:]], exploration_phases=explore_override)
-        return EesPolicy(Observables.from_instance(instance), config)
-    kind = KINDS[algo]
-    if kind in PLANNERS:
-        return cls(instance)
-    return baseline_policy(kind, instance)
+        return EesPolicy(Observables.from_instance(instance), arg, explore_override)
+    if arg is not None:
+        return baseline_policy(arg, instance)
+    return cls(instance)
 
 
 def _reward_mode(mode: str, policy: Policy) -> str:
@@ -305,9 +308,7 @@ def cmd_experiment(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     if not algos:
         raise ValueError("no algorithms given")
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+    horizon_free = {algo: policy_class(algo).horizon_free for algo in algos}
     if args.sweep:
         sweep = [int(x) for x in args.sweep.replace(",", " ").split()]
         if not sweep:
@@ -327,7 +328,7 @@ def cmd_experiment(args) -> int:
     groups = [
         (group, algo, seeds, args.reward_mode, args.explore_override)
         for algo in sorted(set(algos))
-        for group in ([horizons] if policy_class(algo).horizon_free
+        for group in ([horizons] if horizon_free[algo]
                       else [[h] for h in horizons])
     ]
     # a worker past one per group would have nothing to run
@@ -414,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, algo_default=None, algo_help="algorithm id"):
+    def common(sp, algo_default=None, algo_help=f"one of {ALGORITHMS}"):
         sp.add_argument("--instance", required=True, help="instance file path")
         if algo_default is not None:
             sp.add_argument("--algo", default=algo_default, help=algo_help)
@@ -428,12 +429,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exploration phases for ees-* algorithms")
 
     sp = sub.add_parser("solve", help="plan on a known instance")
-    common(sp, algo_default="dp-star",
-           algo_help=f"one of {tuple(KINDS)}")
+    common(sp, algo_default="dp-star")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("learn", help="run a learning policy")
-    common(sp, algo_default="ees-dp-star", algo_help=f"one of {ALGORITHMS}")
+    common(sp, algo_default="ees-dp-star")
     sp.set_defaults(func=cmd_learn)
 
     sp = sub.add_parser("experiment", help="sweep cells into a CSV")

@@ -30,14 +30,12 @@ from .core import (
 )
 from .dp import DpPolicy, largest_commitment, table_cells
 from .env import NO_PULL, Policy, RunRecord, _cells, _live_counts
-from .lcb import AlcbPolicy, LcbPolicy
+from .lcb import LcbPolicy
 from .lmatch import LlcbPolicy, plan_pairs
 
 __all__ = [
     "Observables",
     "Estimates",
-    "EesConfig",
-    "PLANNERS",
     "default_exploration_phases",
     "relaxed_exploration_phases",
     "explore_phase_step",
@@ -53,14 +51,6 @@ __all__ = [
 ]
 
 UNOBSERVED_MU = 0.5  # the utility estimate of a cell exploration never observed
-
-# planner kind -> the planner the learner hands the horizon to
-PLANNERS = {
-    "dp_star": DpPolicy,
-    "lcb_star": LcbPolicy,
-    "alcb_star": AlcbPolicy,
-    "llcb": LlcbPolicy,
-}
 
 
 @dataclass
@@ -78,24 +68,6 @@ class Estimates:
     observation_counts: tuple[tuple[int, ...], ...]
     eps1: tuple[float, ...] | None = None
     eps2: float | None = None
-
-
-@dataclass(frozen=True)
-class EesConfig:
-    """Knobs of the meta-policy.
-
-    exploration_phases overrides the schedule directly; budget_fn, when
-    given, selects the relaxed long-phase schedule instead of the
-    default ceil(T^(2/3) / (gamma*tau)).
-    """
-
-    sso: str = "dp_star"
-    exploration_phases: int | None = None
-    budget_fn: object = None  # callable tau -> exploration budget f(tau)
-
-    def __post_init__(self):
-        if self.sso not in PLANNERS:
-            raise ValueError(f"sso must be one of {tuple(PLANNERS)}")
 
 
 def _icbrt(x: int) -> int:
@@ -126,12 +98,13 @@ def default_exploration_phases(T: int, gamma: GammaResult) -> int:
     return _icbrt(T * T) // g + 1
 
 
-def relaxed_exploration_phases(T: int, tau: int, budget_fn) -> int:
-    """Long-phase schedule: ceil((tau/f(tau))^(1/3) * T^(2/3) / tau)."""
-    f = budget_fn(tau)
-    if f <= 0:
+def relaxed_exploration_phases(T: int, tau: int, f) -> int:
+    """Long-phase schedule: ceil((tau/f(tau))^(1/3) * T^(2/3) / tau),
+    for an exploration budget ``f``, a callable of tau."""
+    budget = f(tau)
+    if budget <= 0:
         raise ValueError("exploration budget must be positive")
-    return math.ceil((tau / f) ** (1 / 3) * T ** (2 / 3) / tau)
+    return math.ceil((tau / budget) ** (1 / 3) * T ** (2 / 3) / tau)
 
 
 def explore_phase_step(counts, gamma: GammaResult, delta, rng) -> int:
@@ -217,48 +190,50 @@ def concentration_radii(instance: Instance, estimates: Estimates) -> Estimates:
 
 
 class EesPolicy(Policy):
-    """Explore in whole phases, estimate, then follow a planner.
+    """Explore in whole phases, estimate, then hand the rest of the
+    horizon to ``planner``, a planner class, built on the estimates.
 
-    Construction fails if no positive quota exists (the exploration
-    schedule relies on it to keep every arm viable), and with
-    ResourceGuardError if the dp_star planner's largest table, the
-    subsets it and lcb_star search, or the llcb planner's subset pairs
-    would exceed their cap, rather than after exploring.  The length of
-    exploration grows with the horizon, so the play depends on it.
+    ``exploration_phases`` overrides the default schedule; pass
+    ``relaxed_exploration_phases(T, tau, f)`` for the long-phase one.
+    Construction fails with ValueError for fewer than one phase, with
+    InfeasibleError if no positive quota exists (the exploration
+    schedule relies on it to keep every arm viable) or exploration
+    fills the horizon, and with ResourceGuardError if the DpPolicy
+    planner's largest table, the subsets it and LcbPolicy search, or the
+    LlcbPolicy planner's subset pairs would exceed their cap, rather
+    than after exploring.  The length of exploration grows with the
+    horizon, so the play depends on it.
     """
 
     horizon_free = False
 
-    def __init__(self, observables: Observables, config: EesConfig = EesConfig()):
-        self.observables = observables
-        self.config = config
-        self.gamma = gamma_from_parts(
-            observables.delta, observables.tau, observables.k
-        )
+    def __init__(self, observables: Observables, planner: type[Policy] = DpPolicy,
+                 exploration_phases: int | None = None):
+        o = self.observables = observables
+        self.planner_class = planner
+        if exploration_phases is not None and exploration_phases < 1:
+            raise ValueError(f"exploration needs at least one phase, not {exploration_phases}")
+        self.gamma = gamma_from_parts(o.delta, o.tau, o.k)
         if not self.gamma.feasible or self.gamma.quota <= 0:
             raise InfeasibleError(
                 "exploration requires a positive feasibility margin"
             )
-        if config.exploration_phases is not None:
-            phases = config.exploration_phases
-        elif config.budget_fn is not None:
-            phases = relaxed_exploration_phases(
-                observables.T, observables.tau, config.budget_fn
-            )
-        else:
-            phases = default_exploration_phases(observables.T, self.gamma)
+        phases = exploration_phases
+        if phases is None:
+            phases = default_exploration_phases(o.T, self.gamma)
         self.exploration_phases = phases
-        self.T0 = phases * observables.tau
-        if not 0 < self.T0 < observables.T:
+        self.T0 = phases * o.tau
+        if self.T0 >= o.T:
             raise InfeasibleError(
                 f"exploration of {phases} phases does not fit the horizon"
             )
-        if config.sso == "dp_star":
-            table_cells(observables.tau, largest_commitment(observables.delta, observables.tau))
-        if config.sso in ("dp_star", "lcb_star"):
-            subset_count(observables.k)
-        elif config.sso == "llcb":
-            plan_pairs(observables.k)
+        # by identity: AlcbPolicy subclasses LcbPolicy but searches no subset family
+        if planner is DpPolicy:
+            table_cells(o.tau, largest_commitment(o.delta, o.tau))
+        if planner in (DpPolicy, LcbPolicy):
+            subset_count(o.k)
+        elif planner is LlcbPolicy:
+            plan_pairs(o.k)
         self.estimates: Estimates | None = None
         self.planner: Policy | None = None
 
@@ -312,7 +287,7 @@ class EesPolicy(Policy):
         rest of the horizon to the planner built on the estimates."""
         o = self.observables
         self.estimates = estimate(record, self.T0, o.n, o.k)
-        self.planner = PLANNERS[self.config.sso](Instance(
+        self.planner = self.planner_class(Instance(
             n=o.n,
             k=o.k,
             tau=o.tau,
@@ -647,22 +622,13 @@ BASELINES = {
 }
 
 
-def baseline_policy(kind: str, instance: Instance | None = None,
-                    observables: Observables | None = None) -> Policy:
-    """Factory for the threshold-oblivious baselines.
-
-    The informed baselines need the instance; the bandit baseline needs
-    only observables (pass either; observables are derived if missing).
-    """
+def baseline_policy(kind: str, instance: Instance) -> Policy:
+    """The threshold-oblivious baseline of ``kind`` (a key of
+    ``BASELINES``) on ``instance``; the bandit is given only the
+    instance's observables."""
     if kind not in BASELINES:
         raise ValueError(f"kind must be one of {tuple(BASELINES)}")
     cls = BASELINES[kind]
     if cls is GreedyBanditPolicy:
-        if observables is None:
-            if instance is None:
-                raise ValueError("greedy_bandit needs observables")
-            observables = Observables.from_instance(instance)
-        return cls(observables)
-    if instance is None:
-        raise ValueError(f"{kind} needs the instance")
+        return cls(Observables.from_instance(instance))
     return cls(instance)

@@ -15,7 +15,8 @@ import exposure_bandits
 from exposure_bandits import Instance, presets, run_episode
 from exposure_bandits.cli import (
     ALGORITHMS,
-    KINDS,
+    BASELINE_KINDS,
+    PLANNERS,
     load_instance,
     main,
     make_policy,
@@ -148,9 +149,27 @@ def test_match_and_oracle_subcommands(tiny_path, capsys):
     assert "exact optimum:" in out
 
 
-def test_unknown_algorithm_is_a_config_error(tiny_path):
+def test_unknown_algorithm_is_a_config_error(tiny_path, capsys):
     path, _ = tiny_path
     assert main(["solve", "--instance", str(path), "--algo", "magic"]) == 2
+    assert main(["experiment", "--instance", str(path), "--algo", "lcb-star,magic"]) == 2
+    want = f"error: unknown algorithm 'magic'; choose from {ALGORITHMS}\n"
+    assert capsys.readouterr().err == 2 * want
+
+
+@pytest.mark.parametrize("phases", ["0", "-2"])
+def test_a_non_positive_explore_override_is_a_config_error(phases, capsys):
+    path = INSTANCES / "subsidy_worthwhile.txt"
+    argv = ["learn", "--instance", str(path), "--seeds", "1", "--explore-override", phases]
+    assert main(argv) == 2
+    assert "at least one phase" in capsys.readouterr().err
+
+
+def test_solve_lists_every_id_it_accepts(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert f"one of {ALGORITHMS}" in capsys.readouterr().out
 
 
 def test_missing_file_is_a_config_error():
@@ -407,7 +426,7 @@ BAD_ENTRIES = ("nan", "inf", "-inf", "0", "-0.5", "1", "0.5", "40.5", "100", "1e
                "1e400", "100000000000000")
 # every command a user can run on an instance file, each with one seed
 COMMANDS = (
-    [["solve", "--algo", algo] for algo in KINDS]
+    [["solve", "--algo", algo] for algo in (*PLANNERS, *BASELINE_KINDS)]
     + [[cmd, "--algo", algo] for cmd in ("learn", "experiment") for algo in ALGORITHMS]
     + [["match"], ["gamma"]]
 )

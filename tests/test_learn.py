@@ -10,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from exposure_bandits import (
     NO_PULL,
     ContractError,
+    AlcbPolicy,
     DpPolicy,
-    EesConfig,
     EesPolicy,
     Estimates,
     InfeasibleError,
     Instance,
+    LcbPolicy,
     LlcbPolicy,
     Observables,
     ResourceGuardError,
@@ -96,7 +97,7 @@ def test_exploration_pulls_fill_the_largest_gap_first():
 def test_estimates_recover_the_truth_on_clean_data():
     inst = make_instance(tau=100, phases=100, delta=(10, 60),
                          reward_kind="deterministic")
-    policy = EesPolicy(Observables.from_instance(inst), EesConfig(sso="lcb_star"))
+    policy = EesPolicy(Observables.from_instance(inst), LcbPolicy)
     rec = run_episode(inst, policy, 9, reward_mode="sampled")
     est = policy.estimates
     assert est.T0 == policy.T0
@@ -241,32 +242,37 @@ def test_exploration_keeps_every_arm_alive():
 
 def test_explicit_phase_override_is_respected():
     inst = make_instance(tau=100, phases=200, delta=(10, 60))
-    policy = EesPolicy(Observables.from_instance(inst),
-                       EesConfig(exploration_phases=7))
+    policy = EesPolicy(Observables.from_instance(inst), exploration_phases=7)
     assert policy.exploration_phases == 7
     assert policy.T0 == 700
+
+
+@pytest.mark.parametrize("phases", [0, -2])
+def test_a_non_positive_phase_override_is_a_value_error(phases):
+    # a config error, not an exploration that does not fit the horizon
+    inst = make_instance(tau=100, phases=200, delta=(10, 60))
+    with pytest.raises(ValueError, match="at least one phase"):
+        EesPolicy(Observables.from_instance(inst), exploration_phases=phases)
 
 
 def test_zero_quota_instances_cannot_explore():
     # one arm eats the whole phase: no uniform quota fits alongside it
     obs = Observables(n=1, k=2, tau=4, T=400, delta=(4, 0))
     with pytest.raises(InfeasibleError):
-        EesPolicy(obs, EesConfig())
+        EesPolicy(obs)
 
 
 def test_learning_needs_room_to_exploit():
     inst = make_instance(tau=100, phases=2, delta=(10, 60))
     with pytest.raises(InfeasibleError):
-        EesPolicy(Observables.from_instance(inst),
-                  EesConfig(exploration_phases=2))
+        EesPolicy(Observables.from_instance(inst), exploration_phases=2)
 
 
 def test_ees_dp_star_plans_and_plays_four_arms_at_tau_100():
     # the plan over all four arms spans C(104, 4) = 4,598,126 states,
     # under the cap: it is built after exploring and then played
     inst = make_instance(n=4, k=4, tau=100, phases=5, delta=(10, 10, 10, 10))
-    policy = EesPolicy(Observables.from_instance(inst),
-                       EesConfig(sso="dp_star", exploration_phases=3))
+    policy = EesPolicy(Observables.from_instance(inst), DpPolicy, exploration_phases=3)
     rec = run_episode(inst, policy, 0, reward_mode="sampled")
     assert policy.planner.Z == frozenset(range(4))
     assert policy.planner.table.values.size == 4_598_126
@@ -281,8 +287,8 @@ def test_an_oversized_dp_star_plan_still_fails_before_exploring():
     # cap; refuse them at construction, not after exploring
     obs = Observables(n=5, k=5, tau=100, T=200_000, delta=(10,) * 5)
     with pytest.raises(ResourceGuardError):
-        EesPolicy(obs, EesConfig(sso="dp_star"))
-    EesPolicy(obs, EesConfig(sso="lcb_star"))  # no table, no guard
+        EesPolicy(obs, DpPolicy)
+    EesPolicy(obs, LcbPolicy)  # no table, no guard
     with pytest.raises(ResourceGuardError):
         DpPolicy(make_instance(n=5, k=5, tau=100, phases=2, delta=(10,) * 5))
 
@@ -292,7 +298,7 @@ def test_an_llcb_plan_over_any_horizon_builds_and_plays():
     # not grow with them, so the learner builds, and so does the planner
     inst = make_instance(n=4, k=4, tau=100, phases=20_000, delta=(10, 10, 10, 10),
                          P=(0.4, 0.3, 0.2, 0.1))
-    policy = EesPolicy(Observables.from_instance(inst), EesConfig(sso="llcb"))
+    policy = EesPolicy(Observables.from_instance(inst), LlcbPolicy)
     assert policy.T0 == 63_500
     planner = LlcbPolicy(replace(inst, T=inst.T - policy.T0))
     assert len(planner.plan.chain) == 19_366
@@ -311,8 +317,8 @@ def test_an_oversized_llcb_plan_still_fails_before_exploring():
     # at construction, not at T0
     obs = Observables(n=2, k=13, tau=100, T=200_000, delta=(5,) * 13)
     with pytest.raises(ResourceGuardError):
-        EesPolicy(obs, EesConfig(sso="llcb"))
-    EesPolicy(obs, EesConfig(sso="lcb_star"))  # no plan, no guard
+        EesPolicy(obs, LlcbPolicy)
+    EesPolicy(obs, LcbPolicy)  # no plan, no guard
     with pytest.raises(ResourceGuardError):
         LlcbPolicy(make_instance(n=2, k=13, tau=100, phases=2, delta=(5,) * 13))
 
@@ -321,11 +327,12 @@ def test_an_oversized_subset_search_still_fails_before_exploring():
     # 17 arms exceed the subset cap of the exhaustive searches; refuse
     # them at construction, not at T0=68,400
     obs = Observables(n=2, k=17, tau=100, T=200_000, delta=(0,) * 17)
-    for sso in ("lcb_star", "dp_star"):
+    for planner in (LcbPolicy, DpPolicy):
         with pytest.raises(ResourceGuardError):
-            EesPolicy(obs, EesConfig(sso=sso))
-    # the greedy tries no subset family, so it has no cap
-    assert EesPolicy(obs, EesConfig(sso="alcb_star")).T0 == 68_400
+            EesPolicy(obs, planner)
+    # the greedy tries no subset family, so it has no cap, although its
+    # class derives from LcbPolicy's
+    assert EesPolicy(obs, AlcbPolicy).T0 == 68_400
 
 
 def test_a_budget_selects_the_relaxed_exploration_schedule():
@@ -334,9 +341,10 @@ def test_a_budget_selects_the_relaxed_exploration_schedule():
     def half_a_phase(tau):
         return tau / 2
 
-    policy = EesPolicy(Observables.from_instance(inst), EesConfig(budget_fn=half_a_phase))
-    assert policy.exploration_phases == relaxed_exploration_phases(
-        inst.T, inst.tau, half_a_phase) == 28
+    phases = relaxed_exploration_phases(inst.T, inst.tau, half_a_phase)
+    assert phases == 28
+    policy = EesPolicy(Observables.from_instance(inst), exploration_phases=phases)
+    assert policy.exploration_phases == 28
     rec = run_episode(inst, policy, 0, reward_mode="sampled")
     assert policy.estimates.T0 == policy.T0 == 2_800
     # the planner takes the rest of the horizon after the long block
@@ -424,8 +432,9 @@ def test_never_subsidizing_loses_the_subsidy_arm():
 
 def test_greedy_bandit_runs_on_observables_alone():
     inst = make_instance(tau=100, phases=10, delta=(10, 60))
-    gb = baseline_policy("greedy_bandit",
-                         observables=Observables.from_instance(inst))
+    gb = GreedyBanditPolicy(Observables.from_instance(inst))
+    # the factory hands the bandit only the instance's observables
+    assert baseline_policy("greedy_bandit", inst).observables == gb.observables
     assert gb.observables is not None
     rec = run_episode(inst, gb, 0, reward_mode="sampled")
     assert rec.expected_reward > 0

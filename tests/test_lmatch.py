@@ -18,11 +18,13 @@ from exposure_bandits import (
     build_lcb_aggregate,
     brute_matching,
     doalg,
+    lcb_policy_step,
     lcb_star,
     planned_total_value,
     run_episode,
 )
 from exposure_bandits.env import BLOCK_BYTES, RECORD_BYTES
+from exposure_bandits.lcb import LcbState
 from exposure_bandits.lmatch import lmatch
 from exposure_bandits.presets import early_harvest, subsidy_worthwhile
 from conftest import make_instance, random_instance, tie_prone_instances
@@ -298,3 +300,25 @@ def test_the_round_by_round_loop_finds_each_phase_segment():
         fallbacks = policy.bad_event_phases
         assert_same_record(batched, scalar_run(inst, policy, seed, "expected"))
         assert fallbacks == policy.bad_event_phases
+
+
+def test_each_segment_breaks_ties_by_the_thresholds_of_the_arms_it_keeps():
+    # type 1 values both arms alike; the plan keeps both arms for four
+    # phases, then only arm 0 for one: there arm 1's threshold no longer
+    # binds, so type 1's ties go to arm 0 while arm 0 is short of its own
+    inst = make_instance(tau=100, phases=6, P=(0.25, 0.75), delta=(17, 47),
+                         mu=((0.8, 0.1), (0.3, 0.3)))
+    policy = LlcbPolicy(inst)
+    assert [(s.phases, s.kept) for s in policy.segments] == [
+        (4, {0, 1}), (1, {0}), (1, set())]
+    rows = policy.segments[1].matching.M
+    assert rows[1] == (14, 39)  # type 1's row spans both arms
+
+    def replay(arrivals, deltas):
+        state = LcbState(rows, inst.mu, deltas)
+        return [lcb_policy_step(state, u) for u in arrivals]
+
+    for seed in range(2):
+        rec = run_episode(inst, policy, seed, reward_mode="expected")
+        arrivals, pulls = (a[400:500].tolist() for a in (rec.arrivals, rec.pulls))
+        assert pulls == replay(arrivals, [17, 0]) != replay(arrivals, [17, 47])

@@ -11,9 +11,9 @@ from dataclasses import replace
 import pytest
 
 from exposure_bandits import (
-    EesConfig,
     EesPolicy,
     Instance,
+    LcbPolicy,
     Observables,
     ResourceGuardError,
     RunRecord,
@@ -197,7 +197,7 @@ def test_a_learner_is_refused_an_instance_its_observables_do_not_describe(
     if learner == "greedy-bandit":
         policy = GreedyBanditPolicy(observables)
     else:
-        policy = EesPolicy(observables, EesConfig(sso="lcb_star"))
+        policy = EesPolicy(observables, LcbPolicy)
     started = []
     monkeypatch.setattr(policy, "start", started.append)
     with pytest.raises(ValueError, match="does not describe"):
