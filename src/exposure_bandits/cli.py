@@ -415,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, algo_default=None, algo_help=f"one of {ALGORITHMS}"):
+    def common(sp, algo_default=None, algo_help=f"one of {ALGORITHMS}",
+               override_help="exploration phases; only for an ees-* algorithm"):
         sp.add_argument("--instance", required=True, help="instance file path")
         if algo_default is not None:
             sp.add_argument("--algo", default=algo_default, help=algo_help)
@@ -426,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reward-mode", default="auto",
                         choices=["auto", "expected", "sampled"])
         sp.add_argument("--explore-override", type=int, default=None,
-                        help="exploration phases for ees-* algorithms")
+                        help=override_help)
 
     sp = sub.add_parser("solve", help="plan on a known instance")
     common(sp, algo_default="dp-star")
@@ -438,7 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="sweep cells into a CSV")
     common(sp, algo_default="ees-dp-star,never-subsidize",
-           algo_help="comma-separated algorithm ids")
+           algo_help="comma-separated algorithm ids",
+           override_help="exploration phases of the ees-* ids in the list; "
+                         "the others ignore it")
     sp.add_argument("--sweep", default=None,
                     help="comma-separated horizon values (default: file T)")
     sp.add_argument("--benchmark", default="pico",
@@ -470,6 +473,11 @@ def main(argv=None) -> int:
             raise ValueError("--seeds must be at least 1")
         if getattr(args, "workers", 1) < 1:
             raise ValueError("--workers must be at least 1")
+        override = getattr(args, "explore_override", None)
+        if override is not None and override < 1:
+            raise ValueError("--explore-override: exploration needs at least one phase")
+        if override and args.command != "experiment" and policy_class(args.algo) is not EesPolicy:
+            raise ValueError(f"--explore-override applies only to the ees-* ids, not {args.algo!r}")
         return args.func(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -311,16 +311,15 @@ def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
     A subset whose thresholds sum to more than tau is infeasible and is
     never evaluated; every single arm fits, since each threshold is at
     most tau.  ``evaluate(Z)`` returns ``(value, payload)`` for the
-    others, and ``bound(Z)`` is a cheap upper bound on that value.
-    Subsets are tried in decreasing order of their bound, and the walk
-    stops at the first whose bound is below
-    ``best - 1e-9 * max(1, |best|)``: that subset and every later one is
-    worth at most its bound, so none could match the incumbent, and the
-    margin is far wider than the rounding in either number.  The winner
-    is the subset of greatest value, ties going to the earliest in
-    :func:`iter_subsets` order, with its payload: what trying every
-    subset gives.  Returns ``(Z, payload)``; raises ResourceGuardError
-    for more than SUBSET_ARM_CAP arms (:func:`subset_count`).
+    others, and ``bound(Z)`` is an upper bound on that value in the
+    numbers compared, with no margin.  The winner is the subset of
+    greatest value, ties going to the earliest in :func:`iter_subsets`
+    order: the greatest (value, -index).  Subsets are tried in
+    decreasing (bound, -index) order, and the walk stops at the first
+    below the incumbent's (value, -index): that subset and every later
+    one can at most tie it, and come after it.  So the result is what
+    trying every subset gives.  Returns ``(Z, payload)``; raises
+    ResourceGuardError for more than SUBSET_ARM_CAP arms.
     """
     subset_count(instance.k)
     subsets = [
@@ -328,13 +327,11 @@ def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
         if sum(instance.delta[a] for a in Z) <= instance.tau
     ]
     bounds = [bound(Z) for Z in subsets]
-    best = None
-    # a stable sort: equal bounds keep the iter_subsets order
-    for i in sorted(range(len(subsets)), key=bounds.__getitem__, reverse=True):
-        if best is not None and bounds[i] < floor:
+    best = None  # the incumbent's (value, -index), and its payload
+    for i in sorted(range(len(subsets)), key=lambda i: (bounds[i], -i), reverse=True):
+        if best is not None and (bounds[i], -i) < best[0]:
             break
         value, payload = evaluate(subsets[i])
-        if best is None or value > best_value or (value == best_value and i < best[0]):
-            best, best_value = (i, payload), value
-            floor = value - 1e-9 * max(1.0, abs(value))
-    return subsets[best[0]], best[1]
+        if best is None or (value, -i) > best[0]:
+            best = (value, -i), payload
+    return subsets[-best[0][1]], best[1]

@@ -310,19 +310,21 @@ def dp_star(instance: Instance):
     Ties break toward smaller cardinality, then lexicographically (the
     enumeration order).  The search is
     :func:`~exposure_bandits.core.best_subset` with the bound
-    tau * sum_u P_u * max_{a in Z} mu[u][a]: no phase policy earns more
-    than the best arm of Z for each arriving type, so a subset whose
-    bound falls below the best root found is never tabled, and the
-    result is that of trying every subset.  Raises ResourceGuardError up
-    front when the table of the largest feasible commitment (see
-    :func:`largest_commitment`) exceeds the cap.
+    b = tau * sum_u P_u * max_{a in Z} mu[u][a]: no phase policy earns
+    more than the best arm of Z for each arriving type.  The table is in
+    floats, so the bound is b + 1e-9 * max(1, |b|), a margin far wider
+    than the rounding in either number, and the result is that of trying
+    every subset.  Raises
+    ResourceGuardError up front when the table of the largest feasible
+    commitment (see :func:`largest_commitment`) exceeds the cap.
     """
     tau = instance.tau
     table_cells(tau, largest_commitment(instance.delta, tau))
     weighted = list(zip(instance.P, instance.mu))
 
     def bound(Z):
-        return tau * sum(p * max(row[a] for a in Z) for p, row in weighted)
+        b = tau * sum(p * max(row[a] for a in Z) for p, row in weighted)
+        return b + 1e-9 * max(1.0, abs(b))
 
     def evaluate(Z):
         table = mer_table(Z, instance)

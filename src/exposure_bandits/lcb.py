@@ -39,7 +39,7 @@ from .core import (
     best_subset,
 )
 from .env import CommittedPolicy
-from .matching import Matching, _mu_eff, build_lcb_aggregate, doalg
+from .matching import Matching, _mu_eff, _scaled, build_lcb_aggregate, doalg
 
 __all__ = [
     "PlanSegment",
@@ -343,22 +343,23 @@ def lcb_star(instance: Instance):
 
     Returns (Z*, template matching); ties prefer smaller subsets, then
     lexicographic order.  The search is
-    :func:`~exposure_bandits.core.best_subset` with the bound
+    :func:`~exposure_bandits.core.best_subset` over the matchings' exact
+    integer values (``Matching.exact``), with the bound
     sum_r counts[r] * max_{a in Z} mu_eff[r][a] over the aggregate's rows
-    (the slack row earns 0): every pull of a row goes to some arm of Z,
-    so no matching committed to Z is worth more, a subset whose bound
-    falls below the best value found is never solved, and the result is
-    that of solving every subset.
+    (the slack row earns 0), on the same scale: every pull of a row goes
+    to some arm of Z, so no matching committed to Z is worth more, a
+    subset that can at most tie one tried before is never solved, and
+    the result is that of solving every subset.
     """
     aggregate = build_lcb_aggregate(instance.P, instance.tau)
-    weighted = list(zip(aggregate.counts, _mu_eff(aggregate, instance)))
+    weighted = list(zip(aggregate.counts, _scaled(_mu_eff(aggregate, instance))[1]))
 
     def bound(Z):
         return sum(c * max(row[a] for a in Z) for c, row in weighted)
 
     def evaluate(Z):
         m = doalg(aggregate, frozenset(Z), frozenset(Z), instance)
-        return m.value, m
+        return m.exact, m
 
     Z, m = best_subset(instance, bound, evaluate)
     return frozenset(Z), m

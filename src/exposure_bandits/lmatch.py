@@ -20,8 +20,8 @@ at m is therefore worth
 
 where T_h(D, m) is the best h-hop path through D to m, a longest path
 in the subset DAG.  The table T costs O(k 4^k) additions and nothing
-grows with N; values are compared exactly, as integers at the values'
-common binary scale.
+grows with N; values are compared exactly, as the matchings' integer
+sums (``Matching.exact``), which share the aggregate's one scale.
 
 The plan is the one an exact DP over the phases picks.  It ends at the
 empty set: keeping fewer arms never lowers a phase's value, so the last
@@ -35,8 +35,8 @@ run of self-loops.  The plan holds only these segments, so nothing
 its construction keeps grows with N either; ``chain`` and
 ``total_value`` are derived from them, phase by phase, when read, and
 refused for a plan longer than any episode the simulator accepts.
-``total_value`` is the left-to-right float sum of the phase values,
-the number the per-phase DP reports.
+``total_value`` is the exact sum of the phase values, correctly
+rounded.
 
 The online policy is the committed policy's replay
 (:class:`~exposure_bandits.lcb.LcbPolicy`) over the plan's segments
@@ -47,8 +47,6 @@ the arms the segment keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     ContractError,
@@ -104,10 +102,9 @@ class LmatchPlan:
 
     @property
     def total_value(self) -> float:
-        """The phase values added one phase at a time, as the per-phase
-        DP does: accumulate is sequential (sum would add pairwise)."""
-        values = np.repeat([s.matching.value for s in self.segments], self._phases())
-        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+        """The exact sum of the phase values, correctly rounded."""
+        exact = sum(c * s.matching.exact for s, c in zip(self.segments, self._phases()))
+        return exact / self.segments[0].matching.scale
 
     @property
     def chain(self) -> tuple[frozenset, ...]:
@@ -157,14 +154,8 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
                     f"value below keeping them all"
                 )
 
-    # exact phase values: integers at the values' common binary scale
-    ratios = {
-        pair: hit.value.as_integer_ratio()
-        for pair, hit in match.items()
-        if hit is not NEG_INF
-    }
-    scale = max((q for _, q in ratios.values()), default=1)
-    w = {pair: p * (scale // q) for pair, (p, q) in ratios.items()}
+    # exact phase values, all on the aggregate's one integer scale
+    w = {pair: hit.exact for pair, hit in match.items() if hit is not NEG_INF}
 
     # T[D, m][h]: best h-hop walk through D to m, starting at any set;
     # supersets first, so every set a walk leaves is done before the

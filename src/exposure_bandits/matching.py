@@ -73,27 +73,36 @@ class Matching:
     """Result of :func:`doalg`: M[row][arm] pulls of each arm by each
     aggregate row (slack row last when present).
 
-    ``value`` is the exact utility sum; ``pull_column_sums`` holds the
-    pulls per arm: at least its threshold for a committed arm, 0 for an
-    arm outside the allowed set.
+    ``exact`` is the utility sum, an integer on the utilities' one scale
+    ``scale`` (:func:`_scaled`), and ``value`` that sum correctly rounded;
+    ``pull_column_sums`` holds the pulls per arm: at least its threshold
+    for a committed arm, 0 for an arm outside the allowed set.
     """
 
     M: tuple[tuple[int, ...], ...]
-    value: float
+    exact: int
+    scale: int
     pull_column_sums: tuple[int, ...]
+
+    @property
+    def value(self) -> float:
+        return self.exact / self.scale  # int / int rounds correctly
 
     @staticmethod
     def from_matrix(M, mu_eff) -> "Matching":
         rows = tuple(tuple(int(x) for x in row) for row in M)
-        k = len(rows[0]) if rows else 0
-        cols = tuple(sum(row[a] for row in rows) for a in range(k))
-        value = math.fsum(
-            rows[r][a] * mu_eff[r][a]
-            for r in range(len(rows))
-            for a in range(k)
-            if rows[r][a]
-        )
-        return Matching(M=rows, value=value, pull_column_sums=cols)
+        cols = tuple(map(sum, zip(*rows)))
+        scale, weights = _scaled(mu_eff)
+        exact = sum(m * w for row, w_row in zip(rows, weights) for m, w in zip(row, w_row))
+        return Matching(M=rows, exact=exact, scale=scale, pull_column_sums=cols)
+
+
+def _scaled(mu_eff) -> tuple[int, list[list[int]]]:
+    """(scale, the rows as integers): every float is p/q, q a power of
+    two, the scale is the largest q, and p/q becomes p * (scale // q)."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in mu_eff]
+    scale = max((q for row in ratios for _, q in row), default=1)
+    return scale, [[p * (scale // q) for p, q in row] for row in ratios]
 
 
 def build_lcb_aggregate(P, tau: int) -> Aggregate:
@@ -155,11 +164,7 @@ def doalg(
     if sum(instance.delta[a] for a in committed) > tau:
         return NEG_INF
     if not allowed:
-        return NEG_INF if tau > 0 else Matching(
-            M=tuple(() for _ in aggregate.counts),
-            value=0.0,
-            pull_column_sums=(),
-        )
+        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), [])
 
     mu_eff = _mu_eff(aggregate, instance)
     arms = sorted(allowed)
@@ -320,11 +325,7 @@ def doalg_graph_reference(
     if sum(instance.delta[a] for a in arms) > tau:
         return NEG_INF
     if not arms:
-        return NEG_INF if tau > 0 else Matching(
-            M=tuple(() for _ in aggregate.counts),
-            value=0.0,
-            pull_column_sums=(),
-        )
+        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), [])
 
     from scipy.optimize import linear_sum_assignment
 

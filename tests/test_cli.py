@@ -165,6 +165,41 @@ def test_a_non_positive_explore_override_is_a_config_error(phases, capsys):
     assert "at least one phase" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, algo", [
+    ("solve", "lcb-star"), ("solve", "ees-lcb-star"), ("learn", "myopic"),
+    ("learn", "ees-lcb-star"), ("experiment", "lcb-star"), ("experiment", "myopic,ees-dp-star"),
+])
+def test_a_negative_explore_override_exits_two_whatever_the_id(command, algo, capsys):
+    path = INSTANCES / "subsidy_worthwhile.txt"
+    argv = [command, "--instance", str(path), "--algo", algo, "--seeds", "1",
+            "--explore-override", "-5"]
+    assert main(argv) == 2
+    assert "--explore-override" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "learn"])
+@pytest.mark.parametrize("algo", ["dp-star", "l-lcb", "never-subsidize", "greedy-bandit"])
+def test_an_explore_override_for_a_non_learner_is_a_config_error(command, algo, capsys):
+    path = INSTANCES / "subsidy_worthwhile.txt"
+    argv = [command, "--instance", str(path), "--algo", algo, "--seeds", "1",
+            "--explore-override", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --explore-override applies only to the ees-* ids, not {algo!r}\n"
+
+
+def test_experiment_hands_the_explore_override_to_its_ees_ids_alone(capsys, monkeypatch):
+    path = INSTANCES / "subsidy_worthwhile.txt"
+    argv = ["experiment", "--instance", str(path), "--algo", "lcb-star,ees-lcb-star",
+            "--seeds", "1", "--explore-override", "3"]
+    assert main(argv) == 0
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    assert "exploration phases of the ees-* ids in the list" in capsys.readouterr().out
+
+
 def test_solve_lists_every_id_it_accepts(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # one line per option
     with pytest.raises(SystemExit):

@@ -183,6 +183,17 @@ def test_best_subset_gives_ties_to_the_earliest_subset():
     assert tried == [(1,), (0, 1), (0,)]
 
 
+def test_best_subset_never_solves_a_later_subset_that_can_only_tie():
+    # after {1}, worth 1, the bound 1 of {0} and {0, 1} allows at most a
+    # tie: {0} comes before {1} in iter_subsets order, so it is evaluated
+    # and takes the tie; {0, 1} comes after {0}, so it never is
+    values = {(0,): 1, (1,): 1, (0, 1): 1}
+    bounds = {(0,): 1, (1,): 3, (0, 1): 1}
+    tried = []
+    assert _search(TWO_FREE_ARMS, values, bounds, tried)[0] == (0,)
+    assert tried == [(1,), (0,)]
+
+
 def test_best_subset_never_tries_thresholds_that_overflow_the_phase():
     inst = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(3, 3))
     tried = []

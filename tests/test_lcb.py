@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from exposure_bandits import (
     AlcbPolicy,
     Instance,
     LcbPolicy,
+    LlcbPolicy,
     build_lcb_aggregate,
     doalg,
     greedy_subset,
@@ -117,6 +119,37 @@ def test_adaptive_policy_solves_each_queried_commitment_once(monkeypatch):
     assert len(solves) == policy.trace.oracle_call_count
     assert policy.template == doalg(build_lcb_aggregate(inst.P, inst.tau),
                                     policy.Z, policy.Z, inst)
+
+
+def test_lcb_star_solves_one_subset_when_the_slack_covers_every_extra_floor(monkeypatch):
+    # the slack row, worth 0 to every arm, pays the floors of any arms
+    # added to the winner, so every such superset ties it; exact values
+    # let the bound settle each of those ties without a solve
+    solves = []
+    original = lcb.doalg
+    monkeypatch.setattr(lcb, "doalg", lambda *args: solves.append(args[1]) or original(*args))
+    rng = np.random.default_rng(5)
+    mu = tuple(tuple(float(v) for v in rng.random(10)) for _ in range(4))
+    inst = Instance(n=4, k=10, tau=400, T=4000, P=(0.25,) * 4, delta=(20,) * 10, mu=mu)
+    Z, _ = lcb_star(inst)
+    assert solves == [Z]
+
+
+def test_ties_prefer_smaller_subsets_on_exact_values():
+    # {1} and {1, 3} are both worth exactly 18 * 0.8: the type's 18
+    # floored pulls all on arm 1, or 14 there and 4 on arm 3, also worth
+    # 0.8; added as rounded products, 14 * 0.8 + 4 * 0.8 came out one ulp
+    # above 18 * 0.8 and the larger set won
+    inst = Instance(n=1, k=4, tau=28, T=140, P=(1.0,), delta=(0, 1, 2, 4),
+                    mu=((0.5, 0.8, 0.3, 0.8),))
+    Z, template = lcb_star(inst)
+    assert Z == {1}
+    assert template.M == ((0, 18, 0, 0), (0, 10, 0, 0))
+    assert Fraction(template.exact, template.scale) == 18 * Fraction(0.8)
+    assert AlcbPolicy(inst).Z == {1}
+    plan = LlcbPolicy(inst).plan
+    assert [(s.phases, s.available, s.kept) for s in plan.segments] == [
+        (4, {1}, {1}), (1, {1}, set())]
 
 
 def test_greedy_stays_within_its_call_budget():

@@ -13,7 +13,9 @@ from exposure_bandits import (
     NEG_INF,
     Aggregate,
     InfeasibleError,
+    LcbPolicy,
     LlcbPolicy,
+    PlanSegment,
     ResourceGuardError,
     build_lcb_aggregate,
     brute_matching,
@@ -83,8 +85,9 @@ def per_phase_plan(instance, aggregate):
     surviving set after phase i is Z (any set may be available in phase
     1); each phase maximizes over the available sets Z1 ⊇ Z in order of
     size, then mask, keeping the first best.  The final set is the best,
-    ties to the fewest arms, then the lowest mask.  Returns the chain,
-    the per-phase matchings and the value, summed phase by phase.
+    ties to the fewest arms, then the lowest mask.  Values are added
+    exactly, as the matchings' integer sums.  Returns the chain, the
+    per-phase matchings and the value, rounded once.
     """
     k, N = instance.k, instance.phases
     full = (1 << k) - 1
@@ -99,7 +102,7 @@ def per_phase_plan(instance, aggregate):
             cache[m1, m2] = doalg(aggregate, arms(m1), arms(m2), instance)
         return cache[m1, m2]
 
-    r = [[0.0] * (full + 1)] + [[NEG_INF] * (full + 1) for _ in range(N)]
+    r = [[0] * (full + 1)] + [[NEG_INF] * (full + 1) for _ in range(N)]
     bp = [[-1] * (full + 1) for _ in range(N + 1)]
     for i in range(1, N + 1):
         for m2 in range(full + 1):
@@ -109,14 +112,14 @@ def per_phase_plan(instance, aggregate):
                 match = solve(m1, m2)
                 if prev is NEG_INF or match is NEG_INF:
                     continue
-                v = match.value + prev
+                v = match.exact + prev
                 if best is NEG_INF or v > best:
                     best, best_m1 = v, m1
             r[i][m2], bp[i][m2] = best, best_m1
     final = max(
         range(full + 1),
         key=lambda m: (r[N][m] is not NEG_INF,
-                       r[N][m] if r[N][m] is not NEG_INF else 0.0,
+                       r[N][m] if r[N][m] is not NEG_INF else 0,
                        -bin(m).count("1"), -m),
     )
     if r[N][final] is NEG_INF:
@@ -126,7 +129,7 @@ def per_phase_plan(instance, aggregate):
         masks.append(bp[i][masks[-1]])
     masks.reverse()
     matchings = tuple(solve(masks[i], masks[i + 1]) for i in range(N))
-    return tuple(arms(m) for m in masks), matchings, r[N][final]
+    return tuple(arms(m) for m in masks), matchings, r[N][final] / matchings[0].scale
 
 
 def phase_matchings(plan) -> tuple:
@@ -144,7 +147,7 @@ def assert_same_plan(inst, agg):
     plan = lmatch(inst, agg)
     assert plan.chain == chain
     assert phase_matchings(plan) == matchings
-    # bit-equal, not approximately equal: the same sum in the same order
+    # bit-equal, not approximately equal: the same exact sum, rounded once
     assert plan.total_value.hex() == total.hex()
     assert len(plan.segments) <= 2 * inst.k + 1
 
@@ -279,8 +282,6 @@ def test_policy_follows_the_plan_without_losing_planned_arms():
 def test_policy_outearns_the_static_template_on_average():
     inst = early_harvest(tau=200, phases=4)
     policy = LlcbPolicy(inst)
-    from exposure_bandits import LcbPolicy
-
     static = LcbPolicy(inst)
     a = [run_episode(inst, policy, s, reward_mode="expected").expected_reward
          for s in range(10)]
@@ -303,22 +304,25 @@ def test_the_round_by_round_loop_finds_each_phase_segment():
 
 
 def test_each_segment_breaks_ties_by_the_thresholds_of_the_arms_it_keeps():
-    # type 1 values both arms alike; the plan keeps both arms for four
-    # phases, then only arm 0 for one: there arm 1's threshold no longer
-    # binds, so type 1's ties go to arm 0 while arm 0 is short of its own
+    # type 1 values both arms alike; a plan, built by hand, keeps both
+    # arms for five phases, then only arm 0 for the last: there arm 1's
+    # threshold no longer binds, so type 1's ties go to arm 0 while arm 0
+    # is short of its own
     inst = make_instance(tau=100, phases=6, P=(0.25, 0.75), delta=(17, 47),
                          mu=((0.8, 0.1), (0.3, 0.3)))
-    policy = LlcbPolicy(inst)
-    assert [(s.phases, s.kept) for s in policy.segments] == [
-        (4, {0, 1}), (1, {0}), (1, set())]
-    rows = policy.segments[1].matching.M
-    assert rows[1] == (14, 39)  # type 1's row spans both arms
+    agg = build_lcb_aggregate(inst.P, inst.tau)
+    both, first = frozenset({0, 1}), frozenset({0})
+    last = doalg(agg, both, first, inst)
+    policy = LcbPolicy(inst)
+    policy._commit(inst, [PlanSegment(5, doalg(agg, both, both, inst), both, both),
+                          PlanSegment(1, last, both, first)])
+    assert last.M[1] == (14, 39)  # type 1's row spans both arms
 
     def replay(arrivals, deltas):
-        state = LcbState(rows, inst.mu, deltas)
+        state = LcbState(last.M, inst.mu, deltas)
         return [lcb_policy_step(state, u) for u in arrivals]
 
     for seed in range(2):
         rec = run_episode(inst, policy, seed, reward_mode="expected")
-        arrivals, pulls = (a[400:500].tolist() for a in (rec.arrivals, rec.pulls))
+        arrivals, pulls = (a[500:].tolist() for a in (rec.arrivals, rec.pulls))
         assert pulls == replay(arrivals, [17, 0]) != replay(arrivals, [17, 47])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,6 +318,30 @@ def test_doalg_matches_the_dict_flow_solve_on_tie_prone_aggregates(inst, data):
     allowed = frozenset(a for a in arms if data.draw(st.booleans()))
     committed = frozenset(a for a in allowed if data.draw(st.booleans()))
     assert_same_matching(agg, allowed, committed, inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 1080))
+def test_a_matching_value_is_its_exact_sum_correctly_rounded(data, j):
+    # full-mantissa utilities scaled by 2^-j, down through the subnormals,
+    # and counts large enough that the products round
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    tau = data.draw(st.integers(3, 400))
+    utility = st.floats(0.0, 1.0).map(lambda v: math.ldexp(v, -j))
+    mu = [data.draw(st.lists(utility, min_size=k, max_size=k)) for _ in range(n)]
+    inst = make_instance(n=n, k=k, tau=tau, phases=1, mu=mu)
+    counts, left = [], tau
+    for _ in range(n):
+        counts.append(data.draw(st.integers(0, left)))
+        left -= counts[-1]
+    agg = Aggregate(counts=(*counts, left), has_slack=True)
+    allowed = frozenset(a for a in range(k) if data.draw(st.booleans())) or frozenset({0})
+    m = doalg(agg, allowed, frozenset(), inst)
+    exact = sum(Fraction(c) * Fraction(v)
+                for row, mu_row in zip(m.M, _mu_eff(agg, inst))
+                for c, v in zip(row, mu_row))
+    assert Fraction(m.exact, m.scale) == exact
+    assert m.value == float(exact)
 
 
 def value_of(matching) -> float:

@@ -114,3 +114,16 @@ def test_algorithm_ids_and_planners_are_named_in_one_place():
     assert found == []
     in_cli = {value for _, value in string_constants(SOURCES[0].parent / "cli.py")}
     assert {"dp-star", "l-lcb", "blind"} <= in_cli
+
+
+def test_the_subset_searches_of_exact_values_keep_no_tolerance():
+    # lcb_star compares integers and best_subset compares what it is
+    # given as it stands: a float literal in either is a margin creeping
+    # back, which would make a bound unable to settle a tie
+    found = [
+        f"{fn.__name__}:{node.lineno}: {node.value!r}"
+        for fn in (exposure_bandits.core.best_subset, exposure_bandits.lcb.lcb_star)
+        for node in ast.walk(ast.parse(inspect.getsource(fn)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+    assert found == []
