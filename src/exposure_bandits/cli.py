@@ -245,8 +245,9 @@ def _policy_diag(policy: Policy):
         "{" + ",".join(map(str, sorted(z))) + "}" + (f"x{n}" if n > 1 else "")
         for z, n in runs
     )
-    phases = sum(seg.phases for seg in segments)
-    return chain, math.fsum(seg.phases * seg.matching.value for seg in segments) / phases
+    # the exact sum over the phases, divided once: correctly rounded
+    exact = sum(seg.phases * seg.matching.exact for seg in segments)
+    return chain, exact / (segments[0].matching.scale * sum(seg.phases for seg in segments))
 
 
 def cmd_solve(args) -> int:

@@ -148,7 +148,7 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
             hit = match[m1, m2] = doalg(aggregate, sets[m1], sets[m2], instance)
             diag = match[m1, m1]
             # shrinking the kept set can only help the phase value
-            if hit is not NEG_INF and diag is not NEG_INF and hit.value < diag.value - 1e-9:
+            if hit is not NEG_INF and diag is not NEG_INF and hit.exact < diag.exact:
                 raise ContractError(
                     f"keeping {sets[m2]} of {sets[m1]} lowered the phase "
                     f"value below keeping them all"

@@ -7,7 +7,9 @@ Internally it is an integer transportation problem solved by
 successive-shortest-path min-cost flow; each committed arm is split into
 a mandatory node (capacity delta_a, with a constant bonus that forces
 saturation) and an overflow node.  Total unimodularity makes the LP
-optimum integral, so the result is the exact integer optimum.
+optimum integral, so the result is the exact integer optimum.  The costs
+are integers too, the utilities on their one binary scale and the bonus
+2 * scale, so equal costs tie exactly, by node order alone.
 
 :func:`doalg_graph_reference` solves the same problem by brute maximum
 weight matching on the fully node-expanded bipartite graph (one node per
@@ -35,9 +37,9 @@ __all__ = [
     "doalg_graph_reference",
 ]
 
-# bonus per mandatory unit; any value > max utility gap (1) forces the
-# solver to saturate every threshold before chasing utility
-_MANDATORY_BONUS = 2.0
+# bonus per mandatory unit, times the utilities' scale; any value > max
+# utility gap (1) forces the solver to saturate every threshold first
+_MANDATORY_BONUS = 2
 
 _GRAPH_NODE_LIMIT = 240  # doalg_graph_reference guard, tau*(#arms) nodes
 
@@ -89,10 +91,11 @@ class Matching:
         return self.exact / self.scale  # int / int rounds correctly
 
     @staticmethod
-    def from_matrix(M, mu_eff) -> "Matching":
+    def from_matrix(M, scaled) -> "Matching":
+        """M valued by ``scaled``, the (scale, rows) pair of :func:`_scaled`."""
         rows = tuple(tuple(int(x) for x in row) for row in M)
         cols = tuple(map(sum, zip(*rows)))
-        scale, weights = _scaled(mu_eff)
+        scale, weights = scaled
         exact = sum(m * w for row, w_row in zip(rows, weights) for m, w in zip(row, w_row))
         return Matching(M=rows, exact=exact, scale=scale, pull_column_sums=cols)
 
@@ -143,8 +146,10 @@ def doalg(
     Returns a :class:`Matching`, or the ``NEG_INF`` sentinel when the
     committed thresholds cannot fit in the budget (or no arm is allowed).
 
-    When several matchings are optimal (arms of equal utility for a
-    row), the order in which the graph is laid out picks one: nodes are
+    Arc costs are the negated utilities as integers on their one scale
+    (:func:`_scaled`), and a mandatory unit earns 2 * scale more.  When
+    several matchings are optimal (arms of equal utility for a row), the
+    order in which the graph is laid out picks one, exactly: nodes are
     the aggregate's nonempty rows in order, then each allowed arm's
     mandatory and overflow node in arm order, then the sink and the
     source, and arcs are added in that order.  Every shortest-path pass
@@ -164,9 +169,9 @@ def doalg(
     if sum(instance.delta[a] for a in committed) > tau:
         return NEG_INF
     if not allowed:
-        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), [])
+        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), (1, []))
 
-    mu_eff = _mu_eff(aggregate, instance)
+    scale, weights = scaled = _scaled(_mu_eff(aggregate, instance))
     arms = sorted(allowed)
     rows = [r for r in range(len(aggregate.counts)) if aggregate.counts[r] > 0]
 
@@ -178,17 +183,17 @@ def doalg(
     # arc ids of each row's (mandatory, overflow) arcs, arm by arm
     row_arcs = []
     for i, r in enumerate(rows):
-        mu_r = mu_eff[r]
+        w_r = weights[r]
         arcs = []
         for j, a in enumerate(arms):
             mand = n_rows + 2 * j
-            arcs.append((a, add(i, mand, tau, -mu_r[a]), add(i, mand + 1, tau, -mu_r[a])))
+            arcs.append((a, add(i, mand, tau, -w_r[a]), add(i, mand + 1, tau, -w_r[a])))
         row_arcs.append(arcs)
     for j, a in enumerate(arms):
         d = instance.delta[a] if a in committed else 0
         if d:
-            add(n_rows + 2 * j, sink, d, -_MANDATORY_BONUS)
-        add(n_rows + 2 * j + 1, sink, tau, 0.0)
+            add(n_rows + 2 * j, sink, d, -_MANDATORY_BONUS * scale)
+        add(n_rows + 2 * j + 1, sink, tau, 0)
 
     graph.solve_from_supplies([aggregate.counts[r] for r in rows], sink)
 
@@ -198,17 +203,20 @@ def doalg(
         Mr = M[r]
         for a, mand, over in arcs:
             Mr[a] = cap[mand ^ 1] + cap[over ^ 1]
-    return Matching.from_matrix(M, mu_eff)
+    return Matching.from_matrix(M, scaled)
 
 
 class _FlowGraph:
     """Min-cost max-flow by successive shortest paths with potentials.
 
-    Costs may be negative on forward arcs (utilities are negated), so
-    potentials are initialized by Bellman-Ford once; afterwards reduced
-    costs stay nonnegative and Dijkstra drives each augmentation.  Arc e
-    and its reverse e ^ 1 are stored side by side; the flow on a forward
-    arc is the residual capacity of its reverse.
+    Costs are integers and may be negative on forward arcs (utilities
+    are negated), so potentials are initialized by Bellman-Ford once;
+    afterwards reduced costs stay nonnegative and Dijkstra drives each
+    augmentation.  Distances compare exactly, with no tolerance: nodes
+    of equal distance settle in node order, and a node keeps the first
+    arc that reaches it at its shortest distance.  Arc e and its reverse
+    e ^ 1 are stored side by side; the flow on a forward arc is the
+    residual capacity of its reverse.
     """
 
     def __init__(self, n: int):
@@ -216,9 +224,9 @@ class _FlowGraph:
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.cost: list[float] = []
+        self.cost: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int, cost: float) -> int:
+    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
         """Add the arc u -> v and its reverse; returns the arc's id."""
         e = len(self.to)
         self.head[u].append(e)
@@ -234,7 +242,7 @@ class _FlowGraph:
         self.n += 1
         self.head.append([])
         for i, s in enumerate(supplies):
-            self.add_edge(src, i, s, 0.0)
+            self.add_edge(src, i, s, 0)
         need = sum(supplies)
         n, to, cap = self.n, self.to, self.cap
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -248,7 +256,7 @@ class _FlowGraph:
         # Bellman-Ford initial potentials (graph is a DAG here, but keep
         # the general form for safety)
         pot = [INF] * n
-        pot[src] = 0.0
+        pot[src] = 0
         for _ in range(n - 1):
             changed = False
             for u in range(n):
@@ -265,16 +273,16 @@ class _FlowGraph:
         while need > 0:
             dist = [INF] * n
             prev_edge = [-1] * n
-            dist[src] = 0.0
-            pq = [(0.0, src)]
+            dist[src] = 0
+            pq = [(0, src)]
             while pq:
                 d, u = heappop(pq)
-                if d > dist[u] + 1e-12:
+                if d > dist[u]:
                     continue
-                pu = pot[u]
+                du = d + pot[u]
                 for e, v, c in live[u]:
-                    nd = d + c + pu - pot[v]
-                    if nd < dist[v] - 1e-12:
+                    nd = du + c - pot[v]
+                    if nd < dist[v]:
                         dist[v] = nd
                         prev_edge[v] = e
                         heappush(pq, (nd, v))
@@ -325,7 +333,7 @@ def doalg_graph_reference(
     if sum(instance.delta[a] for a in arms) > tau:
         return NEG_INF
     if not arms:
-        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), [])
+        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), (1, []))
 
     from scipy.optimize import linear_sum_assignment
 
@@ -351,7 +359,7 @@ def doalg_graph_reference(
     M = [[0] * instance.k for _ in aggregate.counts]
     for i, j in zip(ri.tolist(), ci.tolist()):
         M[user_rows[i]][col_arm[j]] += 1
-    result = Matching.from_matrix(M, mu_eff)
+    result = Matching.from_matrix(M, _scaled(mu_eff))
     # every boosted copy must be matched or the thresholds went unmet
     boosted_matched = sum(1 for j in ci.tolist() if col_boosted[j])
     if boosted_matched != sum(instance.delta[a] for a in arms):

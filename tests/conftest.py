@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -90,6 +93,32 @@ def tie_prone_instances(draw):
     mu = tuple(tuple(draw(st.lists(grid, min_size=k, max_size=k))) for _ in range(n))
     P = tuple(w / sum(weights) for w in weights)
     return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)
+
+
+@st.composite
+def utility_rows(draw, n, k):
+    """n rows of k utilities, all from the tie grid, multiples of 1/16
+    or full-mantissa floats in [0, 1]; the floats stay far enough above
+    the subnormals that scaling them by 2^-60 is exact."""
+    values = draw(st.sampled_from((
+        st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+        st.integers(0, 16).map(lambda v: v / 16),
+        st.just(0.0) | st.floats(2.0**-960, 1.0),
+    )))
+    return tuple(tuple(draw(st.lists(values, min_size=k, max_size=k))) for _ in range(n))
+
+
+@st.composite
+def simplex(draw, n):
+    """n positive probabilities summing to 1, from small integer weights."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return tuple(w / sum(weights) for w in weights)
+
+
+def scaled_mu(instance: Instance, j: int) -> Instance:
+    """The instance with every utility times 2^-j, which is exact."""
+    mu = tuple(tuple(math.ldexp(v, -j) for v in row) for row in instance.mu)
+    return replace(instance, mu=mu)
 
 
 def stepped_phases(monkeypatch) -> list:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import exposure_bandits
-from exposure_bandits import Instance, presets, run_episode
+from exposure_bandits import Instance, LlcbPolicy, presets, run_episode
 from exposure_bandits.cli import (
     ALGORITHMS,
     BASELINE_KINDS,
     PLANNERS,
+    _policy_diag,
     load_instance,
     main,
     make_policy,
@@ -363,6 +365,20 @@ def test_solve_prints_a_plan_of_segments_run_length_encoded(tmp_path, capsys):
                  "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "commitment: {0,1}->{0}x1999->{}" in lines
+
+
+def test_solve_prints_a_plans_exact_value_per_phase_rounded_once(tmp_path, capsys):
+    inst = presets.early_harvest(phases=2000)
+    path = tmp_path / "harvest.txt"
+    save_instance(inst, path)
+    segments = LlcbPolicy(inst).plan.segments
+    exact = Fraction(sum(s.phases * s.matching.exact for s in segments),
+                     segments[0].matching.scale * inst.phases)
+    assert _policy_diag(LlcbPolicy(inst))[1] == float(exact)
+    assert main(["solve", "--instance", str(path), "--algo", "l-lcb",
+                 "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"per-phase value: {float(exact):.12g}" in lines
 
 
 def test_a_plan_over_a_huge_horizon_exits_four(tmp_path, capsys):

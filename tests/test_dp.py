@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from exposure_bandits import (
     DpPolicy,
@@ -19,7 +19,14 @@ from exposure_bandits import (
     run_episode,
 )
 from exposure_bandits.dp import _best_moves, largest_commitment
-from conftest import make_instance, random_instance, tie_prone_instances
+from conftest import (
+    make_instance,
+    random_instance,
+    scaled_mu,
+    simplex,
+    tie_prone_instances,
+    utility_rows,
+)
 
 
 def test_two_round_identity_value():
@@ -292,3 +299,19 @@ def test_pruned_dp_star_matches_the_unpruned_search_on_wide_instances(monkeypatc
         _assert_same_search(inst, expected)
         # the bound must have skipped work, or this checks nothing
         assert len(built) < 2**k - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 60))
+def test_scaling_the_utilities_by_a_power_of_two_moves_no_commitment(data, j):
+    # the table's sums and maxima scale exactly by 2^-j, and the bound's
+    # margin, wider at small values, only makes the search try more
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    tau = data.draw(st.integers(2, 8))
+    delta = tuple(data.draw(st.lists(st.integers(0, tau), min_size=k, max_size=k)))
+    inst = make_instance(n=n, k=k, tau=tau, phases=1, P=data.draw(simplex(n)), delta=delta,
+                         mu=data.draw(utility_rows(n, k)))
+    Z, table = dp_star(inst)
+    Z_scaled, table_scaled = dp_star(scaled_mu(inst, j))
+    assert Z_scaled == Z
+    assert table_scaled.root_value == math.ldexp(table.root_value, -j)

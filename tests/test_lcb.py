@@ -24,7 +24,15 @@ from exposure_bandits import (
 )
 from exposure_bandits import lcb
 from exposure_bandits.lcb import LcbState, lcb_replay
-from conftest import make_instance, random_instance, stepped_phases, tie_prone_instances
+from conftest import (
+    make_instance,
+    random_instance,
+    scaled_mu,
+    simplex,
+    stepped_phases,
+    tie_prone_instances,
+    utility_rows,
+)
 
 
 def test_symmetric_template_protects_both_arms():
@@ -230,6 +238,23 @@ def test_adaptive_policy_matches_the_exhaustive_commitment_here():
     assert policy.Z == frozenset({0, 1})
     rec = run_episode(inst, policy, 0, reward_mode="expected")
     assert rec.departure_events == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 60))
+def test_scaling_the_utilities_by_a_power_of_two_moves_no_commitment(data, j):
+    # the matchings compare exact integers, on a scale that absorbs 2^-j,
+    # so the search must pick the same subset and the same matching
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    tau = data.draw(st.integers(10, 150))
+    delta = tuple(data.draw(st.lists(st.integers(0, tau // 2), min_size=k, max_size=k)))
+    inst = make_instance(n=n, k=k, tau=tau, phases=1, P=data.draw(simplex(n)), delta=delta,
+                         mu=data.draw(utility_rows(n, k)))
+    Z, m = lcb_star(inst)
+    Z_scaled, m_scaled = lcb_star(scaled_mu(inst, j))
+    assert Z_scaled == Z
+    assert (m_scaled.M, m_scaled.exact) == (m.M, m.exact)
+    assert m_scaled.value == math.ldexp(m.value, -j)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from exposure_bandits import (
     InfeasibleError,
     LcbPolicy,
     LlcbPolicy,
+    Matching,
     PlanSegment,
     ResourceGuardError,
     build_lcb_aggregate,
@@ -28,8 +29,16 @@ from exposure_bandits import (
 from exposure_bandits.env import BLOCK_BYTES, RECORD_BYTES
 from exposure_bandits.lcb import LcbState
 from exposure_bandits.lmatch import lmatch
+from exposure_bandits.matching import _mu_eff, _scaled
 from exposure_bandits.presets import early_harvest, subsidy_worthwhile
-from conftest import make_instance, random_instance, tie_prone_instances
+from conftest import (
+    make_instance,
+    random_instance,
+    scaled_mu,
+    simplex,
+    tie_prone_instances,
+    utility_rows,
+)
 
 
 def brute_chain_value(instance, aggregates):
@@ -307,12 +316,14 @@ def test_each_segment_breaks_ties_by_the_thresholds_of_the_arms_it_keeps():
     # type 1 values both arms alike; a plan, built by hand, keeps both
     # arms for five phases, then only arm 0 for the last: there arm 1's
     # threshold no longer binds, so type 1's ties go to arm 0 while arm 0
-    # is short of its own
+    # is short of its own.  The last phase's matching is one of its
+    # optimal ones, built by hand so that type 1's row spans both arms
     inst = make_instance(tau=100, phases=6, P=(0.25, 0.75), delta=(17, 47),
                          mu=((0.8, 0.1), (0.3, 0.3)))
     agg = build_lcb_aggregate(inst.P, inst.tau)
     both, first = frozenset({0, 1}), frozenset({0})
-    last = doalg(agg, both, first, inst)
+    last = Matching.from_matrix(((3, 0), (14, 39), (44, 0)), _scaled(_mu_eff(agg, inst)))
+    assert last.exact == doalg(agg, both, first, inst).exact
     policy = LcbPolicy(inst)
     policy._commit(inst, [PlanSegment(5, doalg(agg, both, both, inst), both, both),
                           PlanSegment(1, last, both, first)])
@@ -326,3 +337,23 @@ def test_each_segment_breaks_ties_by_the_thresholds_of_the_arms_it_keeps():
         rec = run_episode(inst, policy, seed, reward_mode="expected")
         arrivals, pulls = (a[500:].tolist() for a in (rec.arrivals, rec.pulls))
         assert pulls == replay(arrivals, [17, 0]) != replay(arrivals, [17, 47])
+
+
+def segment_matchings(plan):
+    """Each segment's phases, arm sets, matching and exact value."""
+    return [(s.phases, s.available, s.kept, s.matching.M, s.matching.exact)
+            for s in plan.segments]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 60))
+def test_scaling_the_utilities_by_a_power_of_two_moves_no_segment(data, j):
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    tau = data.draw(st.integers(10, 120))
+    delta = tuple(data.draw(st.lists(st.integers(0, tau // 2), min_size=k, max_size=k)))
+    inst = make_instance(n=n, k=k, tau=tau, phases=data.draw(st.integers(1, 50)),
+                         P=data.draw(simplex(n)), delta=delta, mu=data.draw(utility_rows(n, k)))
+    scaled = scaled_mu(inst, j)
+    plan = lmatch(inst, build_lcb_aggregate(inst.P, inst.tau))
+    plan_scaled = lmatch(scaled, build_lcb_aggregate(scaled.P, scaled.tau))
+    assert segment_matchings(plan_scaled) == segment_matchings(plan)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import exposure_bandits
@@ -117,13 +118,21 @@ def test_algorithm_ids_and_planners_are_named_in_one_place():
 
 
 def test_the_subset_searches_of_exact_values_keep_no_tolerance():
-    # lcb_star compares integers and best_subset compares what it is
-    # given as it stands: a float literal in either is a margin creeping
-    # back, which would make a bound unable to settle a tie
+    # lcb_star, lmatch and the flow solve under them compare integers,
+    # and best_subset compares what it is given as it stands: a float
+    # literal in any of them is a margin creeping back, which would make
+    # a bound unable to settle a tie or the solve tie unequal costs
+    functions = (
+        exposure_bandits.core.best_subset,
+        exposure_bandits.lcb.lcb_star,
+        exposure_bandits.matching._FlowGraph.solve_from_supplies,
+        exposure_bandits.matching.doalg,
+        exposure_bandits.lmatch.lmatch,
+    )
     found = [
-        f"{fn.__name__}:{node.lineno}: {node.value!r}"
-        for fn in (exposure_bandits.core.best_subset, exposure_bandits.lcb.lcb_star)
-        for node in ast.walk(ast.parse(inspect.getsource(fn)))
+        f"{fn.__qualname__}:{node.lineno}: {node.value!r}"
+        for fn in functions
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert found == []
