@@ -11,7 +11,7 @@ The three matching planners share one replay (:class:`LcbPolicy`) of a
 plan of segments (:class:`PlanSegment`): a matching replayed for some
 phases under the thresholds of the arms it keeps.  LCB (exhaustive
 search over all 2^k - 1 subsets) and A-LCB (the k-step greedy, O(k^2)
-solver calls and a (1 - 1/e) guarantee from submodularity) keep one
+oracle calls and a (1 - 1/e) guarantee from submodularity) keep one
 subset for every phase, one segment; L-LCB
 (:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
 
@@ -39,7 +39,7 @@ from .core import (
     best_subset,
 )
 from .env import CommittedPolicy
-from .matching import Matching, _mu_eff, _scaled, build_lcb_aggregate, doalg
+from .matching import Matching, SubsetPrices, build_lcb_aggregate, doalg
 
 __all__ = [
     "PlanSegment",
@@ -311,25 +311,49 @@ def _slack_sweep(types, units, worth) -> np.ndarray:
     return picked.T
 
 
+def _mask(Z) -> int:
+    return sum(1 << a for a in Z)
+
+
+def _solved(aggregate, available, kept, instance, exact):
+    """The matching of ``available`` keeping ``kept``, which must have
+    the closed-form value ``exact`` (``None``: the pair has none)."""
+    m = doalg(aggregate, available, kept, instance)
+    if exact is not None and (m is NEG_INF or m.exact != exact):
+        raise ContractError(
+            f"the solve of {set(available)} keeping {set(kept)} differs "
+            f"from its closed-form value"
+        )
+    return m
+
+
 def subset_value_oracle(instance: Instance):
     """f(Z) = value of the optimal matching of the shaved aggregate
     committed to Z.
 
-    Each Z is solved once: the matching is cached, and ``f.matching(Z)``
-    returns it (or NEG_INF), so a caller that commits to a queried Z
-    need not solve it again.
+    f reads the value in closed form where the slack row covers Z's
+    floors (:class:`~exposure_bandits.matching.SubsetPrices`), and
+    solves Z otherwise.  ``f.matching(Z)`` returns Z's matching (or
+    NEG_INF), solving it at most once: a caller that commits to a
+    queried Z solves only that one, and the solve must agree with f(Z).
     """
     aggregate = build_lcb_aggregate(instance.P, instance.tau)
+    prices = SubsetPrices(aggregate, instance)
     cache: dict[frozenset, object] = {}
 
     def matching(Z):
         Z = frozenset(Z)
         m = cache.get(Z)
         if m is None:
-            m = cache[Z] = doalg(aggregate, Z, Z, instance)
+            mask = _mask(Z)
+            m = cache[Z] = _solved(aggregate, Z, Z, instance, prices.value(mask, mask))
         return m
 
     def f(Z):
+        mask = _mask(Z)
+        exact = prices.value(mask, mask)
+        if exact is not None:
+            return exact / prices.scale
         m = matching(Z)
         return NEG_INF if m is NEG_INF else m.value
 
@@ -344,25 +368,33 @@ def lcb_star(instance: Instance):
     Returns (Z*, template matching); ties prefer smaller subsets, then
     lexicographic order.  The search is
     :func:`~exposure_bandits.core.best_subset` over the matchings' exact
-    integer values (``Matching.exact``), with the bound
-    sum_r counts[r] * max_{a in Z} mu_eff[r][a] over the aggregate's rows
-    (the slack row earns 0), on the same scale: every pull of a row goes
-    to some arm of Z, so no matching committed to Z is worth more, a
-    subset that can at most tie one tried before is never solved, and
-    the result is that of solving every subset.
+    integer values (``Matching.exact``), with the bound U(Z), the most
+    any matching on Z is worth, on the same scale
+    (:meth:`~exposure_bandits.matching.SubsetPrices.free`): a subset
+    that can at most tie one tried before is never valued, and the
+    result is that of solving every subset.  A subset whose floors the
+    slack row covers is worth U(Z) exactly, with no solve; only the
+    others, and the winner's matching, are solved.
     """
     aggregate = build_lcb_aggregate(instance.P, instance.tau)
-    weighted = list(zip(aggregate.counts, _scaled(_mu_eff(aggregate, instance))[1]))
+    prices = SubsetPrices(aggregate, instance)
 
     def bound(Z):
-        return sum(c * max(row[a] for a in Z) for c, row in weighted)
+        return prices.free(_mask(Z))
 
     def evaluate(Z):
+        mask = _mask(Z)
+        exact = prices.value(mask, mask)
+        if exact is not None:
+            return exact, None
         m = doalg(aggregate, frozenset(Z), frozenset(Z), instance)
         return m.exact, m
 
     Z, m = best_subset(instance, bound, evaluate)
-    return frozenset(Z), m
+    Z = frozenset(Z)
+    if m is None:
+        m = _solved(aggregate, Z, Z, instance, prices.free(_mask(Z)))
+    return Z, m
 
 
 @dataclass(frozen=True)

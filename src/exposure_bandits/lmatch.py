@@ -4,10 +4,15 @@ When phases are long it can pay to harvest an expensive arm in early
 phases and deliberately let it depart.  A plan is a chain of arm sets
 Z^0 ⊇ Z^1 ⊇ ... ⊇ Z^N over the N phases: phase i may pull the arms of
 Z^{i-1} and meets the thresholds of Z^i, and is worth v(Z^{i-1}, Z^i),
-one assignment solve on the shaved aggregate.  (Every arm is there in
-phase 1; Z^0 only names the arms the plan uses in it.)  Every phase
-shares the aggregate, so the 3^k ordered pairs (available ⊇ kept) are
-solved once each and the horizon only counts how often a pair is used.
+the value of one assignment on the shaved aggregate.  (Every arm is
+there in phase 1; Z^0 only names the arms the plan uses in it.)  Every
+phase shares the aggregate, so the 3^k ordered pairs (available ⊇ kept)
+are valued once each and the horizon only counts how often a pair is
+used.  A pair whose kept floors the slack row covers is worth the
+threshold-free optimum of its available arms, read in closed form
+(:class:`~exposure_bandits.matching.SubsetPrices`); only the other pairs
+are solved, and then the matching of each segment of the plan, which
+must have the value its pair was priced at.
 
 A chain is then a walk down the subset lattice: at most k strict drops
 ("hops") and N minus that many self-loops (phases that keep every
@@ -56,8 +61,8 @@ from .core import (
     ResourceGuardError,
 )
 from .env import BLOCK_BYTES, EPISODE_BYTE_CAP, RECORD_BYTES
-from .lcb import LcbPolicy, PlanSegment
-from .matching import Aggregate, build_lcb_aggregate, doalg
+from .lcb import LcbPolicy, PlanSegment, _solved
+from .matching import Aggregate, SubsetPrices, build_lcb_aggregate, doalg
 
 __all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
 
@@ -65,7 +70,7 @@ PAIR_CAP = 10**6
 
 
 def plan_pairs(k: int) -> int:
-    """Ordered (available, kept) subset pairs the plan solves, 3^k;
+    """Ordered (available, kept) subset pairs the plan values, 3^k;
     raises ResourceGuardError when that exceeds PAIR_CAP."""
     pairs = 3**k
     if pairs > PAIR_CAP:
@@ -142,20 +147,28 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     sets = [_mask_set(m, k) for m in range(full + 1)]
     pop = [bin(m).count("1") for m in range(full + 1)]
 
+    # exact phase values of the feasible pairs, all on the aggregate's
+    # one integer scale: in closed form where the slack row covers the
+    # kept floors, else solved, and those matchings kept for the plan;
+    # no pair is feasible with no arm available, as tau >= 1
+    prices = SubsetPrices(aggregate, instance)
+    w: dict[tuple[int, int], int] = {}
     match: dict[tuple[int, int], object] = {}
-    for m1 in range(full + 1):
+    for m1 in range(1, full + 1):
         for m2 in _submasks(m1):  # m1 itself first
-            hit = match[m1, m2] = doalg(aggregate, sets[m1], sets[m2], instance)
-            diag = match[m1, m1]
+            v = prices.value(m1, m2)
+            if v is None:
+                hit = match[m1, m2] = doalg(aggregate, sets[m1], sets[m2], instance)
+                if hit is NEG_INF:
+                    continue
+                v = hit.exact
+            w[m1, m2] = v
             # shrinking the kept set can only help the phase value
-            if hit is not NEG_INF and diag is not NEG_INF and hit.exact < diag.exact:
+            if (m1, m1) in w and v < w[m1, m1]:
                 raise ContractError(
                     f"keeping {sets[m2]} of {sets[m1]} lowered the phase "
                     f"value below keeping them all"
                 )
-
-    # exact phase values, all on the aggregate's one integer scale
-    w = {pair: hit.exact for pair, hit in match.items() if hit is not NEG_INF}
 
     # T[D, m][h]: best h-hop walk through D to m, starting at any set;
     # supersets first, so every set a walk leaves is done before the
@@ -244,7 +257,13 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     runs.reverse()
 
     segments = tuple(
-        PlanSegment(phases=c, matching=match[m1, m2], available=sets[m1], kept=sets[m2])
+        PlanSegment(
+            phases=c,
+            matching=match.get((m1, m2))
+            or _solved(aggregate, sets[m1], sets[m2], instance, w[m1, m2]),
+            available=sets[m1],
+            kept=sets[m2],
+        )
         for m1, m2, c in runs
     )
     return LmatchPlan(segments=segments)

@@ -16,6 +16,10 @@ weight matching on the fully node-expanded bipartite graph (one node per
 user slot, tau copies per arm, boosted weight on the first delta_a
 copies).  It is kept deliberately independent of the flow solver and is
 used as a cross-check on small inputs.
+
+:class:`SubsetPrices` values, without a solve, every (available, kept)
+pair whose kept floors the threshold-free optimum and the slack row
+already meet, and says which pairs it cannot value.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .core import NEG_INF, ContractError, Instance, ResourceGuardError
 __all__ = [
     "Aggregate",
     "Matching",
+    "SubsetPrices",
     "build_lcb_aggregate",
     "doalg",
     "doalg_graph_reference",
@@ -132,6 +137,83 @@ def _mu_eff(aggregate: Aggregate, instance: Instance):
     if aggregate.has_slack:
         rows.append([0.0] * instance.k)
     return rows
+
+
+class SubsetPrices:
+    """Exact values of the (available, kept) pairs of one aggregate whose
+    kept floors the slack row covers, without a solve.  Arm sets are bit
+    masks.
+
+    Send every pull of each real row r (count c_r > 0) to its first best
+    arm b_r(A) in A, the lowest-index arm of largest scaled utility w_r:
+    no matching on A is worth more than that assignment's
+    U(A) = sum_r c_r w_r[b_r(A)] (:meth:`free`), and it leaves g_a pulls
+    on each arm a.  When the slack row's s pulls, worth 0 to every arm,
+    make up every kept arm's shortfall, sum over a in K of
+    max(0, delta_a - g_a) <= s, the assignment meets every floor of K, so
+    U(A) is the exact value ``doalg(...).exact`` of (A, K) (:meth:`value`).
+    U and each b_r are one table by mask, filled on demand, each set
+    from the set without its highest arm.
+    """
+
+    def __init__(self, aggregate: Aggregate, instance: Instance):
+        self.scale, weights = _scaled(_mu_eff(aggregate, instance))
+        real = aggregate.n_real
+        # (count, scaled utilities) of each real row that has pulls
+        self._rows = [(c, w) for c, w in zip(aggregate.counts[:real], weights) if c > 0]
+        self._slack = aggregate.counts[-1] if aggregate.has_slack else 0
+        self._delta = instance.delta
+        # mask -> (U, each row's first best arm); the empty set has none
+        self._table: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+
+    def _entry(self, A: int) -> tuple[int, tuple[int, ...]]:
+        table = self._table
+        missing = []
+        while A not in table:
+            missing.append(A)
+            A ^= 1 << (A.bit_length() - 1)
+        rows = self._rows
+        for A in reversed(missing):
+            a = A.bit_length() - 1
+            parent = A ^ (1 << a)
+            if parent:
+                # a is above every arm of the parent, so it takes a row
+                # only with a strictly larger utility
+                U, parent_best = table[parent]
+                best = []
+                for (c, w), b in zip(rows, parent_best):
+                    if w[a] > w[b]:
+                        U += c * (w[a] - w[b])
+                        b = a
+                    best.append(b)
+                table[A] = U, tuple(best)
+            else:
+                table[A] = sum(c * w[a] for c, w in rows), (a,) * len(rows)
+        return table[A]
+
+    def free(self, A: int) -> int:
+        """U(A), the most any matching on the arms of A is worth, on the
+        utilities' scale: every real pull on its row's best arm of A."""
+        return self._entry(A)[0]
+
+    def value(self, A: int, K: int) -> int | None:
+        """The exact value of allowing A and keeping K (a submask of A),
+        U(A), when the slack row covers every kept floor that U(A)'s
+        assignment leaves short; None when A is empty or it does not."""
+        if not A:
+            return None
+        U, best = self._entry(A)
+        got: dict[int, int] = {}
+        for (c, _), b in zip(self._rows, best):
+            got[b] = got.get(b, 0) + c
+        short = 0
+        while K:
+            a = K.bit_length() - 1
+            K ^= 1 << a
+            d = self._delta[a] - got.get(a, 0)
+            if d > 0:
+                short += d
+        return U if short <= self._slack else None
 
 
 def doalg(
@@ -318,7 +400,10 @@ def doalg_graph_reference(
 ):
     """Literal node-expanded formulation: one node per user slot, tau
     copies per allowed arm, the first delta_a copies carrying weight
-    2 + mu.  Solved as a dense assignment problem.
+    2 + mu.  Solved as a dense assignment problem, on mu times the power
+    of two that brings its largest entry into [0.5, 1), so adding the 2
+    rounds away no utility the floats tell apart from the largest; the
+    matching is valued on mu itself.
 
     Only the single-subset case (every allowed arm committed).  Small
     inputs only; meant as an independent oracle for :func:`doalg`.
@@ -338,6 +423,8 @@ def doalg_graph_reference(
     from scipy.optimize import linear_sum_assignment
 
     mu_eff = _mu_eff(aggregate, instance)
+    top = max(v for row in mu_eff for v in row)
+    shift = math.frexp(top)[1] if top else 0
     user_rows = [
         r for r in range(len(aggregate.counts)) for _ in range(aggregate.counts[r])
     ]
@@ -350,7 +437,7 @@ def doalg_graph_reference(
             col_boosted.append(copy < instance.delta[a])
     for i, r in enumerate(user_rows):
         for j in range(weights.shape[1]):
-            w = mu_eff[r][col_arm[j]]
+            w = math.ldexp(mu_eff[r][col_arm[j]], -shift)
             if col_boosted[j]:
                 w += _MANDATORY_BONUS
             weights[i, j] = w

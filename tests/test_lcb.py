@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from exposure_bandits import (
     NEG_INF,
     AlcbPolicy,
+    ContractError,
     Instance,
     LcbPolicy,
     LlcbPolicy,
@@ -110,8 +112,9 @@ def test_subset_oracle_caches_and_carries_the_aggregate():
 
 
 def test_adaptive_policy_solves_each_queried_commitment_once(monkeypatch):
-    # the chosen commitment was solved while the greedy queried it; the
-    # policy reuses that matching instead of solving it again
+    # the slack row pays the floors of every queried commitment, so the
+    # greedy reads each value in closed form; only the chosen commitment,
+    # whose matching the policy replays, is solved, and once
     solves = []
 
     def counted(*args):
@@ -124,7 +127,7 @@ def test_adaptive_policy_solves_each_queried_commitment_once(monkeypatch):
     inst = Instance(n=4, k=10, tau=400, T=4000, P=(0.25,) * 4, delta=(20,) * 10, mu=mu)
     policy = AlcbPolicy(inst)
     assert policy.trace.oracle_call_count == 55
-    assert len(solves) == policy.trace.oracle_call_count
+    assert solves == [policy.Z]
     assert policy.template == doalg(build_lcb_aggregate(inst.P, inst.tau),
                                     policy.Z, policy.Z, inst)
 
@@ -141,6 +144,23 @@ def test_lcb_star_solves_one_subset_when_the_slack_covers_every_extra_floor(monk
     inst = Instance(n=4, k=10, tau=400, T=4000, P=(0.25,) * 4, delta=(20,) * 10, mu=mu)
     Z, _ = lcb_star(inst)
     assert solves == [Z]
+
+
+def test_a_solve_that_differs_from_its_closed_form_value_is_refused(monkeypatch):
+    # the planners replay only solved matchings; one whose value is not
+    # the price the search chose it by breaks the contract
+    def off_by_one(*args):
+        m = doalg(*args)
+        return replace(m, exact=m.exact + 1)
+
+    monkeypatch.setattr(lcb, "doalg", off_by_one)
+    inst = make_instance(tau=100, phases=10, delta=(10, 20))
+    with pytest.raises(ContractError, match="closed-form value"):
+        lcb_star(inst)
+    with pytest.raises(ContractError, match="closed-form value"):
+        AlcbPolicy(inst)
+    with pytest.raises(ContractError, match="closed-form value"):
+        LlcbPolicy(inst)
 
 
 def test_ties_prefer_smaller_subsets_on_exact_values():

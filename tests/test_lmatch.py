@@ -13,6 +13,7 @@ from exposure_bandits import (
     NEG_INF,
     Aggregate,
     InfeasibleError,
+    Instance,
     LcbPolicy,
     LlcbPolicy,
     Matching,
@@ -232,6 +233,27 @@ def test_closed_form_picks_the_per_phase_plan_on_random_instances():
             continue
         assert_same_plan(inst, build_lcb_aggregate(inst.P, inst.tau))
         checked += 1
+
+
+def test_a_covered_plan_solves_only_the_matchings_it_replays(monkeypatch):
+    # the shaved aggregate is (3, 3, 3, 3, 88): the slack row's 88 rounds
+    # pay all five floors of 10 together, so every (available, kept)
+    # pair is worth its threshold-free optimum without a solve
+    import exposure_bandits.lcb as lcb_module
+    import exposure_bandits.lmatch as lmatch_module
+
+    solved = []
+    for module in (lcb_module, lmatch_module):
+        monkeypatch.setattr(module, "doalg",
+                            lambda agg, A, K, inst: solved.append((A, K)) or doalg(agg, A, K, inst))
+    rng = np.random.default_rng(5)
+    mu = tuple(tuple(float(v) for v in rng.random(5)) for _ in range(4))
+    inst = Instance(n=4, k=5, tau=100, T=100 * 20, P=(0.25,) * 4, delta=(10,) * 5, mu=mu)
+    agg = build_lcb_aggregate(inst.P, inst.tau)
+    plan = lmatch(inst, agg)
+    assert len(plan.segments) == 2
+    assert solved == [(s.available, s.kept) for s in plan.segments]
+    assert_same_plan(inst, agg)
 
 
 def test_plan_cost_does_not_grow_with_the_horizon():

@@ -19,7 +19,13 @@ from exposure_bandits import (
     iter_subsets,
     Matching,
 )
-from exposure_bandits.matching import _MANDATORY_BONUS, _FlowGraph, _mu_eff, _scaled
+from exposure_bandits.matching import (
+    _MANDATORY_BONUS,
+    SubsetPrices,
+    _FlowGraph,
+    _mu_eff,
+    _scaled,
+)
 from conftest import (
     make_instance,
     random_counts,
@@ -134,6 +140,18 @@ def test_matching_agrees_with_the_assignment_solver():
             assert fast is ref
         else:
             assert fast.value == pytest.approx(ref.value, abs=1e-9)
+
+
+def test_the_graph_reference_keeps_utilities_far_below_the_bonus():
+    # 2 + 2^-61 rounds to 2 in floats, so unscaled weights would tie the
+    # two arms; both arms committed, the slack row pays arm 0's floor
+    mu = ((math.ldexp(0.5, -60), math.ldexp(0.75, -60)),)
+    inst = make_instance(n=1, k=2, tau=7, phases=1, P=(1.0,), delta=(5, 2), mu=mu)
+    agg = Aggregate(counts=(3, 4), has_slack=True)
+    both = frozenset({0, 1})
+    ref = doalg_graph_reference(agg, both, inst)
+    assert ref.exact == doalg(agg, both, both, inst).exact
+    assert ref.value == math.ldexp(1.0, -59)
 
 
 def test_committing_more_never_helps():
@@ -440,3 +458,40 @@ def test_an_infeasible_flow_breaks_the_contract():
     # one unit of supply at node 0 and no arc to the sink, node 1
     with pytest.raises(ContractError, match="unexpectedly infeasible"):
         _FlowGraph(2).solve_from_supplies([1], 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from((0, 1, 7, 30, 60)))
+def test_a_priced_pair_has_the_value_of_its_solve(data, j):
+    # tie-prone, dyadic and full-mantissa utilities times 2^-j, with and
+    # without a slack row, and a random pair (available A, kept K <= A):
+    # where the closed form applies it is doalg's exact optimum, so
+    # there the pair is feasible, and no solve on A beats U(A)
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    tau = data.draw(st.integers(2, 12))
+    delta = tuple(data.draw(st.integers(0, tau)) for _ in range(k))
+    inst = scaled_mu(make_instance(n=n, k=k, tau=tau, phases=1, delta=delta,
+                                   P=data.draw(simplex(n)), mu=data.draw(utility_rows(n, k))), j)
+    counts, left = [], tau
+    for _ in range(n):
+        counts.append(data.draw(st.integers(0, left)))
+        left -= counts[-1]
+    if data.draw(st.booleans()):
+        agg = Aggregate(counts=(*counts, left), has_slack=True)
+    else:
+        counts[-1] += left
+        agg = Aggregate(counts=tuple(counts), has_slack=False)
+    A = data.draw(st.integers(0, 2**k - 1))
+    K = A & data.draw(st.integers(0, 2**k - 1))
+    prices = SubsetPrices(agg, inst)
+    v = prices.value(A, K)
+    arms = [frozenset(a for a in range(k) if m >> a & 1) for m in (A, K)]
+    m = doalg(agg, *arms, inst)
+    if A and not K:
+        # no floor to meet: the threshold-free optimum is always priced
+        assert v is not None
+    if v is not None:
+        assert m is not NEG_INF
+        assert (m.exact, m.scale) == (v, prices.scale)
+    if A and m is not NEG_INF:
+        assert m.exact <= prices.free(A)

@@ -118,13 +118,15 @@ def test_algorithm_ids_and_planners_are_named_in_one_place():
 
 
 def test_the_subset_searches_of_exact_values_keep_no_tolerance():
-    # lcb_star, lmatch and the flow solve under them compare integers,
-    # and best_subset compares what it is given as it stands: a float
-    # literal in any of them is a margin creeping back, which would make
-    # a bound unable to settle a tie or the solve tie unequal costs
+    # lcb_star, lmatch, the closed-form prices and the flow solve under
+    # them compare integers, and best_subset compares what it is given as
+    # it stands: a float literal in any of them is a margin creeping
+    # back, which would make a bound unable to settle a tie, a price
+    # differ from its solve or the solve tie unequal costs
     functions = (
         exposure_bandits.core.best_subset,
         exposure_bandits.lcb.lcb_star,
+        exposure_bandits.matching.SubsetPrices,
         exposure_bandits.matching._FlowGraph.solve_from_supplies,
         exposure_bandits.matching.doalg,
         exposure_bandits.lmatch.lmatch,
