@@ -51,6 +51,7 @@ __all__ = [
     "RECORD_BYTES",
     "BLOCK_BYTES",
     "EPISODE_BYTE_CAP",
+    "LONGEST_EPISODE",
     "Policy",
     "CommittedPolicy",
     "RunRecord",
@@ -69,6 +70,8 @@ RECORD_BYTES = 13
 # the working arrays of one block, at most this many bytes per block round
 BLOCK_BYTES = 64 * BLOCK_ROUNDS
 EPISODE_BYTE_CAP = 2**31  # record plus one block
+# the most rounds whose record and one block fit under the cap
+LONGEST_EPISODE = (EPISODE_BYTE_CAP - BLOCK_BYTES) // RECORD_BYTES
 
 
 class Policy:
@@ -311,11 +314,10 @@ def run_episode(
             "describe the instance it is run on"
         )
     n, k, tau, T = instance.n, instance.k, instance.tau, instance.T
-    need = RECORD_BYTES * T + BLOCK_BYTES
-    if need > EPISODE_BYTE_CAP:
+    if T > LONGEST_EPISODE:
         raise ResourceGuardError(
-            f"an episode of {T} rounds needs {need} bytes, over the cap "
-            f"{EPISODE_BYTE_CAP}"
+            f"an episode of {T} rounds needs {RECORD_BYTES * T + BLOCK_BYTES} "
+            f"bytes, over the cap {EPISODE_BYTE_CAP}"
         )
 
     ss = np.random.SeedSequence(seed)

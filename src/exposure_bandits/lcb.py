@@ -14,6 +14,9 @@ search over all 2^k - 1 subsets) and A-LCB (the k-step greedy, O(k^2)
 oracle calls and a (1 - 1/e) guarantee from submodularity) keep one
 subset for every phase, one segment; L-LCB
 (:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
+All three value their arm sets, and solve the matchings they replay,
+through one :class:`~exposure_bandits.matching.SubsetPrices` of the
+shaved aggregate, which prices or solves each pair once.
 
 :func:`lcb_replay` plays every phase at once.  A phase in which no type
 is short of its own row's mass, under a matching whose rows have no tied
@@ -39,7 +42,7 @@ from .core import (
     best_subset,
 )
 from .env import CommittedPolicy
-from .matching import Matching, SubsetPrices, build_lcb_aggregate, doalg
+from .matching import Matching, SubsetPrices, build_lcb_aggregate
 
 __all__ = [
     "PlanSegment",
@@ -315,50 +318,27 @@ def _mask(Z) -> int:
     return sum(1 << a for a in Z)
 
 
-def _solved(aggregate, available, kept, instance, exact):
-    """The matching of ``available`` keeping ``kept``, which must have
-    the closed-form value ``exact`` (``None``: the pair has none)."""
-    m = doalg(aggregate, available, kept, instance)
-    if exact is not None and (m is NEG_INF or m.exact != exact):
-        raise ContractError(
-            f"the solve of {set(available)} keeping {set(kept)} differs "
-            f"from its closed-form value"
-        )
-    return m
-
-
 def subset_value_oracle(instance: Instance):
     """f(Z) = value of the optimal matching of the shaved aggregate
-    committed to Z.
+    committed to Z, or NEG_INF.
 
-    f reads the value in closed form where the slack row covers Z's
-    floors (:class:`~exposure_bandits.matching.SubsetPrices`), and
-    solves Z otherwise.  ``f.matching(Z)`` returns Z's matching (or
-    NEG_INF), solving it at most once: a caller that commits to a
-    queried Z solves only that one, and the solve must agree with f(Z).
+    f reads the value from the aggregate's
+    :class:`~exposure_bandits.matching.SubsetPrices`: in closed form
+    where the slack row covers Z's floors, else solved.
+    ``f.matching`` is that object's ``matching``, taking Z's bit mask as
+    both arm sets: a caller that commits to a queried Z solves only that
+    one, at most once, and the solve must agree with f(Z).
     """
     aggregate = build_lcb_aggregate(instance.P, instance.tau)
     prices = SubsetPrices(aggregate, instance)
-    cache: dict[frozenset, object] = {}
-
-    def matching(Z):
-        Z = frozenset(Z)
-        m = cache.get(Z)
-        if m is None:
-            mask = _mask(Z)
-            m = cache[Z] = _solved(aggregate, Z, Z, instance, prices.value(mask, mask))
-        return m
 
     def f(Z):
         mask = _mask(Z)
-        exact = prices.value(mask, mask)
-        if exact is not None:
-            return exact / prices.scale
-        m = matching(Z)
-        return NEG_INF if m is NEG_INF else m.value
+        exact = prices.exact(mask, mask)
+        return exact if exact is NEG_INF else exact / prices.scale
 
     f.aggregate = aggregate
-    f.matching = matching
+    f.matching = prices.matching
     return f
 
 
@@ -367,34 +347,19 @@ def lcb_star(instance: Instance):
 
     Returns (Z*, template matching); ties prefer smaller subsets, then
     lexicographic order.  The search is
-    :func:`~exposure_bandits.core.best_subset` over the matchings' exact
-    integer values (``Matching.exact``), with the bound U(Z), the most
-    any matching on Z is worth, on the same scale
-    (:meth:`~exposure_bandits.matching.SubsetPrices.free`): a subset
+    :func:`~exposure_bandits.core.best_subset` over the pairs' exact
+    integer values (:meth:`~exposure_bandits.matching.SubsetPrices.exact`),
+    with the bound U(Z), the most any matching on Z is worth, on the same
+    scale (:meth:`~exposure_bandits.matching.SubsetPrices.free`): a subset
     that can at most tie one tried before is never valued, and the
     result is that of solving every subset.  A subset whose floors the
     slack row covers is worth U(Z) exactly, with no solve; only the
-    others, and the winner's matching, are solved.
+    others, and the winner's matching, are solved, each once.
     """
-    aggregate = build_lcb_aggregate(instance.P, instance.tau)
-    prices = SubsetPrices(aggregate, instance)
-
-    def bound(Z):
-        return prices.free(_mask(Z))
-
-    def evaluate(Z):
-        mask = _mask(Z)
-        exact = prices.value(mask, mask)
-        if exact is not None:
-            return exact, None
-        m = doalg(aggregate, frozenset(Z), frozenset(Z), instance)
-        return m.exact, m
-
-    Z, m = best_subset(instance, bound, evaluate)
-    Z = frozenset(Z)
-    if m is None:
-        m = _solved(aggregate, Z, Z, instance, prices.free(_mask(Z)))
-    return Z, m
+    prices = SubsetPrices(build_lcb_aggregate(instance.P, instance.tau), instance)
+    Z, _ = best_subset(instance, lambda Z: prices.free(_mask(Z)),
+                       lambda Z: (prices.exact(_mask(Z), _mask(Z)), None))
+    return frozenset(Z), prices.matching(_mask(Z), _mask(Z))
 
 
 @dataclass(frozen=True)
@@ -516,7 +481,8 @@ class AlcbPolicy(LcbPolicy):
         trace = greedy_subset(instance, oracle)
         if not trace.chosen:
             raise InfeasibleError("no viable commitment")
-        template = oracle.matching(trace.chosen)
+        mask = _mask(trace.chosen)
+        template = oracle.matching(mask, mask)
         if template is NEG_INF:
             raise ContractError("the greedy commitment has no feasible matching")
         self.Z, self.template, self.trace = trace.chosen, template, trace

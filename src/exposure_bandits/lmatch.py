@@ -8,11 +8,11 @@ the value of one assignment on the shaved aggregate.  (Every arm is
 there in phase 1; Z^0 only names the arms the plan uses in it.)  Every
 phase shares the aggregate, so the 3^k ordered pairs (available ⊇ kept)
 are valued once each and the horizon only counts how often a pair is
-used.  A pair whose kept floors the slack row covers is worth the
-threshold-free optimum of its available arms, read in closed form
-(:class:`~exposure_bandits.matching.SubsetPrices`); only the other pairs
-are solved, and then the matching of each segment of the plan, which
-must have the value its pair was priced at.
+used.  The aggregate's :class:`~exposure_bandits.matching.SubsetPrices`
+values each pair: a pair whose kept floors the slack row covers is worth
+the threshold-free optimum of its available arms, read in closed form;
+only the other pairs are solved, and then the matching of each segment
+of the plan, which must have the value its pair was priced at.
 
 A chain is then a walk down the subset lattice: at most k strict drops
 ("hops") and N minus that many self-loops (phases that keep every
@@ -60,9 +60,9 @@ from .core import (
     NEG_INF,
     ResourceGuardError,
 )
-from .env import BLOCK_BYTES, EPISODE_BYTE_CAP, RECORD_BYTES
-from .lcb import LcbPolicy, PlanSegment, _solved
-from .matching import Aggregate, SubsetPrices, build_lcb_aggregate, doalg
+from .env import LONGEST_EPISODE
+from .lcb import LcbPolicy, PlanSegment
+from .matching import Aggregate, SubsetPrices, build_lcb_aggregate
 
 __all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
 
@@ -97,11 +97,10 @@ class LmatchPlan:
         """Each segment's phases, once the plan is known to be no longer
         than the longest episode the simulator accepts."""
         phases = [s.phases for s in self.segments]
-        longest = (EPISODE_BYTE_CAP - BLOCK_BYTES) // RECORD_BYTES
-        if sum(phases) > longest:
+        if sum(phases) > LONGEST_EPISODE:
             raise ResourceGuardError(
                 f"a plan of {sum(phases)} phases is longer than any episode "
-                f"the simulator accepts ({longest} rounds)"
+                f"the simulator accepts ({LONGEST_EPISODE} rounds)"
             )
         return phases
 
@@ -148,20 +147,15 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     pop = [bin(m).count("1") for m in range(full + 1)]
 
     # exact phase values of the feasible pairs, all on the aggregate's
-    # one integer scale: in closed form where the slack row covers the
-    # kept floors, else solved, and those matchings kept for the plan;
-    # no pair is feasible with no arm available, as tau >= 1
+    # one integer scale; no pair is feasible with no arm available, as
+    # tau >= 1
     prices = SubsetPrices(aggregate, instance)
     w: dict[tuple[int, int], int] = {}
-    match: dict[tuple[int, int], object] = {}
     for m1 in range(1, full + 1):
         for m2 in _submasks(m1):  # m1 itself first
-            v = prices.value(m1, m2)
-            if v is None:
-                hit = match[m1, m2] = doalg(aggregate, sets[m1], sets[m2], instance)
-                if hit is NEG_INF:
-                    continue
-                v = hit.exact
+            v = prices.exact(m1, m2)
+            if v is NEG_INF:
+                continue
             w[m1, m2] = v
             # shrinking the kept set can only help the phase value
             if (m1, m1) in w and v < w[m1, m1]:
@@ -257,13 +251,8 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     runs.reverse()
 
     segments = tuple(
-        PlanSegment(
-            phases=c,
-            matching=match.get((m1, m2))
-            or _solved(aggregate, sets[m1], sets[m2], instance, w[m1, m2]),
-            available=sets[m1],
-            kept=sets[m2],
-        )
+        PlanSegment(phases=c, matching=prices.matching(m1, m2),
+                    available=sets[m1], kept=sets[m2])
         for m1, m2, c in runs
     )
     return LmatchPlan(segments=segments)

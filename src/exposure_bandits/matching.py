@@ -17,9 +17,11 @@ user slot, tau copies per arm, boosted weight on the first delta_a
 copies).  It is kept deliberately independent of the flow solver and is
 used as a cross-check on small inputs.
 
-:class:`SubsetPrices` values, without a solve, every (available, kept)
-pair whose kept floors the threshold-free optimum and the slack row
-already meet, and says which pairs it cannot value.
+:class:`SubsetPrices` owns the value of every (available, kept) pair of
+one aggregate: in closed form, without a solve, where the threshold-free
+optimum and the slack row already meet the kept floors, else by one
+:func:`doalg` solve.  It solves a pair at most once, and a solve of a
+priced pair must equal its price.
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ def _mu_eff(aggregate: Aggregate, instance: Instance):
 
 
 class SubsetPrices:
-    """Exact values of the (available, kept) pairs of one aggregate whose
-    kept floors the slack row covers, without a solve.  Arm sets are bit
-    masks.
+    """The exact value and the matching of each (available, kept) pair
+    of one aggregate, the one place the planners get either from.  Arm
+    sets are bit masks.
 
     Send every pull of each real row r (count c_r > 0) to its first best
     arm b_r(A) in A, the lowest-index arm of largest scaled utility w_r:
@@ -154,6 +156,10 @@ class SubsetPrices:
     U(A) is the exact value ``doalg(...).exact`` of (A, K) (:meth:`value`).
     U and each b_r are one table by mask, filled on demand, each set
     from the set without its highest arm.
+
+    :meth:`exact` reads a pair's value from that price, or else from its
+    solve; :meth:`matching` solves a pair at most once, and refuses a
+    solve that differs from the pair's price.
     """
 
     def __init__(self, aggregate: Aggregate, instance: Instance):
@@ -165,6 +171,9 @@ class SubsetPrices:
         self._delta = instance.delta
         # mask -> (U, each row's first best arm); the empty set has none
         self._table: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+        self._aggregate, self._instance = aggregate, instance
+        # (A, K) -> the pair's doalg matching, or NEG_INF
+        self._solves: dict[tuple[int, int], object] = {}
 
     def _entry(self, A: int) -> tuple[int, tuple[int, ...]]:
         table = self._table
@@ -214,6 +223,34 @@ class SubsetPrices:
             if d > 0:
                 short += d
         return U if short <= self._slack else None
+
+    def exact(self, A: int, K: int):
+        """The exact value of allowing A and keeping K: its price where
+        :meth:`value` has one, else its solve's, or NEG_INF when no
+        matching meets K's floors on A."""
+        v = self.value(A, K)
+        if v is not None:
+            return v
+        m = self.matching(A, K)
+        return m if m is NEG_INF else m.exact
+
+    def matching(self, A: int, K: int):
+        """The :func:`doalg` matching of allowing A and keeping K (or
+        NEG_INF), solved once; raises ContractError when the pair has a
+        price the solve does not reach."""
+        m = self._solves.get((A, K))
+        if m is None:
+            arms = [frozenset(a for a in range(self._instance.k) if S >> a & 1)
+                    for S in (A, K)]
+            m = doalg(self._aggregate, *arms, self._instance)
+            v = self.value(A, K)
+            if v is not None and (m is NEG_INF or m.exact != v):
+                raise ContractError(
+                    f"the solve of {set(arms[0])} keeping {set(arms[1])} "
+                    f"differs from its closed-form value"
+                )
+            self._solves[A, K] = m
+        return m
 
 
 def doalg(

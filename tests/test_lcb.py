@@ -24,7 +24,7 @@ from exposure_bandits import (
     run_episode,
     subset_value_oracle,
 )
-from exposure_bandits import lcb
+from exposure_bandits import matching
 from exposure_bandits.lcb import LcbState, lcb_replay
 from conftest import (
     make_instance,
@@ -121,7 +121,7 @@ def test_adaptive_policy_solves_each_queried_commitment_once(monkeypatch):
         solves.append(args[1])
         return doalg(*args)
 
-    monkeypatch.setattr(lcb, "doalg", counted)
+    monkeypatch.setattr(matching, "doalg", counted)
     rng = np.random.default_rng(5)
     mu = tuple(tuple(float(v) for v in rng.random(10)) for _ in range(4))
     inst = Instance(n=4, k=10, tau=400, T=4000, P=(0.25,) * 4, delta=(20,) * 10, mu=mu)
@@ -137,8 +137,8 @@ def test_lcb_star_solves_one_subset_when_the_slack_covers_every_extra_floor(monk
     # added to the winner, so every such superset ties it; exact values
     # let the bound settle each of those ties without a solve
     solves = []
-    original = lcb.doalg
-    monkeypatch.setattr(lcb, "doalg", lambda *args: solves.append(args[1]) or original(*args))
+    original = matching.doalg
+    monkeypatch.setattr(matching, "doalg", lambda *args: solves.append(args[1]) or original(*args))
     rng = np.random.default_rng(5)
     mu = tuple(tuple(float(v) for v in rng.random(10)) for _ in range(4))
     inst = Instance(n=4, k=10, tau=400, T=4000, P=(0.25,) * 4, delta=(20,) * 10, mu=mu)
@@ -153,7 +153,7 @@ def test_a_solve_that_differs_from_its_closed_form_value_is_refused(monkeypatch)
         m = doalg(*args)
         return replace(m, exact=m.exact + 1)
 
-    monkeypatch.setattr(lcb, "doalg", off_by_one)
+    monkeypatch.setattr(matching, "doalg", off_by_one)
     inst = make_instance(tau=100, phases=10, delta=(10, 20))
     with pytest.raises(ContractError, match="closed-form value"):
         lcb_star(inst)
@@ -359,11 +359,9 @@ def test_pruned_lcb_star_matches_the_unpruned_search_on_tie_prone_instances(inst
 
 
 def test_pruned_lcb_star_matches_the_unpruned_search_on_wide_instances(monkeypatch):
-    import exposure_bandits.lcb as lcb
-
     solved = []
-    original = lcb.doalg
-    monkeypatch.setattr(lcb, "doalg", lambda *args: solved.append(1) or original(*args))
+    original = matching.doalg
+    monkeypatch.setattr(matching, "doalg", lambda *args: solved.append(1) or original(*args))
     rng = np.random.default_rng(909)
     for k in (8, 9, 10):
         # at tau=200 each type's floor keeps 17 of its 50 expected arrivals

@@ -27,7 +27,6 @@ from exposure_bandits import (
     planned_total_value,
     run_episode,
 )
-from exposure_bandits.env import BLOCK_BYTES, RECORD_BYTES
 from exposure_bandits.lcb import LcbState
 from exposure_bandits.lmatch import lmatch
 from exposure_bandits.matching import _mu_eff, _scaled
@@ -239,13 +238,9 @@ def test_a_covered_plan_solves_only_the_matchings_it_replays(monkeypatch):
     # the shaved aggregate is (3, 3, 3, 3, 88): the slack row's 88 rounds
     # pay all five floors of 10 together, so every (available, kept)
     # pair is worth its threshold-free optimum without a solve
-    import exposure_bandits.lcb as lcb_module
-    import exposure_bandits.lmatch as lmatch_module
-
     solved = []
-    for module in (lcb_module, lmatch_module):
-        monkeypatch.setattr(module, "doalg",
-                            lambda agg, A, K, inst: solved.append((A, K)) or doalg(agg, A, K, inst))
+    monkeypatch.setattr("exposure_bandits.matching.doalg",
+                        lambda agg, A, K, inst: solved.append((A, K)) or doalg(agg, A, K, inst))
     rng = np.random.default_rng(5)
     mu = tuple(tuple(float(v) for v in rng.random(5)) for _ in range(4))
     inst = Instance(n=4, k=5, tau=100, T=100 * 20, P=(0.25,) * 4, delta=(10,) * 5, mu=mu)
@@ -286,13 +281,12 @@ def test_a_plan_longer_than_any_episode_is_not_read_phase_by_phase():
 
 
 def test_a_plan_as_long_as_the_longest_episode_is_read(monkeypatch):
-    # with the cap at the record of 6 rounds plus a block, a plan of 6
-    # phases is read and one of 7 is refused
+    # with the longest episode at 6 rounds, a plan of 6 phases is read
+    # and one of 7 is refused
     plan = LlcbPolicy(early_harvest(tau=200, phases=6)).plan
     longer = LlcbPolicy(early_harvest(tau=200, phases=7)).plan
     chain, total = plan.chain, plan.total_value
-    monkeypatch.setattr("exposure_bandits.lmatch.EPISODE_BYTE_CAP",
-                        BLOCK_BYTES + 6 * RECORD_BYTES)
+    monkeypatch.setattr("exposure_bandits.lmatch.LONGEST_EPISODE", 6)
     assert plan.chain == chain and plan.total_value.hex() == total.hex()
     for read in ("chain", "total_value"):
         with pytest.raises(ResourceGuardError):

@@ -466,7 +466,8 @@ def test_a_priced_pair_has_the_value_of_its_solve(data, j):
     # tie-prone, dyadic and full-mantissa utilities times 2^-j, with and
     # without a slack row, and a random pair (available A, kept K <= A):
     # where the closed form applies it is doalg's exact optimum, so
-    # there the pair is feasible, and no solve on A beats U(A)
+    # there the pair is feasible, and no solve on A beats U(A); the
+    # pair's exact value and matching are the solve's, solved once
     n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
     tau = data.draw(st.integers(2, 12))
     delta = tuple(data.draw(st.integers(0, tau)) for _ in range(k))
@@ -495,3 +496,13 @@ def test_a_priced_pair_has_the_value_of_its_solve(data, j):
         assert (m.exact, m.scale) == (v, prices.scale)
     if A and m is not NEG_INF:
         assert m.exact <= prices.free(A)
+    solves = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("exposure_bandits.matching.doalg",
+                      lambda *args: solves.append(args) or doalg(*args))
+        exact = prices.exact(A, K)
+        first = prices.matching(A, K)
+        again = prices.matching(A, K)
+    assert exact is NEG_INF if m is NEG_INF else exact == m.exact
+    assert first == m and again is first
+    assert len(solves) == 1

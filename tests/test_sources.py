@@ -138,3 +138,19 @@ def test_the_subset_searches_of_exact_values_keep_no_tolerance():
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert found == []
+
+
+def test_the_lcb_planners_reach_the_flow_solve_only_through_subset_prices():
+    # SubsetPrices prices or solves each (available, kept) pair once and
+    # checks a solve against its price; a planner that imports doalg
+    # could solve a pair around it
+    found = []
+    for module in (exposure_bandits.lcb, exposure_bandits.lmatch):
+        tree = ast.parse(Path(module.__file__).read_text())
+        found += [
+            f"{Path(module.__file__).name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name.split(".")[-1] == "doalg" for alias in node.names)
+        ]
+    assert found == []
