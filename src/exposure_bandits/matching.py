@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +207,10 @@ class SubsetPrices:
     def value(self, A: int, K: int) -> int | None:
         """The exact value of allowing A and keeping K (a submask of A),
         U(A), when the slack row covers every kept floor that U(A)'s
-        assignment leaves short; None when A is empty or it does not."""
+        assignment leaves short; None when A is empty or it does not.
+        Raises ValueError, as :func:`doalg` does, when K is not in A."""
+        if K & ~A:
+            raise ValueError("committed arms must be a subset of allowed arms")
         if not A:
             return None
         U, best = self._entry(A)
@@ -263,7 +265,9 @@ def doalg(
     column-sum floors ``delta_a`` on every ``committed`` arm.
 
     Returns a :class:`Matching`, or the ``NEG_INF`` sentinel when the
-    committed thresholds cannot fit in the budget (or no arm is allowed).
+    committed thresholds cannot fit in the budget, or when no arm is
+    allowed and the aggregate has pulls (with no pulls, the matching is
+    k zero columns).
 
     Arc costs are the negated utilities as integers on their one scale
     (:func:`_scaled`), and a mandatory unit earns 2 * scale more.  When
@@ -287,8 +291,8 @@ def doalg(
     tau = aggregate.total
     if sum(instance.delta[a] for a in committed) > tau:
         return NEG_INF
-    if not allowed:
-        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), (1, []))
+    if not allowed and tau > 0:
+        return NEG_INF
 
     scale, weights = scaled = _scaled(_mu_eff(aggregate, instance))
     arms = sorted(allowed)
@@ -331,7 +335,8 @@ class _FlowGraph:
     Costs are integers and may be negative on forward arcs (utilities
     are negated), so potentials are initialized by Bellman-Ford once;
     afterwards reduced costs stay nonnegative and Dijkstra drives each
-    augmentation.  Distances compare exactly, with no tolerance: nodes
+    augmentation.  Both scan each node's arcs in id order and skip the
+    saturated ones.  Distances compare exactly, with no tolerance: nodes
     of equal distance settle in node order, and a node keeps the first
     arc that reaches it at its shortest distance.  Arc e and its reverse
     e ^ 1 are stored side by side; the flow on a forward arc is the
@@ -363,13 +368,8 @@ class _FlowGraph:
         for i, s in enumerate(supplies):
             self.add_edge(src, i, s, 0)
         need = sum(supplies)
-        n, to, cap = self.n, self.to, self.cap
+        n, head, to, cap, cost = self.n, self.head, self.to, self.cap, self.cost
         heappush, heappop = heapq.heappush, heapq.heappop
-        # the arcs with residual capacity out of each node, as (id, head,
-        # cost) in insertion order: the order every scan below visits
-        # them in, kept up to date as pushes fill and free arcs
-        arc = [(e, to[e], c) for e, c in enumerate(self.cost)]
-        live = [[arc[e] for e in out if cap[e] > 0] for out in self.head]
 
         INF = float("inf")
         # Bellman-Ford initial potentials (graph is a DAG here, but keep
@@ -382,9 +382,9 @@ class _FlowGraph:
                 pu = pot[u]
                 if pu == INF:
                     continue
-                for e, v, c in live[u]:
-                    if pu + c < pot[v]:
-                        pot[v] = pu + c
+                for e in head[u]:
+                    if cap[e] and pu + cost[e] < pot[to[e]]:
+                        pot[to[e]] = pu + cost[e]
                         changed = True
             if not changed:
                 break
@@ -399,8 +399,11 @@ class _FlowGraph:
                 if d > dist[u]:
                     continue
                 du = d + pot[u]
-                for e, v, c in live[u]:
-                    nd = du + c - pot[v]
+                for e in head[u]:
+                    if not cap[e]:
+                        continue
+                    v = to[e]
+                    nd = du + cost[e] - pot[v]
                     if nd < dist[v]:
                         dist[v] = nd
                         prev_edge[v] = e
@@ -419,14 +422,9 @@ class _FlowGraph:
             v = sink
             while v != src:
                 e = prev_edge[v]
-                u = to[e ^ 1]
                 cap[e] -= push
-                if cap[e] == 0:
-                    live[u].remove(arc[e])
-                if cap[e ^ 1] == 0:
-                    insort(live[v], arc[e ^ 1])
                 cap[e ^ 1] += push
-                v = u
+                v = to[e ^ 1]
             need -= push
 
 
@@ -454,8 +452,8 @@ def doalg_graph_reference(
         )
     if sum(instance.delta[a] for a in arms) > tau:
         return NEG_INF
-    if not arms:
-        return NEG_INF if tau > 0 else Matching.from_matrix([()] * len(aggregate.counts), (1, []))
+    if not allowed and tau > 0:
+        return NEG_INF
 
     from scipy.optimize import linear_sum_assignment
 

@@ -78,6 +78,13 @@ def test_committed_must_be_within_allowed():
     agg = Aggregate(counts=(1, 1), has_slack=False)
     with pytest.raises(ValueError):
         doalg(agg, frozenset({0}), frozenset({0, 1}), inst)
+    # a price refuses the pairs the solve refuses: here the available
+    # set {0} does not hold the kept arm {1}
+    inst = make_instance(tau=100, delta=(10, 10))
+    prices = SubsetPrices(build_lcb_aggregate(inst.P, 100), inst)
+    for read in (prices.value, prices.exact, prices.matching):
+        with pytest.raises(ValueError, match="subset of allowed"):
+            read(0b01, 0b10)
 
 
 def test_sentinel_when_commitment_cannot_fit():
@@ -85,6 +92,15 @@ def test_sentinel_when_commitment_cannot_fit():
     agg = Aggregate(counts=(2, 2), has_slack=False)
     assert doalg(agg, frozenset({0, 1}), frozenset({0, 1}), inst) is NEG_INF
     assert doalg(agg, frozenset(), frozenset(), inst) is NEG_INF
+    # no pulls and no arm: k zero columns on the utilities' own scale
+    inst = make_instance(tau=4, phases=1, mu=((0.5, 0.25), (0.25, 0.5)))
+    empty = Aggregate(counts=(0, 0), has_slack=False)
+    scale = doalg(empty, {0}, set(), inst).scale
+    assert scale == 4
+    for m in (doalg(empty, set(), set(), inst),
+              doalg_graph_reference(empty, set(), inst)):
+        assert m.M == ((0, 0), (0, 0))
+        assert (m.exact, m.scale, m.pull_column_sums) == (0, scale, (0, 0))
 
 
 def test_committed_columns_meet_their_thresholds():
@@ -204,9 +220,9 @@ def test_matching_entries_are_consistent():
 
 class _DictFlowGraph:
     """The successive-shortest-path solve in its plain first form: every
-    arc scanned on every pass, flows looked up by (tail, head).  Kept as
-    the reference for the solver's bookkeeping, which must not change the
-    result."""
+    arc scanned on every pass, flows looked up by (tail, head).  The
+    solver scans the same way, so what this checks is :func:`doalg`'s
+    graph layout and its reads of each flow by arc id."""
 
     def __init__(self, n):
         self.n = n

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from exposure_bandits import validate
+from exposure_bandits.cli import load_instance
 from exposure_bandits.presets import (
     PRESETS,
     hidden_threshold_pair,
@@ -15,6 +18,13 @@ def test_every_preset_validates():
         inst = factory()
         validate(inst)
         assert inst.T % inst.tau == 0, name
+
+
+def test_the_shipped_instance_files_are_the_presets():
+    # README's CLI examples read these files
+    instances = Path(__file__).parents[1] / "instances"
+    for name, factory in PRESETS.items():
+        assert load_instance(instances / f"{name}.txt") == (factory(), 0), name
 
 
 def test_reward_uncertainty_pair_differs_only_in_the_swapped_arms():
