@@ -34,6 +34,7 @@ from .lcb import (
     AlcbPolicy,
     GreedyTrace,
     LcbPolicy,
+    Plan,
     PlanSegment,
     greedy_subset,
     lcb_policy_step,
@@ -50,7 +51,7 @@ from .learn import (
     explore_phase_step,
     relaxed_exploration_phases,
 )
-from .lmatch import LlcbPolicy, LmatchPlan
+from .lmatch import LlcbPolicy
 from .matching import (
     Aggregate,
     Matching,
@@ -76,11 +77,11 @@ __all__ = [
     "Instance",
     "LcbPolicy",
     "LlcbPolicy",
-    "LmatchPlan",
     "Matching",
     "MerTable",
     "Observables",
     "OptResult",
+    "Plan",
     "PlanSegment",
     "Policy",
     "ResourceGuardError",

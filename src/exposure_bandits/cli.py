@@ -31,10 +31,10 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import time
 from dataclasses import replace
-from itertools import groupby
 
 from .core import (
     NEG_INF,
@@ -235,19 +235,12 @@ def _policy_diag(policy: Policy):
         return sorted(policy.Z), policy.table.root_value
     if not isinstance(policy, LcbPolicy):
         return None, None
-    segments = policy.segments
-    # the chain Z^0 ⊇ Z^1 ⊇ ... as (set, phases) runs
-    sets = [(segments[0].available, 1)] + [(seg.kept, seg.phases) for seg in segments]
-    runs = [(z, sum(n for _, n in run)) for z, run in groupby(sets, key=lambda zn: zn[0])]
-    if len(runs) == 1:
-        return sorted(segments[0].kept), segments[0].matching.value
+    runs = policy.plan.runs
     chain = "->".join(
         "{" + ",".join(map(str, sorted(z))) + "}" + (f"x{n}" if n > 1 else "")
         for z, n in runs
     )
-    # the exact sum over the phases, divided once: correctly rounded
-    exact = sum(seg.phases * seg.matching.exact for seg in segments)
-    return chain, exact / (segments[0].matching.scale * sum(seg.phases for seg in segments))
+    return (sorted(runs[0][0]) if len(runs) == 1 else chain), policy.plan.value_per_phase
 
 
 def cmd_solve(args) -> int:
@@ -305,6 +298,10 @@ def _benchmark_values(kind: str, horizons) -> list[float]:
 
 
 def cmd_experiment(args) -> int:
+    # the CSV is written once every group has run, so refuse its path first
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ValueError(f"--out {args.out}: not a file in an existing directory")
     instance, file_seed = load_instance(args.instance)
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     if not algos:

@@ -8,11 +8,11 @@ consume the slack row, and the rare phase where some floor is missed
 falls back to salvaging the best live entry.
 
 The three matching planners share one replay (:class:`LcbPolicy`) of a
-plan of segments (:class:`PlanSegment`): a matching replayed for some
-phases under the thresholds of the arms it keeps.  LCB (exhaustive
-search over all 2^k - 1 subsets) and A-LCB (the k-step greedy, O(k^2)
-oracle calls and a (1 - 1/e) guarantee from submodularity) keep one
-subset for every phase, one segment; L-LCB
+:class:`Plan` of segments (:class:`PlanSegment`): a matching replayed
+for some phases under the thresholds of the arms it keeps.  LCB
+(exhaustive search over all 2^k - 1 subsets) and A-LCB (the k-step
+greedy, O(k^2) oracle calls and a (1 - 1/e) guarantee from
+submodularity) keep one subset for every phase, one segment; L-LCB
 (:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
 All three value their arm sets, and solve the matchings they replay,
 through one :class:`~exposure_bandits.matching.SubsetPrices` of the
@@ -30,7 +30,7 @@ included: the tie-break and the salvage have that one implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -39,13 +39,15 @@ from .core import (
     ContractError,
     Instance,
     InfeasibleError,
+    ResourceGuardError,
     best_subset,
 )
-from .env import CommittedPolicy
+from .env import LONGEST_EPISODE, CommittedPolicy
 from .matching import Matching, SubsetPrices, build_lcb_aggregate
 
 __all__ = [
     "PlanSegment",
+    "Plan",
     "LcbState",
     "GreedyTrace",
     "lcb_policy_step",
@@ -70,6 +72,53 @@ class PlanSegment:
     matching: Matching
     available: frozenset
     kept: frozenset
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The segments a matching planner replays, covering the phases in
+    order.  ``runs`` is the chain of surviving sets Z^0 ⊇ Z^1 ⊇ ... ⊇ Z^N
+    as (set, phases) pairs, equal neighbours merged, and ``chain`` that
+    chain one entry per phase.  The value is one exact integer sum over
+    the phases, divided once: by the matchings' scale for
+    ``total_value``, and by that times the phases for ``value_per_phase``.
+    ``chain`` and ``total_value`` raise ``ResourceGuardError``, before
+    building anything per phase, for a plan of more phases than the
+    longest episode the simulator accepts has rounds.
+    """
+
+    segments: tuple[PlanSegment, ...]
+
+    @property
+    def runs(self) -> list[tuple[frozenset, int]]:
+        sets = [(self.segments[0].available, 1)] + [(s.kept, s.phases) for s in self.segments]
+        return [(z, sum(c for _, c in run)) for z, run in groupby(sets, key=lambda zc: zc[0])]
+
+    def _guard(self) -> None:
+        phases = sum(s.phases for s in self.segments)
+        if phases > LONGEST_EPISODE:
+            raise ResourceGuardError(
+                f"a plan of {phases} phases is longer than any episode "
+                f"the simulator accepts ({LONGEST_EPISODE} rounds)"
+            )
+
+    @property
+    def chain(self) -> tuple[frozenset, ...]:
+        self._guard()
+        return tuple(z for z, c in self.runs for _ in range(c))
+
+    def _value(self, phases: int) -> float:
+        exact = sum(s.phases * s.matching.exact for s in self.segments)
+        return exact / (self.segments[0].matching.scale * phases)
+
+    @property
+    def total_value(self) -> float:
+        self._guard()
+        return self._value(1)
+
+    @property
+    def value_per_phase(self) -> float:
+        return self._value(sum(s.phases for s in self.segments))
 
 
 class LcbState:
@@ -419,11 +468,11 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
 
 
 class LcbPolicy(CommittedPolicy):
-    """Replay a plan's segments (:class:`PlanSegment`) phase after phase,
-    each phase from a fresh :class:`LcbState` of its segment's matching.
-    ``LcbPolicy`` itself commits to the subset ``Z`` :func:`lcb_star`
-    finds and its ``template`` matching, one segment; subclasses pass
-    other segments to :meth:`_commit`.
+    """Replay a :class:`Plan` phase after phase, each phase from a fresh
+    :class:`LcbState` of its segment's matching.  ``LcbPolicy`` itself
+    commits to the subset ``Z`` :func:`lcb_star` finds and its
+    ``template`` matching, a plan of one segment; subclasses pass other
+    plans to :meth:`_commit`.
 
     ``bad_event_phases`` collects the 1-based phases whose arrivals
     missed some confidence floor (diagnosed by the fallback firing).
@@ -435,19 +484,20 @@ class LcbPolicy(CommittedPolicy):
 
     def __init__(self, instance: Instance):
         self.Z, self.template = lcb_star(instance)
-        self._commit(instance, [PlanSegment(instance.phases, self.template, self.Z, self.Z)])
+        segment = PlanSegment(instance.phases, self.template, self.Z, self.Z)
+        self._commit(instance, Plan((segment,)))
 
-    def _commit(self, instance: Instance, segments) -> None:
-        """Replay ``segments``, which cover the instance's phases in order."""
+    def _commit(self, instance: Instance, plan: Plan) -> None:
+        """Replay ``plan``, kept as ``self.plan``, over the instance."""
         self.instance = instance
-        self.segments = tuple(segments)
+        self.plan = plan
         # each segment's thresholds: those of the arms it keeps
         self._deltas = [
             [instance.delta[a] if a in seg.kept else 0 for a in range(instance.k)]
-            for seg in self.segments
+            for seg in plan.segments
         ]
         # the first phase index past each segment
-        self._ends = list(accumulate(seg.phases for seg in self.segments))
+        self._ends = list(accumulate(seg.phases for seg in plan.segments))
         self.bad_event_phases: list[int] = []
 
     def start(self, rng) -> None:
@@ -460,7 +510,7 @@ class LcbPolicy(CommittedPolicy):
         :class:`~exposure_bandits.env.CommittedPolicy`)."""
         last = first + len(arrivals)
         lengths, M, deltas = [], [], []
-        for seg, seg_deltas, end in zip(self.segments, self._deltas, self._ends):
+        for seg, seg_deltas, end in zip(self.plan.segments, self._deltas, self._ends):
             overlap = min(end, last) - max(end - seg.phases, first)
             if overlap > 0:
                 lengths.append(overlap)
@@ -486,4 +536,5 @@ class AlcbPolicy(LcbPolicy):
         if template is NEG_INF:
             raise ContractError("the greedy commitment has no feasible matching")
         self.Z, self.template, self.trace = trace.chosen, template, trace
-        self._commit(instance, [PlanSegment(instance.phases, template, self.Z, self.Z)])
+        segment = PlanSegment(instance.phases, template, self.Z, self.Z)
+        self._commit(instance, Plan((segment,)))

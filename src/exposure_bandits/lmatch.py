@@ -25,33 +25,28 @@ at m is therefore worth
 
 where T_h(D, m) is the best h-hop path through D to m, a longest path
 in the subset DAG.  The table T costs O(k 4^k) additions and nothing
-grows with N; values are compared exactly, as the matchings' integer
-sums (``Matching.exact``), which share the aggregate's one scale.
+grows with N; values are compared exactly, as the pairs' integer
+prices, which share the aggregate's one scale.
 
 The plan is the one an exact DP over the phases picks.  It ends at the
 empty set: keeping fewer arms never lowers a phase's value, so the last
 phase keeps none.  The chain is read back from the end, each phase's
 available set the smallest (fewest arms, then lowest mask) that still
-completes an optimal plan.  Read back, the chain stays at a set m for
-as long as R_{i-c}(m) + c v(m, m) = R_i(m), which holds for every c up
-to some largest one, found by bisection; so the plan comes out as
-run-length segments, at most 2k + 1 of them, one per drop and one per
-run of self-loops.  The plan holds only these segments, so nothing
-its construction keeps grows with N either; ``chain`` and
-``total_value`` are derived from them, phase by phase, when read, and
-refused for a plan longer than any episode the simulator accepts.
-``total_value`` is the exact sum of the phase values, correctly
-rounded.
+completes an optimal plan.  At a set m with i phases left, the chain
+stays at m i - h times, for the fewest hops h with
+T_h(m, m) + (i - h) v(m, m) the value left: an optimal plan keeps all
+its stays at one set, and a loop above m could move down to m, so the
+most stays at m leave a loop-free walk to m.  So the plan, a
+:class:`~exposure_bandits.lcb.Plan`, comes out as run-length segments,
+at most 2k + 1 of them, one per drop and one per run of self-loops, and
+nothing its construction keeps grows with N either.
 
 The online policy is the committed policy's replay
-(:class:`~exposure_bandits.lcb.LcbPolicy`) over the plan's segments
-rather than over one: each segment's matching, with the thresholds of
-the arms the segment keeps.
+(:class:`~exposure_bandits.lcb.LcbPolicy`) of that plan: each segment's
+matching, with the thresholds of the arms the segment keeps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     ContractError,
@@ -60,11 +55,10 @@ from .core import (
     NEG_INF,
     ResourceGuardError,
 )
-from .env import LONGEST_EPISODE
-from .lcb import LcbPolicy, PlanSegment
+from .lcb import LcbPolicy, Plan, PlanSegment
 from .matching import Aggregate, SubsetPrices, build_lcb_aggregate
 
-__all__ = ["LmatchPlan", "plan_pairs", "lmatch", "LlcbPolicy"]
+__all__ = ["plan_pairs", "lmatch", "LlcbPolicy"]
 
 PAIR_CAP = 10**6
 
@@ -76,45 +70,6 @@ def plan_pairs(k: int) -> int:
     if pairs > PAIR_CAP:
         raise ResourceGuardError(f"3^{k} subset pairs exceed cap {PAIR_CAP}")
     return pairs
-
-
-@dataclass(frozen=True)
-class LmatchPlan:
-    """Exact plan over all phases.
-
-    ``segments`` cover the phases in order.  Derived from them, one
-    entry per phase: ``chain`` lists the planned surviving sets Z^0
-    down to Z^N (nested nonincreasing), and ``total_value`` is the
-    plan's value, summed phase by phase.  Both raise
-    ``ResourceGuardError`` before building anything per phase when the
-    plan has more phases than the longest episode the simulator accepts
-    has rounds.
-    """
-
-    segments: tuple[PlanSegment, ...]
-
-    def _phases(self) -> list[int]:
-        """Each segment's phases, once the plan is known to be no longer
-        than the longest episode the simulator accepts."""
-        phases = [s.phases for s in self.segments]
-        if sum(phases) > LONGEST_EPISODE:
-            raise ResourceGuardError(
-                f"a plan of {sum(phases)} phases is longer than any episode "
-                f"the simulator accepts ({LONGEST_EPISODE} rounds)"
-            )
-        return phases
-
-    @property
-    def total_value(self) -> float:
-        """The exact sum of the phase values, correctly rounded."""
-        exact = sum(c * s.matching.exact for s, c in zip(self.segments, self._phases()))
-        return exact / self.segments[0].matching.scale
-
-    @property
-    def chain(self) -> tuple[frozenset, ...]:
-        """Z^0, then the set kept after each phase, phase 1 first."""
-        return (self.segments[0].available,
-                *(s.kept for s, c in zip(self.segments, self._phases()) for _ in range(c)))
 
 
 def _mask_set(mask: int, k: int) -> frozenset:
@@ -131,7 +86,7 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
+def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
     """The exact plan when every phase has ``aggregate`` (summing to
     tau), over ``instance.phases`` phases.
 
@@ -190,16 +145,14 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
                     extend(row, T[D, S | m], w[S | m, m])
             T[D, m] = row
 
-    hosts = {
-        m: [(w.get((m | S, m | S)), T[m | S, m]) for S in _submasks(full & ~m)
-            if (m | S, m) in T]
-        for m in range(full + 1)
-    }
-
     def best(i: int, m: int):
         """R_i(m), or None when no i-phase walk ends at m."""
         out = None
-        for loop, row in hosts[m]:
+        for S in _submasks(full & ~m):
+            row = T.get((m | S, m))
+            if row is None:
+                continue
+            loop = w.get((m | S, m | S))
             for h in range(min(i, k) + 1):
                 v = row[h]
                 if v is None or (h < i and loop is None):
@@ -221,18 +174,13 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
     while i > 0:
         loop = w.get((m, m))
         if loop is not None:
-            lo, hi = 0, i  # stays of lo phases complete an optimal plan
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                v = best(i - mid, m)
-                if v is not None and v + mid * loop == value:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            if lo:
-                runs.append((m, m, lo))
-                i -= lo
-                value -= lo * loop
+            row = T[m, m]  # the most stays leave the fewest hops
+            h = next((h for h in range(min(i, k) + 1)
+                      if row[h] is not None and row[h] + (i - h) * loop == value), i)
+            if h < i:
+                runs.append((m, m, i - h))
+                value -= (i - h) * loop
+                i = h
         if i == 0:
             break
         ups = sorted((m | S for S in _submasks(full & ~m) if S),
@@ -255,16 +203,15 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> LmatchPlan:
                     available=sets[m1], kept=sets[m2])
         for m1, m2, c in runs
     )
-    return LmatchPlan(segments=segments)
+    return Plan(segments)
 
 
 class LlcbPolicy(LcbPolicy):
-    """The committed replay over the segments of the :func:`lmatch`
-    plan, each with its own matching and kept set.  The plan looks
-    ahead to the last phase, so the play depends on the horizon."""
+    """The committed replay of the :func:`lmatch` plan, each segment
+    with its own matching and kept set.  The plan looks ahead to the
+    last phase, so the play depends on the horizon."""
 
     horizon_free = False
 
     def __init__(self, instance: Instance):
-        self.plan = lmatch(instance, build_lcb_aggregate(instance.P, instance.tau))
-        self._commit(instance, self.plan.segments)
+        self._commit(instance, lmatch(instance, build_lcb_aggregate(instance.P, instance.tau)))

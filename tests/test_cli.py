@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import exposure_bandits
-from exposure_bandits import Instance, LlcbPolicy, presets, run_episode
+from exposure_bandits import Instance, LlcbPolicy, exact_opt, presets, run_episode
 from exposure_bandits.cli import (
     ALGORITHMS,
     BASELINE_KINDS,
@@ -346,12 +347,17 @@ def test_a_sweep_equals_its_horizons_run_one_at_a_time(tiny_path, tmp_path, work
                                         tmp_path)
 
 
+def shortfall_instance(phases):
+    """At tau=4 the LCB fallback fires in a few phases of each thousand."""
+    return make_instance(tau=4, phases=phases, P=(0.84, 0.16), delta=(1, 1),
+                         mu=((0.9, 0.2), (0.1, 0.8)))
+
+
 def test_a_sweep_counts_only_the_fallbacks_within_each_horizon(tmp_path):
-    # at tau=4 the LCB fallback fires in a few phases of each thousand,
-    # so the longest episode's count overstates the shorter horizons'
+    # the longest episode's count of fallbacks overstates the shorter
+    # horizons'
     path = tmp_path / "shortfall.txt"
-    save_instance(make_instance(tau=4, phases=10_000, P=(0.84, 0.16), delta=(1, 1),
-                                mu=((0.9, 0.2), (0.1, 0.8))), path)
+    save_instance(shortfall_instance(10_000), path)
     assert_sweep_equals_single_horizons(path, ["a-lcb-star", "lcb-star"],
                                         ["4000", "12000", "40000"], "1", tmp_path)
 
@@ -419,6 +425,69 @@ def test_a_repeated_algorithm_is_written_once(tiny_path, tmp_path):
     assert [row[0] for row in texts[0][1:]] == ["dp-star"] * 8 + ["myopic"] * 8
 
 
+@pytest.mark.parametrize("out", ["missing/out.csv", "."])
+def test_an_out_path_that_cannot_be_written_exits_two_before_any_group_runs(
+        out, tiny_path, tmp_path, monkeypatch, capsys):
+    # the CSV is written once every group has run, so a missing
+    # directory, or a directory in place of the file, is refused first
+    path, _ = tiny_path
+    ran = []
+    run_group = exposure_bandits.cli._run_group
+    monkeypatch.setattr("exposure_bandits.cli._run_group",
+                        lambda group: ran.append(group) or run_group(group))
+    assert main(["experiment", "--instance", str(path), "--algo", "dp-star,myopic",
+                 "--seeds", "2", "--sweep", "20,40", "--out", str(tmp_path / out)]) == 2
+    assert ran == []
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_experiment_benchmarks_against_the_exact_optimum(tmp_path):
+    # one arm worth twice the other: the optimum lets the cheap arm
+    # depart and earns 0.5 a round, 1 and 2 at the two horizons
+    inst = make_instance(n=1, k=2, tau=2, phases=1, P=(1.0,), delta=(1, 1),
+                         mu=((0.5, 0.25),))
+    path, out = tmp_path / "tiny.txt", tmp_path / "out.csv"
+    save_instance(inst, path)
+    assert main(["experiment", "--instance", str(path), "--algo", "lcb-star", "--seeds", "1",
+                 "--sweep", "2,4", "--benchmark", "oracle-opt", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    bench = {int(r["T"]): float(r["benchmark"]) for r in rows if r["seed"] == "0"}
+    assert bench == {T: exact_opt(replace(inst, T=T)).value for T in (2, 4)}
+    assert bench == {2: 1.0, 4: 2.0}
+
+
+def test_a_committed_planner_scores_sampled_rewards_in_expectation(tmp_path, capsys):
+    # a committed planner's pulls read no reward, so sampling the rewards
+    # moves neither its episodes nor their expected reward
+    path = tmp_path / "shortfall.txt"
+    save_instance(shortfall_instance(10_000), path)
+    lines = {}
+    for mode in ("sampled", "expected"):
+        assert main(["solve", "--instance", str(path), "--algo", "lcb-star",
+                     "--seeds", "3", "--reward-mode", mode]) == 0
+        lines[mode] = capsys.readouterr().out.splitlines()
+    assert "episodes: 3 (seeds 0..2, reward_mode=sampled)" in lines["sampled"]
+    [sampled], [expected] = ([line for line in lines[mode] if line.startswith("expected reward:")]
+                             for mode in ("sampled", "expected"))
+    assert sampled == expected
+
+
+def test_learn_reports_the_mean_of_its_fallback_phases(tmp_path, capsys):
+    inst = shortfall_instance(10_000)
+    path = tmp_path / "shortfall.txt"
+    save_instance(inst, path)
+    assert main(["learn", "--instance", str(path), "--algo", "ees-lcb-star",
+                 "--seeds", "2"]) == 0
+    policy = make_policy("ees-lcb-star", inst)
+    fired = []
+    for seed in range(2):
+        run_episode(inst, policy, seed, reward_mode="sampled")
+        fired.append(len(policy.bad_event_phases))
+    assert sum(fired) > 0
+    assert f"mean bad-event phases: {sum(fired) / 2:.12g}" in capsys.readouterr().out.splitlines()
+
+
 def test_experiment_rejects_misaligned_sweeps(tiny_path):
     path, _ = tiny_path
     assert main(["experiment", "--instance", str(path), "--sweep", "25",
@@ -428,8 +497,7 @@ def test_experiment_rejects_misaligned_sweeps(tiny_path):
 def test_ees_learners_report_their_planners_fallback_phases(tmp_path):
     # at tau=4 the LCB planner's fallback fires in a few phases after
     # exploration; the experiment rows must count them
-    inst = make_instance(tau=4, phases=20_000, P=(0.84, 0.16), delta=(1, 1),
-                         mu=((0.9, 0.2), (0.1, 0.8)))
+    inst = shortfall_instance(20_000)
     path = tmp_path / "shortfall.txt"
     save_instance(inst, path)
     out = tmp_path / "out.csv"

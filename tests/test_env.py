@@ -551,6 +551,22 @@ def test_batched_path_rejects_arms_outside_the_instance():
             run_episode(inst, policy, 0)
 
 
+@pytest.mark.parametrize("shape", [
+    lambda phases, tau: (0, tau),
+    lambda phases, tau: (phases + 1, tau),
+    lambda phases, tau: (1, tau + 1),
+    lambda phases, tau: (tau,),
+], ids=["no-phase", "one-phase-more", "one-round-more", "flat"])
+def test_pulls_of_the_wrong_shape_break_the_segment_contract(shape):
+    class WrongShape(Policy):
+        def play_phases(self, arrivals, viable, past, reward):
+            return np.zeros(shape(*arrivals.shape), dtype=np.int16)
+
+    inst = make_instance(tau=10, phases=3)
+    with pytest.raises(ValueError, match="play_phases returned shape"):
+        run_episode(inst, WrongShape(), 0)
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 3))

@@ -15,6 +15,7 @@ from exposure_bandits import (
     Instance,
     LcbPolicy,
     LlcbPolicy,
+    PlanSegment,
     build_lcb_aggregate,
     doalg,
     greedy_subset,
@@ -26,6 +27,7 @@ from exposure_bandits import (
 )
 from exposure_bandits import matching
 from exposure_bandits.lcb import LcbState, lcb_replay
+from exposure_bandits.presets import PRESETS
 from conftest import (
     make_instance,
     random_instance,
@@ -178,6 +180,21 @@ def test_ties_prefer_smaller_subsets_on_exact_values():
     plan = LlcbPolicy(inst).plan
     assert [(s.phases, s.available, s.kept) for s in plan.segments] == [
         (4, {1}, {1}), (1, {1}, set())]
+
+
+@pytest.mark.parametrize("cls", [LcbPolicy, AlcbPolicy])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_committed_subset_is_a_plan_of_one_segment(cls, preset):
+    # LCB and A-LCB hold the plan L-LCB holds: one segment that replays
+    # the template under Z's thresholds in every phase, valued exactly
+    inst = PRESETS[preset]()
+    policy = cls(inst)
+    plan, Z, template = policy.plan, policy.Z, policy.template
+    assert plan.segments == (PlanSegment(inst.phases, template, Z, Z),)
+    assert plan.runs == [(Z, inst.phases + 1)]
+    assert plan.total_value == float(Fraction(inst.phases * template.exact, template.scale))
+    assert plan.value_per_phase == template.value
+    assert not hasattr(policy, "segments")
 
 
 def test_greedy_stays_within_its_call_budget():

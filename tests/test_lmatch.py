@@ -17,6 +17,7 @@ from exposure_bandits import (
     LcbPolicy,
     LlcbPolicy,
     Matching,
+    Plan,
     PlanSegment,
     ResourceGuardError,
     build_lcb_aggregate,
@@ -286,7 +287,7 @@ def test_a_plan_as_long_as_the_longest_episode_is_read(monkeypatch):
     plan = LlcbPolicy(early_harvest(tau=200, phases=6)).plan
     longer = LlcbPolicy(early_harvest(tau=200, phases=7)).plan
     chain, total = plan.chain, plan.total_value
-    monkeypatch.setattr("exposure_bandits.lmatch.LONGEST_EPISODE", 6)
+    monkeypatch.setattr("exposure_bandits.lcb.LONGEST_EPISODE", 6)
     assert plan.chain == chain and plan.total_value.hex() == total.hex()
     for read in ("chain", "total_value"):
         with pytest.raises(ResourceGuardError):
@@ -341,8 +342,8 @@ def test_each_segment_breaks_ties_by_the_thresholds_of_the_arms_it_keeps():
     last = Matching.from_matrix(((3, 0), (14, 39), (44, 0)), _scaled(_mu_eff(agg, inst)))
     assert last.exact == doalg(agg, both, first, inst).exact
     policy = LcbPolicy(inst)
-    policy._commit(inst, [PlanSegment(5, doalg(agg, both, both, inst), both, both),
-                          PlanSegment(1, last, both, first)])
+    policy._commit(inst, Plan((PlanSegment(5, doalg(agg, both, both, inst), both, both),
+                               PlanSegment(1, last, both, first))))
     assert last.M[1] == (14, 39)  # type 1's row spans both arms
 
     def replay(arrivals, deltas):

@@ -12,6 +12,7 @@ from exposure_bandits import (
     NEG_INF,
     Aggregate,
     ContractError,
+    ResourceGuardError,
     brute_matching,
     build_lcb_aggregate,
     doalg,
@@ -101,6 +102,20 @@ def test_sentinel_when_commitment_cannot_fit():
               doalg_graph_reference(empty, set(), inst)):
         assert m.M == ((0, 0), (0, 0))
         assert (m.exact, m.scale, m.pull_column_sums) == (0, scale, (0, 0))
+
+
+def test_the_graph_reference_refuses_large_graphs_and_unfit_commitments():
+    # tau copies of each allowed arm: 121 * 2 nodes exceed its cap of 240
+    inst = make_instance(tau=121, phases=1, delta=(0, 0))
+    agg = Aggregate(counts=(60, 61), has_slack=False)
+    with pytest.raises(ResourceGuardError, match="240"):
+        doalg_graph_reference(agg, {0, 1}, inst)
+    assert doalg_graph_reference(agg, {0}, inst).value == 60.0
+    # thresholds of 3 + 3 do not fit a phase of 4 rounds; either alone does
+    inst = make_instance(tau=4, phases=1, delta=(3, 3))
+    agg = Aggregate(counts=(2, 2), has_slack=False)
+    assert doalg_graph_reference(agg, {0, 1}, inst) is NEG_INF
+    assert doalg_graph_reference(agg, {0}, inst).value == 2.0
 
 
 def test_committed_columns_meet_their_thresholds():

@@ -154,3 +154,10 @@ def test_the_lcb_planners_reach_the_flow_solve_only_through_subset_prices():
             and any(alias.name.split(".")[-1] == "doalg" for alias in node.names)
         ]
     assert found == []
+
+
+def test_a_plans_value_is_summed_only_by_the_plan():
+    # lcb.Plan holds the one exact sum over a plan's segments; the
+    # command line formats it and lmatch returns the plan
+    for module in (exposure_bandits.cli, exposure_bandits.lmatch):
+        assert "matching.exact" not in Path(module.__file__).read_text(), module.__name__
