@@ -31,7 +31,7 @@ from .core import (
 from .dp import DpPolicy, largest_commitment, table_cells
 from .env import NO_PULL, Policy, RunRecord, _cells, _live_counts
 from .lcb import LcbPolicy
-from .lmatch import LlcbPolicy, plan_pairs
+from .lmatch import LlcbPolicy
 
 __all__ = [
     "Observables",
@@ -199,9 +199,9 @@ class EesPolicy(Policy):
     InfeasibleError if no positive quota exists (the exploration
     schedule relies on it to keep every arm viable) or exploration
     fills the horizon, and with ResourceGuardError if the DpPolicy
-    planner's largest table, the subsets it and LcbPolicy search, or the
-    LlcbPolicy planner's subset pairs would exceed their cap, rather
-    than after exploring.  The length of exploration grows with the
+    planner's largest table, or the subsets it, LcbPolicy and
+    LlcbPolicy search, would exceed their cap, rather than after
+    exploring.  The length of exploration grows with the
     horizon, so the play depends on it.
     """
 
@@ -230,10 +230,8 @@ class EesPolicy(Policy):
         # by identity: AlcbPolicy subclasses LcbPolicy but searches no subset family
         if planner is DpPolicy:
             table_cells(o.tau, largest_commitment(o.delta, o.tau))
-        if planner in (DpPolicy, LcbPolicy):
+        if planner in (DpPolicy, LcbPolicy, LlcbPolicy):
             subset_count(o.k)
-        elif planner is LlcbPolicy:
-            plan_pairs(o.k)
         self.estimates: Estimates | None = None
         self.planner: Policy | None = None
 

@@ -36,6 +36,7 @@ from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy, GreedyBa
 from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
 from conftest import make_instance
 from test_env import assert_same_record, no_reward, past_of, scalar_run
+from test_lmatch import assert_plan_shape
 
 
 G_EX2 = gamma_from_parts((10, 60), 100, 2)  # quota 40
@@ -302,7 +303,7 @@ def test_an_llcb_plan_over_any_horizon_builds_and_plays():
     assert policy.T0 == 63_500
     planner = LlcbPolicy(replace(inst, T=inst.T - policy.T0))
     assert len(planner.plan.chain) == 19_366
-    assert len(planner.plan.segments) <= 2 * inst.k + 1
+    assert_plan_shape(planner.plan)
     rec = run_episode(inst, policy, 0, reward_mode="expected")
     chain = policy.planner.plan.chain
     assert len(chain) == 19_366
@@ -310,17 +311,6 @@ def test_an_llcb_plan_over_any_horizon_builds_and_plays():
     for phase, arm in rec.departure_events:
         assert phase > policy.exploration_phases
         assert arm not in chain[phase - policy.exploration_phases]
-
-
-def test_an_oversized_llcb_plan_still_fails_before_exploring():
-    # 3^13 subset pairs exceed the pair cap at any horizon; refuse them
-    # at construction, not at T0
-    obs = Observables(n=2, k=13, tau=100, T=200_000, delta=(5,) * 13)
-    with pytest.raises(ResourceGuardError):
-        EesPolicy(obs, LlcbPolicy)
-    EesPolicy(obs, LcbPolicy)  # no plan, no guard
-    with pytest.raises(ResourceGuardError):
-        LlcbPolicy(make_instance(n=2, k=13, tau=100, phases=2, delta=(5,) * 13))
 
 
 def test_an_oversized_subset_search_still_fails_before_exploring():
@@ -333,6 +323,16 @@ def test_an_oversized_subset_search_still_fails_before_exploring():
     # the greedy tries no subset family, so it has no cap, although its
     # class derives from LcbPolicy's
     assert EesPolicy(obs, AlcbPolicy).T0 == 68_400
+
+
+def test_an_oversized_llcb_plan_still_fails_before_exploring():
+    # the plan searches the same subsets as LCB, so 17 arms exceed the
+    # same cap at any horizon; refuse them at construction, not at T0
+    obs = Observables(n=2, k=17, tau=100, T=200_000, delta=(5,) * 17)
+    with pytest.raises(ResourceGuardError):
+        EesPolicy(obs, LlcbPolicy)
+    with pytest.raises(ResourceGuardError):
+        LlcbPolicy(make_instance(n=2, k=17, tau=100, phases=2, delta=(5,) * 17))
 
 
 def test_a_budget_selects_the_relaxed_exploration_schedule():

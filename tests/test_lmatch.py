@@ -147,6 +147,15 @@ def phase_matchings(plan) -> tuple:
     return tuple(s.matching for s in plan.segments for _ in range(s.phases))
 
 
+def assert_plan_shape(plan):
+    """A hop in, one run of stays, one drop: at most three segments,
+    only the first may pull more arms than it keeps, a middle one keeps
+    what it pulls and the last keeps none."""
+    *head, last = plan.segments
+    assert len(head) <= 2 and last.kept == frozenset()
+    assert all(s.available == s.kept for s in head[1:])
+
+
 def assert_same_plan(inst, agg):
     try:
         chain, matchings, total = per_phase_plan(inst, agg)
@@ -159,7 +168,7 @@ def assert_same_plan(inst, agg):
     assert phase_matchings(plan) == matchings
     # bit-equal, not approximately equal: the same exact sum, rounded once
     assert plan.total_value.hex() == total.hex()
-    assert len(plan.segments) <= 2 * inst.k + 1
+    assert_plan_shape(plan)
 
 
 def test_plan_matches_exhaustive_chain_search():
@@ -219,6 +228,33 @@ def test_closed_form_picks_the_per_phase_plan_on_tie_prone_instances(inst, phase
     # both sides are exercised; dyadic values keep every sum exact
     inst = replace(inst, T=inst.tau * phases)
     assert_same_plan(inst, build_lcb_aggregate(inst.P, inst.tau))
+
+
+@st.composite
+def mirrored_instances(draw):
+    """Four arms and two types, the second type's tie-grid utilities the
+    first's with arms 0, 2 and 1, 3 swapped, as are the thresholds, and
+    an aggregate with as many pulls of each type: swapping the arms
+    maps {0, 3} onto {1, 2}, so the two tie wherever either is best.
+    Their thresholds fit in a phase; those of {0, 2} or {1, 3} may not."""
+    tau = draw(st.integers(2, 12))
+    d0 = draw(st.integers(0, tau))
+    d1 = draw(st.integers(0, tau - d0))
+    a = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=4, max_size=4))
+    inst = make_instance(k=4, tau=tau, phases=draw(st.integers(1, 6)), delta=(d0, d1, d0, d1),
+                         mu=(tuple(a), (a[2], a[3], a[0], a[1])))
+    c = draw(st.integers(1, tau // 2))
+    if 2 * c == tau:
+        return inst, Aggregate(counts=(c, c), has_slack=False)
+    return inst, Aggregate(counts=(c, c, tau - 2 * c), has_slack=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mirrored_instances())
+def test_closed_form_breaks_ties_by_size_then_mask_on_four_arms(case):
+    # {1, 2} comes before {0, 3} by size, then mask, but after it in the
+    # subset searches' lexicographic order
+    assert_same_plan(*case)
 
 
 def test_closed_form_picks_the_per_phase_plan_on_random_instances():

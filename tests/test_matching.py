@@ -491,28 +491,36 @@ def test_an_infeasible_flow_breaks_the_contract():
         _FlowGraph(2).solve_from_supplies([1], 1)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data(), st.sampled_from((0, 1, 7, 30, 60)))
-def test_a_priced_pair_has_the_value_of_its_solve(data, j):
-    # tie-prone, dyadic and full-mantissa utilities times 2^-j, with and
-    # without a slack row, and a random pair (available A, kept K <= A):
-    # where the closed form applies it is doalg's exact optimum, so
-    # there the pair is feasible, and no solve on A beats U(A); the
-    # pair's exact value and matching are the solve's, solved once
-    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
-    tau = data.draw(st.integers(2, 12))
-    delta = tuple(data.draw(st.integers(0, tau)) for _ in range(k))
+@st.composite
+def priced_aggregates(draw):
+    """An instance of at most four arms with tie-prone, dyadic or
+    full-mantissa utilities times 2^-j, and an aggregate of its tau
+    pulls, with or without a slack row."""
+    j = draw(st.sampled_from((0, 1, 7, 30, 60)))
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    tau = draw(st.integers(2, 12))
+    delta = tuple(draw(st.integers(0, tau)) for _ in range(k))
     inst = scaled_mu(make_instance(n=n, k=k, tau=tau, phases=1, delta=delta,
-                                   P=data.draw(simplex(n)), mu=data.draw(utility_rows(n, k))), j)
+                                   P=draw(simplex(n)), mu=draw(utility_rows(n, k))), j)
     counts, left = [], tau
     for _ in range(n):
-        counts.append(data.draw(st.integers(0, left)))
+        counts.append(draw(st.integers(0, left)))
         left -= counts[-1]
-    if data.draw(st.booleans()):
-        agg = Aggregate(counts=(*counts, left), has_slack=True)
-    else:
-        counts[-1] += left
-        agg = Aggregate(counts=tuple(counts), has_slack=False)
+    if draw(st.booleans()):
+        return inst, Aggregate(counts=(*counts, left), has_slack=True)
+    counts[-1] += left
+    return inst, Aggregate(counts=tuple(counts), has_slack=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(priced_aggregates(), st.data())
+def test_a_priced_pair_has_the_value_of_its_solve(setting, data):
+    # a random pair (available A, kept K <= A): where the closed form
+    # applies it is doalg's exact optimum, so there the pair is
+    # feasible, and no solve on A beats U(A); the pair's exact value and
+    # matching are the solve's, solved once
+    inst, agg = setting
+    k = inst.k
     A = data.draw(st.integers(0, 2**k - 1))
     K = A & data.draw(st.integers(0, 2**k - 1))
     prices = SubsetPrices(agg, inst)
@@ -537,3 +545,34 @@ def test_a_priced_pair_has_the_value_of_its_solve(data, j):
     assert exact is NEG_INF if m is NEG_INF else exact == m.exact
     assert first == m and again is first
     assert len(solves) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_aggregates())
+def test_a_pair_value_grows_with_the_available_arms_and_exchanges(setting):
+    # the two properties lmatch's closed form rests on, over every
+    # nested K <= K2 <= A <= A2 whose kept thresholds fit: (i) more
+    # available arms never lower the value; (ii) what the arms of A2
+    # beyond A add is never more when more arms are kept.  A pair is
+    # feasible exactly when its kept thresholds fit in tau
+    inst, agg = setting
+    prices = SubsetPrices(agg, inst)
+    full = (1 << inst.k) - 1
+    fits = [sum(inst.delta[a] for a in range(inst.k) if K >> a & 1) <= inst.tau
+            for K in range(full + 1)]
+    w = {}
+    for A in range(1, full + 1):
+        for K in range(full + 1):
+            if not K & ~A:
+                v = prices.exact(A, K)
+                assert (v is not NEG_INF) == fits[K]
+                if fits[K]:
+                    w[A, K] = v
+    for (A, K), v in w.items():
+        for A2 in range(A, full + 1):
+            if A2 & A != A:
+                continue
+            assert w[A2, K] >= v
+            for K2 in range(K, A + 1):
+                if K2 & K == K and not K2 & ~A and fits[K2]:
+                    assert w[A2, K2] - w[A, K2] <= w[A2, K] - v
