@@ -5,7 +5,9 @@ arm up to max(delta_a, quota) times per phase (the quota from the
 feasibility margin keeps every arm viable while still visiting all of
 them), estimates arrival probabilities and utilities from that block,
 and hands the rest of the horizon to a planner instantiated on the
-estimated instance.
+estimated instance.  The exploration rule never reads the episode, so
+a block of exploration phases is one array: a fixed head in every row
+and one uniform draw for the rest (:func:`explore_phase_step`).
 
 The policy object is built from an Observables view that simply does
 not carry P or mu, so "the learner never reads the true parameters" is
@@ -107,15 +109,22 @@ def relaxed_exploration_phases(T: int, tau: int, f) -> int:
     return math.ceil((tau / budget) ** (1 / 3) * T ** (2 / 3) / tau)
 
 
-def explore_phase_step(counts, gamma: GammaResult, delta, rng) -> int:
-    """Next exploration pull: the smallest-index arm still below its
-    per-phase target max(delta_a, quota), or a uniform arm when all
-    targets are met."""
-    g = gamma.quota
-    for a in range(len(delta)):
-        if counts[a] < max(delta[a], g):
-            return a
-    return int(rng.integers(len(delta)))
+def explore_phase_step(count: int, gamma: GammaResult, delta, tau: int, rng) -> np.ndarray:
+    """The next ``count`` exploration phases' pulls, an int16
+    ``(count, tau)`` array.
+
+    Every phase starts with the same head: each arm ``a`` in arm order,
+    repeated max(delta_a, quota) times, cut at ``tau``.  The rest of each
+    phase is uniform over the arms, from one ``rng.integers`` draw in
+    row-major order: the values, and the generator's state after them,
+    of one scalar draw per round."""
+    k = len(delta)
+    head = np.repeat(np.arange(k, dtype=np.int16),
+                     [max(d, gamma.quota) for d in delta])[:tau]
+    pulls = np.empty((count, tau), dtype=np.int16)
+    pulls[:, : len(head)] = head
+    pulls[:, len(head):] = rng.integers(k, size=(count, tau - len(head)))
+    return pulls
 
 
 def estimate(record: RunRecord, T0: int, n: int, k: int) -> Estimates:
@@ -250,8 +259,9 @@ class EesPolicy(Policy):
 
     def play_phases(self, arrivals: np.ndarray, viable: frozenset,
                     past: RunRecord, reward) -> np.ndarray:
-        """The exploration phases up to the end of the block, then the
-        planner's segments (see :class:`~exposure_bandits.env.Policy`)."""
+        """The exploration phases up to the end of the block, one
+        :func:`explore_phase_step` call, then the planner's segments (see
+        :class:`~exposure_bandits.env.Policy`)."""
         o = self.observables
         played = len(past.pulls)
         if played < self.T0:
@@ -260,25 +270,11 @@ class EesPolicy(Policy):
                 raise ContractError(
                     f"an arm departed during exploration (round {played})"
                 )
-            return self._explore_phases(
-                min(len(arrivals), self.exploration_phases - played // o.tau))
+            count = min(len(arrivals), self.exploration_phases - played // o.tau)
+            return explore_phase_step(count, self.gamma, o.delta, o.tau, self._rng)
         if self.planner is None:
             self._plan(past)
         return self.planner.play_phases(arrivals, viable, past, reward)
-
-    def _explore_phases(self, count: int) -> np.ndarray:
-        """The next ``count`` exploration phases' pulls, one
-        :func:`explore_phase_step` per round; the rule never reads the
-        arrival."""
-        o = self.observables
-        pulls = []
-        for _ in range(count):
-            counts = [0] * o.k
-            for _ in range(o.tau):
-                a = explore_phase_step(counts, self.gamma, o.delta, self._rng)
-                counts[a] += 1
-                pulls.append(a)
-        return np.array(pulls, dtype=np.int16).reshape(-1, o.tau)
 
     def _plan(self, record: RunRecord) -> None:
         """Estimate from the first T0 rounds of ``record`` and hand the

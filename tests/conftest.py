@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from exposure_bandits import Instance, lcb
+from exposure_bandits import Aggregate, Instance, lcb
 
 IDENTITY2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -77,12 +77,13 @@ def random_counts(rng: np.random.Generator, n: int, tau: int) -> tuple:
 
 
 @st.composite
-def tie_prone_instances(draw):
+def tie_prone_instances(draw, taus=st.integers(2, 7)):
     """Small instances whose utilities come from a four-value grid, so
-    equal scores (and the tie rule) are common."""
+    equal scores (and the tie rule) are common, with a phase length
+    from ``taus``."""
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3))
-    tau = draw(st.integers(2, 7))
+    tau = draw(taus)
     weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     delta = []
     left = tau
@@ -93,6 +94,21 @@ def tie_prone_instances(draw):
     mu = tuple(tuple(draw(st.lists(grid, min_size=k, max_size=k))) for _ in range(n))
     P = tuple(w / sum(weights) for w in weights)
     return Instance(n=n, k=k, tau=tau, T=2 * tau, P=P, delta=tuple(delta), mu=mu)
+
+
+@st.composite
+def phase_aggregates(draw, n, tau):
+    """An aggregate of a phase's tau pulls over n types, its counts drawn
+    directly (each type's up to what is left), with a slack row for the
+    rest or the rest on the last type."""
+    counts, left = [], tau
+    for _ in range(n):
+        counts.append(draw(st.integers(0, left)))
+        left -= counts[-1]
+    if draw(st.booleans()):
+        return Aggregate(counts=(*counts, left), has_slack=True)
+    counts[-1] += left
+    return Aggregate(counts=tuple(counts), has_slack=False)
 
 
 @st.composite

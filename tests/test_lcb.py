@@ -370,8 +370,10 @@ def _assert_same_lcb_search(inst, expected):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tie_prone_instances())
+@given(tie_prone_instances(taus=st.integers(2, 40)))
 def test_pruned_lcb_star_matches_the_unpruned_search_on_tie_prone_instances(inst):
+    # up to tau = 40, so that the LCB aggregate of most draws has a pull:
+    # below tau = 8 the shave sqrt(tau ln tau) takes most types' pulls
     _assert_same_lcb_search(inst, _unpruned_lcb_star(inst))
 
 

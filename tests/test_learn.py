@@ -83,16 +83,52 @@ def test_relaxed_schedule_shrinks_with_a_larger_budget():
 
 
 def test_exploration_pulls_fill_the_largest_gap_first():
-    rng = np.random.default_rng(0)
-    g = G_EX2
-    delta = (10, 60)
-    counts = [0, 0]
-    # smallest-index arm below its target max(delta, quota) comes first
-    assert explore_phase_step(counts, g, delta, rng) == 0
-    counts = [40, 0]  # arm 0 met its target max(10, 40) = 40
-    assert explore_phase_step(counts, g, delta, rng) == 1
-    counts = [40, 60]  # all targets met: uniform fill
-    assert explore_phase_step(counts, g, delta, rng) in (0, 1)
+    # each arm up to its target max(delta, quota) in arm order: arm 0 to
+    # max(10, 40) = 40, arm 1 to max(60, 40) = 60, which fills the phase
+    pulls = explore_phase_step(3, G_EX2, (10, 60), 100, np.random.default_rng(0))
+    assert pulls.shape == (3, 100) and pulls.dtype == np.int16
+    assert (pulls[:, :40] == 0).all()
+    assert (pulls[:, 40:] == 1).all()
+
+
+def per_round_exploration(count, quota, delta, tau, rng):
+    """The exploration rule one round at a time: the smallest-index arm
+    still below its per-phase target max(delta_a, quota), or a uniform
+    arm, one scalar draw, when every target is met."""
+    k = len(delta)
+    pulls = []
+    for _ in range(count):
+        counts = [0] * k
+        for _ in range(tau):
+            a = next((a for a in range(k) if counts[a] < max(delta[a], quota)), None)
+            if a is None:
+                a = int(rng.integers(k))
+            counts[a] += 1
+            pulls.append(a)
+    return np.array(pulls, dtype=np.int16).reshape(count, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 60), st.integers(0, 6),
+       st.integers(0, 2**32 - 1))
+def test_the_exploration_block_is_the_per_round_walk(data, k, tau, count, seed):
+    # thresholds and quota up to past tau, so heads that fill the phase
+    # and k = 1 (a draw with one outcome) are both drawn
+    delta = tuple(data.draw(st.lists(st.integers(0, tau + 2), min_size=k, max_size=k)))
+    quota = data.draw(st.integers(1, tau + 2))
+    gamma = replace(gamma_from_parts((0,), tau, 1), quota=quota)
+    walk_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = per_round_exploration(count, quota, delta, tau, walk_rng)
+    block = explore_phase_step(count, gamma, delta, tau, block_rng)
+    assert block.dtype == np.int16
+    assert block.tolist() == expected.tolist()
+    # the block relies on Generator.integers(k, size=m) being m scalar
+    # integers(k) calls, values and state after; a NumPy that breaks it
+    # fails here, not only in the pinned stream digests
+    assert block_rng.bit_generator.state == walk_rng.bit_generator.state, (
+        "Generator.integers(k, size=m) no longer leaves the generator where "
+        "m scalar integers(k) calls do"
+    )
 
 
 def test_estimates_recover_the_truth_on_clean_data():

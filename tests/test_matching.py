@@ -29,6 +29,7 @@ from exposure_bandits.matching import (
 )
 from conftest import (
     make_instance,
+    phase_aggregates,
     random_counts,
     random_instance,
     scaled_mu,
@@ -502,14 +503,7 @@ def priced_aggregates(draw):
     delta = tuple(draw(st.integers(0, tau)) for _ in range(k))
     inst = scaled_mu(make_instance(n=n, k=k, tau=tau, phases=1, delta=delta,
                                    P=draw(simplex(n)), mu=draw(utility_rows(n, k))), j)
-    counts, left = [], tau
-    for _ in range(n):
-        counts.append(draw(st.integers(0, left)))
-        left -= counts[-1]
-    if draw(st.booleans()):
-        return inst, Aggregate(counts=(*counts, left), has_slack=True)
-    counts[-1] += left
-    return inst, Aggregate(counts=tuple(counts), has_slack=False)
+    return inst, draw(phase_aggregates(n, tau))
 
 
 @settings(max_examples=400, deadline=None)
