@@ -18,7 +18,7 @@ from exposure_bandits import (
     planned_total_value,
     run_episode,
 )
-from exposure_bandits.dp import _best_moves, largest_commitment
+from exposure_bandits.dp import _action_table, _best_moves, largest_commitment
 from conftest import (
     make_instance,
     random_instance,
@@ -162,6 +162,44 @@ def _expected_pull(table, counts, u, mu_u):
     return best[1]
 
 
+def _deficit_decides(table, counts, u, mu_u):
+    """Whether several arms reach the best score at ``counts`` for type
+    ``u`` and the deficit, not the arm order, picks among them."""
+    scores = {}
+    for j, a in enumerate(table.Z):
+        succ = table.lookup([c + (i == j) for i, c in enumerate(counts)])
+        if succ is not NEG_INF:
+            scores[j] = mu_u[a] + succ
+    top = [j for j, v in scores.items() if v == max(scores.values())]
+    return len(top) > 1 and _expected_pull(table, counts, u, mu_u) != table.Z[top[0]]
+
+
+def test_the_action_table_breaks_score_ties_by_deficit_in_every_chunking(monkeypatch):
+    import exposure_bandits.dp as dp
+
+    # found by a seeded search: the committed table has entries where
+    # exact score ties are settled by the deficit
+    inst = Instance(n=3, k=3, tau=16, T=16, P=(0.2, 0.4, 0.4), delta=(6, 0, 3),
+                    mu=((0, 0.5, 0.25), (1, 0, 0.5), (0.25, 0.25, 0.5)))
+    policy = DpPolicy(inst)
+    table = policy.table
+    assert policy.Z == frozenset(range(3))
+    assert table.state_count == 816
+    decided = 0
+    for counts in itertools.product(range(inst.tau), repeat=3):
+        if sum(counts) >= inst.tau or table.values[table.index_of(counts)] == -np.inf:
+            continue
+        for u in range(inst.n):
+            expected = _expected_pull(table, counts, u, inst.mu[u])
+            assert table.Z[policy._acts[table.index_of(counts), u]] == expected
+            decided += _deficit_decides(table, counts, u, inst.mu[u])
+    assert decided > 0
+    # chunks of 1 and 7 ranks split layers and hold sentinels alone
+    for chunk in (1, 7):
+        monkeypatch.setattr(dp, "_ACTION_CHUNK", chunk)
+        assert np.array_equal(DpPolicy(inst)._acts, policy._acts)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tie_prone_instances())
 def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
@@ -221,8 +259,10 @@ def _check_against_the_grid(inst):
         assert table.values.size == len(states)
         ranked = [float(table.values[table.index_of(c)]).hex() for c in states]
         assert ranked == [v.hex() for v in ref_values]
+        acts = _action_table(table)
         for (c, u), j in ref_acts.items():
             assert best_move(table, c, u) == Z[j]
+            assert acts[table.index_of(c), u] == j
     policy = DpPolicy(inst)
     table = policy.table
     _, _, ref_acts = _grid_reference(table.Z, inst)
