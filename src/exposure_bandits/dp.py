@@ -306,10 +306,11 @@ class DpPolicy(CommittedPolicy):
     and, only where several arms reach it, the largest deficit, then the
     smallest arm, is precomputed by :func:`_action_table` into an int8
     action table with one row per decision state (by rank) and one
-    column per type, so a round costs one table lookup and one
-    successor lookup; :meth:`plan_phases` makes them for every phase of
-    a block at once.  Every phase plays alike, so the play never reads
-    the horizon.
+    column per type.  :meth:`plan_phases` plays every phase of a block
+    at once, so a round costs a few whole-block array operations: one
+    flat gather from the action table and one from the successor
+    positions.  Every phase plays alike, so the play never reads the
+    horizon.
     """
 
     horizon_free = True
@@ -320,22 +321,35 @@ class DpPolicy(CommittedPolicy):
         self.Z = Z
         self.table = table
         self._acts = _action_table(table)
-        self._starts = table.starts.tolist()
-        self._arms = list(table.Z)
+        self._arms = np.array(table.Z, dtype=np.int16)
 
     def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
-        """Every phase's pulls, one vectorised table lookup per round of
-        the phase; every phase plays alike, whatever its index (see
-        :class:`~exposure_bandits.env.CommittedPolicy`)."""
-        nxt = self.table.next
-        arms = np.array(self._arms, dtype=np.int16)
-        pos = np.zeros(arrivals.shape[0], dtype=np.intp)
-        pulls = np.empty(arrivals.shape[::-1], dtype=np.int16)
-        for r, u in enumerate(np.ascontiguousarray(arrivals.T)):
-            j = self._acts[self._starts[r] + pos, u]
-            pos = nxt[j, pos]
-            pulls[r] = arms[j]
-        return pulls.T
+        """Every phase's pulls as a C-ordered int16 ``(phases, tau)``
+        array; every phase plays alike, whatever its index (see
+        :class:`~exposure_bandits.env.CommittedPolicy`).
+
+        Round r of every phase reads the action table at flat index
+        ``(starts[r] + pos) * n + u`` and steps to the successor at
+        ``next.ravel()[j * width + pos]``, each one ``take`` into a
+        preallocated buffer; the Z indices become arms once per block.
+        """
+        acts, nxt = self._acts.ravel(), self.table.next.ravel()
+        n, width = self._acts.shape[1], self.table.next.shape[1]
+        phases, tau = arrivals.shape
+        # the flat action index of round r, but for the position term
+        offset = arrivals.T.astype(np.intp, order="C")
+        offset += self.table.starts[:tau, None] * n
+        pos = np.zeros(phases, dtype=np.intp)
+        idx = np.empty(phases, dtype=np.intp)
+        picks = np.empty((tau, phases), dtype=np.int8)
+        for r, j in enumerate(picks):
+            np.multiply(pos, n, out=idx)
+            idx += offset[r]
+            acts.take(idx, out=j)
+            np.multiply(j, width, out=idx, dtype=np.intp)
+            idx += pos
+            nxt.take(idx, out=pos)
+        return self._arms.take(picks.T)
 
 
 def dp_star(instance: Instance):

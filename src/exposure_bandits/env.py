@@ -118,7 +118,8 @@ class Policy:
     departure, and calls again with the rest of the block, then with
     the next block.  A policy that learns from its rewards finds its
     state ahead of ``past`` after such a cut and must bring it back to
-    ``past``.
+    ``past``.  Pulls that are not C-ordered cost :func:`_play_segments`
+    strided copies.
     """
 
     bad_event_phases = ()

@@ -18,7 +18,9 @@ from exposure_bandits import (
     planned_total_value,
     run_episode,
 )
+from exposure_bandits import env
 from exposure_bandits.dp import _action_table, _best_moves, largest_commitment
+from exposure_bandits.presets import subsidy_wasteful
 from conftest import (
     make_instance,
     random_instance,
@@ -221,6 +223,53 @@ def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
             arm = int(rec.pulls[t])
             assert arm == best_move(policy.table, counts, int(rec.arrivals[t]))
             counts[committed.index(arm)] += 1
+
+
+def _walk(policy, arrivals):
+    """The pulls of replaying the action table a round at a time: one
+    rank from the counts, one entry of ``_acts``, one more count."""
+    table, pulls = policy.table, []
+    for phase in arrivals.tolist():
+        counts, row = [0] * len(table.Z), []
+        for u in phase:
+            j = int(policy._acts[table.index_of(counts), u])
+            counts[j] += 1
+            row.append(table.Z[j])
+        pulls.append(row)
+    return pulls
+
+
+REPLAY_CASES = {
+    # one committed arm: ``next`` is 1x1
+    "one_arm": (subsidy_wasteful(T=70, tau=10), {0}),
+    "one_type": (make_instance(n=1, k=3, tau=5, phases=7, P=(1.0,), delta=(2, 1, 3),
+                               mu=((0.25, 0.5, 0.75),)), {2}),
+    "arms_0_and_2": (make_instance(n=3, k=3, tau=7, phases=7, P=(0.5, 0.25, 0.25),
+                                   delta=(2, 5, 2), mu=((1.0, 0.5, 0.0), (0.25, 0.5, 0.5),
+                                                        (0.0, 0.5, 1.0))), {0, 2}),
+    # a layer of 153 positions: j * width overflows int8
+    "three_arms": (make_instance(n=3, k=3, tau=16, phases=7, delta=(1, 1, 1)), {0, 1, 2}),
+}
+
+
+@pytest.mark.parametrize("block", (1, 3))
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_the_replay_follows_a_per_round_walk_of_the_action_table(case, block, monkeypatch):
+    inst, Z = REPLAY_CASES[case]
+    policy = DpPolicy(inst)
+    assert policy.Z == Z
+    monkeypatch.setattr(env, "BLOCK_ROUNDS", block * inst.tau)
+    rec = run_episode(inst, policy, 5)
+    arrivals = rec.arrivals.reshape(-1, inst.tau)
+    assert rec.pulls.reshape(-1, inst.tau).tolist() == _walk(policy, arrivals)
+    # the arms outside Z depart after phase 1, which cuts a block of
+    # three phases short
+    assert rec.departure_events == [(1, a) for a in range(inst.k) if a not in Z]
+    plan = policy.plan_phases(arrivals, 0)
+    assert plan.dtype == np.int16
+    assert plan.shape == arrivals.shape
+    assert plan.flags.c_contiguous
+    assert plan.tolist() == _walk(policy, arrivals)
 
 
 def _grid_reference(Z, inst):

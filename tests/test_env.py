@@ -651,6 +651,9 @@ def test_every_round_realizes_what_the_reward_model_says(inst, mode, block, pin,
         else:
             want = inst.mu[u][a]
         assert rec.realized_rewards[t].hex() == want.hex(), t
+    # the live counts, at every block size, with declines and dead pulls
+    expected = math.fsum(inst.mu[u][a] for u, a, v in zip(types, script, live) if v)
+    assert rec.expected_reward.hex() == expected.hex()
 
 
 # -- horizon-free play: a shorter episode is a prefix of a longer one --------
