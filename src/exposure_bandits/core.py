@@ -304,26 +304,27 @@ def subset_count(k: int) -> int:
     return 2**k - 1
 
 
-def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
-    """The best commitment for ``instance``, a nonempty subset of its
-    arms, by best-first branch and bound.
+def best_subset(instance: Instance, bound: Callable, evaluate: Callable, candidates=None):
+    """The best nonempty subset of ``instance``'s arms, by best-first
+    branch and bound, among ``candidates``, the subsets to search in tie
+    order (by default every subset, in :func:`iter_subsets` order).
 
     A subset whose thresholds sum to more than tau is infeasible and is
     never evaluated; every single arm fits, since each threshold is at
     most tau.  ``evaluate(Z)`` returns ``(value, payload)`` for the
     others, and ``bound(Z)`` is an upper bound on that value in the
     numbers compared, with no margin.  The winner is the subset of
-    greatest value, ties going to the earliest in :func:`iter_subsets`
-    order: the greatest (value, -index).  Subsets are tried in
-    decreasing (bound, -index) order, and the walk stops at the first
-    below the incumbent's (value, -index): that subset and every later
-    one can at most tie it, and come after it.  So the result is what
-    trying every subset gives.  Returns ``(Z, payload)``; raises
-    ResourceGuardError for more than SUBSET_ARM_CAP arms.
+    greatest value, ties going to the earliest candidate: the greatest
+    (value, -index).  Subsets are tried in decreasing (bound, -index)
+    order, and the walk stops at the first below the incumbent's
+    (value, -index): that subset and every later one can at most tie it,
+    and come after it.  So the result is what trying every subset gives.
+    Returns ``(Z, payload)``; raises ResourceGuardError for more than
+    SUBSET_ARM_CAP arms.
     """
     subset_count(instance.k)
     subsets = [
-        Z for Z in iter_subsets(instance.k)
+        Z for Z in (iter_subsets(instance.k) if candidates is None else candidates)
         if sum(instance.delta[a] for a in Z) <= instance.tau
     ]
     bounds = [bound(Z) for Z in subsets]

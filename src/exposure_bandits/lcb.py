@@ -353,7 +353,7 @@ def _slack_sweep(types, units, worth) -> np.ndarray:
     # flat offsets of each phase's row of ``best`` and of ``left``
     best_row, left_row = np.arange(phases) * len(worth), np.arange(phases) * len(units)
     picked = np.empty((width, phases), dtype=np.intp)
-    for u, pick in zip(types.T.astype(np.intp), picked):
+    for u, pick in zip(np.ascontiguousarray(types.T, dtype=np.intp), picked):
         best.take(best_row + u, out=pick)
         at = left_row + pick
         left.ravel()[at] -= 1

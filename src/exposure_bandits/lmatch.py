@@ -45,10 +45,12 @@ the empty set.  So the plan's value is the largest V(D).  In an optimal
 chain every step above is tight, so each set folded after D has a
 self-loop as large as D's; then its last set D' bounds the chain in
 D's place, and V(D') is the optimum too.  The sets that can end an
-optimal chain are therefore exactly those of largest V.  Nothing grows
-with N: the search values at most 2 (2^k - 1) pairs and scans the
-supersets of one set, comparing values exactly as the pairs' integer
-prices.
+optimal chain are therefore exactly those of largest V.  As
+w(full, D) <= U(full) and w(D, D) <= U(D), each set has the bound
+V(D) <= U(full) + (N - 1) U(D), read with no solve, and D is found by
+:func:`~exposure_bandits.core.best_subset`'s best-first rule: only the
+sets whose bound could still win are valued.  Nothing grows with N,
+and values compare exactly, as the pairs' integer prices.
 
 The plan is the one an exact DP over the phases picks, each phase's
 available set the smallest (fewest arms, then lowest mask) that still
@@ -67,7 +69,7 @@ matching, with the thresholds of the arms the segment keeps.
 
 from __future__ import annotations
 
-from .core import ContractError, Instance, InfeasibleError, NEG_INF, subset_count
+from .core import ContractError, Instance, best_subset, subset_count
 from .lcb import LcbPolicy, Plan, PlanSegment
 from .matching import Aggregate, SubsetPrices, build_lcb_aggregate
 
@@ -86,9 +88,9 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
     value, kept for the phases between, and dropped in the last phase
     (see the module docstring for why no other chain does better).
 
-    Raises InfeasibleError when no chain keeps a feasible matching in
-    every phase, ResourceGuardError for more arms than the subset
-    searches allow (:func:`~exposure_bandits.core.subset_count`).
+    Raises ResourceGuardError for more arms than the subset searches
+    allow (:func:`~exposure_bandits.core.subset_count`); every single
+    arm fits a phase, so a plan always exists.
     """
     if aggregate.total != instance.tau:
         raise ValueError("the phase aggregate must sum to tau")
@@ -98,28 +100,23 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
     # nonempty sets, fewest arms first, then lowest mask: the tie order
     order = sorted(range(1, full + 1), key=lambda m: (m.bit_count(), m))
     prices = SubsetPrices(aggregate, instance)
+    top = prices.free(full)
 
     if N == 1:
-        top = prices.free(full)
         X = next(m for m in order if prices.free(m) == top)
         runs = [(X, 0, 1)]
     else:
-        best = None
-        for D in order:
-            head = prices.exact(full, D)
-            if head is NEG_INF:
-                continue
-            loop = prices.exact(D, D)
+        masks = {_mask_set(m, k): m for m in order}  # the candidates, in tie order
+
+        def evaluate(Z):
+            D = masks[Z]
+            head, loop = prices.exact(full, D), prices.exact(D, D)
             if head < loop:
-                raise ContractError(
-                    f"allowing every arm lowered the value of keeping {_mask_set(D, k)}"
-                )
-            v = head + (N - 2) * loop + prices.free(D)
-            if best is None or v > best[0]:
-                best = v, D, head, loop
-        if best is None:
-            raise InfeasibleError("no feasible multi-phase plan")
-        _, D, head, loop = best
+                raise ContractError(f"allowing every arm lowered the value of keeping {Z}")
+            return head + (N - 2) * loop + prices.free(D), (D, head, loop)
+
+        _, (D, head, loop) = best_subset(instance, lambda Z: top + (N - 1) * prices.free(masks[Z]),
+                                         evaluate, masks)
         if loop == head:
             runs = [(D, D, N - 1)]
         else:

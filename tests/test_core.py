@@ -149,16 +149,17 @@ def test_iter_subsets_cardinality_then_lex():
     assert got == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
-def _search(instance, values, bounds, tried):
-    """best_subset with the given per-subset values and bounds, appending
-    each subset it evaluates to ``tried``; asking for a subset that has
-    neither raises KeyError."""
+def _search(instance, values, bounds, tried, candidates=None):
+    """best_subset over ``candidates`` (by default every subset) with the
+    given per-subset values and bounds, appending each subset it
+    evaluates to ``tried``; asking for a subset that has neither raises
+    KeyError."""
 
     def evaluate(Z):
         tried.append(Z)
         return values[Z], f"payload {Z}"
 
-    return best_subset(instance, bounds.__getitem__, evaluate)
+    return best_subset(instance, bounds.__getitem__, evaluate, candidates)
 
 
 TWO_FREE_ARMS = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(0, 0))
@@ -175,12 +176,20 @@ def test_best_subset_keeps_a_subset_better_by_a_hair():
     assert tried == [(0, 1), (0,)]  # {1} is pruned
 
 
-def test_best_subset_gives_ties_to_the_earliest_subset():
+@pytest.mark.parametrize("candidates, winner, tried_order", [
+    # iter_subsets order: {1} has the highest bound and is tried first,
+    # and {0}, the earliest, takes the tie last
+    (None, (0,), [(1,), (0, 1), (0,)]),
+    # {1} is the earliest of this list, so it keeps the tie; {0, 1}'s
+    # bound 2 could still beat it, {0}'s bound 1 only tie it
+    ([(1,), (0,), (0, 1)], (1,), [(1,), (0, 1)]),
+], ids=["iter_subsets_order", "given_order"])
+def test_best_subset_gives_ties_to_the_earliest_subset(candidates, winner, tried_order):
     values = {(0,): 1.0, (1,): 1.0, (0, 1): 1.0}
     bounds = {(0,): 1.0, (1,): 3.0, (0, 1): 2.0}
     tried = []
-    assert _search(TWO_FREE_ARMS, values, bounds, tried)[0] == (0,)
-    assert tried == [(1,), (0, 1), (0,)]
+    assert _search(TWO_FREE_ARMS, values, bounds, tried, candidates)[0] == winner
+    assert tried == tried_order
 
 
 def test_best_subset_never_solves_a_later_subset_that_can_only_tie():

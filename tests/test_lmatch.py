@@ -291,6 +291,23 @@ def test_a_covered_plan_solves_only_the_matchings_it_replays(monkeypatch):
     assert_same_plan(inst, agg)
 
 
+def test_an_uncovered_plan_solves_only_the_sets_whose_bound_can_win(monkeypatch):
+    # thresholds of tau/k leave the slack row short of most kept sets'
+    # floors, so their pairs are solved; the bound U(full) + (N - 1) U(D)
+    # stops the search for D after a few sets, where valuing every D
+    # solves 1,055 pairs on this instance
+    solved = []
+    monkeypatch.setattr("exposure_bandits.matching.doalg",
+                        lambda agg, A, K, inst: solved.append((A, K)) or doalg(agg, A, K, inst))
+    k, tau = 10, 2000
+    rng = np.random.default_rng(k)
+    mu = tuple(tuple(float(v) for v in rng.random(k)) for _ in range(4))
+    inst = Instance(n=4, k=k, tau=tau, T=tau * 20, P=(0.25,) * 4, delta=(tau // k,) * k, mu=mu)
+    plan = lmatch(inst, build_lcb_aggregate(inst.P, inst.tau))
+    assert len(solved) <= 10
+    assert_plan_shape(plan)
+
+
 def test_plan_cost_does_not_grow_with_the_horizon():
     inst = early_harvest(tau=200, phases=4)
     agg = build_lcb_aggregate(inst.P, inst.tau)

@@ -156,6 +156,23 @@ def test_the_lcb_planners_reach_the_flow_solve_only_through_subset_prices():
     assert found == []
 
 
+def test_the_subset_planners_search_only_through_best_subset():
+    # core.best_subset holds the one best-first subset search, its
+    # pruning and its tie rule; a planner that does not call it has
+    # grown a search of its own
+    planners = (exposure_bandits.dp.dp_star, exposure_bandits.lcb.lcb_star,
+                exposure_bandits.lmatch.lmatch)
+    missing = [
+        fn.__qualname__
+        for fn in planners
+        if not any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "best_subset"
+            for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
+        )
+    ]
+    assert missing == []
+
+
 def test_a_plans_value_is_summed_only_by_the_plan():
     # lcb.Plan holds the one exact sum over a plan's segments; the
     # command line formats it and lmatch returns the plan
