@@ -20,7 +20,6 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterator
 
 __all__ = [
@@ -36,7 +35,10 @@ __all__ = [
     "validate_sizes",
     "gamma_from_parts",
     "compute_gamma",
+    "subset_masks",
     "iter_subsets",
+    "arm_set",
+    "arm_mask",
     "subset_count",
     "best_subset",
 ]
@@ -289,11 +291,28 @@ def compute_gamma(instance: Instance) -> GammaResult:
     return gamma_from_parts(instance.delta, instance.tau, instance.k)
 
 
+def subset_masks(k: int) -> list[int]:
+    """Nonempty subsets of ``range(k)`` as bit masks, fewest arms first,
+    then lowest mask: the one tie order of every subset search.  Raises
+    ResourceGuardError for more than SUBSET_ARM_CAP arms."""
+    subset_count(k)
+    return sorted(range(1, 1 << k), key=int.bit_count)  # stable: masks ascend within a size
+
+
 def iter_subsets(k: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of ``range(k)`` ordered by cardinality, then
-    lexicographically.  The shared tie-break order for subset searches."""
-    for size in range(1, k + 1):
-        yield from combinations(range(k), size)
+    """Nonempty subsets of ``range(k)`` as arm tuples, fewest arms first, then lowest mask."""
+    for mask in subset_masks(k):
+        yield tuple(a for a in range(k) if mask >> a & 1)
+
+
+def arm_set(mask: int) -> frozenset:
+    """The arms of bit mask ``mask``."""
+    return frozenset(a for a in range(mask.bit_length()) if mask >> a & 1)
+
+
+def arm_mask(arms) -> int:
+    """The bit mask of the arms ``arms``."""
+    return sum(1 << a for a in arms)
 
 
 def subset_count(k: int) -> int:
@@ -304,29 +323,28 @@ def subset_count(k: int) -> int:
     return 2**k - 1
 
 
-def best_subset(instance: Instance, bound: Callable, evaluate: Callable, candidates=None):
-    """The best nonempty subset of ``instance``'s arms, by best-first
-    branch and bound, among ``candidates``, the subsets to search in tie
-    order (by default every subset, in :func:`iter_subsets` order).
+def best_subset(instance: Instance, bound: Callable, evaluate: Callable):
+    """The best nonempty subset of ``instance``'s arms, as a bit mask, by
+    best-first branch and bound over :func:`subset_masks`.
 
     A subset whose thresholds sum to more than tau is infeasible and is
     never evaluated; every single arm fits, since each threshold is at
     most tau.  ``evaluate(Z)`` returns ``(value, payload)`` for the
     others, and ``bound(Z)`` is an upper bound on that value in the
-    numbers compared, with no margin.  The winner is the subset of
-    greatest value, ties going to the earliest candidate: the greatest
-    (value, -index).  Subsets are tried in decreasing (bound, -index)
-    order, and the walk stops at the first below the incumbent's
-    (value, -index): that subset and every later one can at most tie it,
-    and come after it.  So the result is what trying every subset gives.
-    Returns ``(Z, payload)``; raises ResourceGuardError for more than
-    SUBSET_ARM_CAP arms.
+    numbers compared, with no margin; both take Z's mask.  The winner is
+    the subset of greatest value, ties to the fewest arms, then the
+    lowest mask: the greatest (value, -index).  Subsets are tried in
+    decreasing (bound, -index) order, and the walk stops at the first
+    below the incumbent's (value, -index): that subset and every later
+    one can at most tie it, and come after it.  So the result is what
+    trying every subset gives.  Returns ``(Z, payload)``; raises
+    ResourceGuardError for more than SUBSET_ARM_CAP arms.
     """
-    subset_count(instance.k)
-    subsets = [
-        Z for Z in (iter_subsets(instance.k) if candidates is None else candidates)
-        if sum(instance.delta[a] for a in Z) <= instance.tau
-    ]
+    masks = subset_masks(instance.k)
+    load = [0]  # each mask's threshold sum, from the mask without its highest arm
+    for d in instance.delta:
+        load += [s + d for s in load]
+    subsets = [Z for Z in masks if load[Z] <= instance.tau]
     bounds = [bound(Z) for Z in subsets]
     best = None  # the incumbent's (value, -index), and its payload
     for i in sorted(range(len(subsets)), key=lambda i: (bounds[i], -i), reverse=True):

@@ -35,6 +35,7 @@ from .core import (
     Instance,
     InfeasibleError,
     ResourceGuardError,
+    arm_set,
     best_subset,
 )
 from .env import CommittedPolicy
@@ -355,7 +356,7 @@ class DpPolicy(CommittedPolicy):
 def dp_star(instance: Instance):
     """Search the nonempty subsets for the best committed value.
 
-    Ties break toward smaller cardinality, then lexicographically (the
+    Ties break toward smaller cardinality, then the lowest mask (the
     enumeration order).  The search is
     :func:`~exposure_bandits.core.best_subset` with the bound
     b = tau * sum_u P_u * max_{a in Z} mu[u][a]: no phase policy earns
@@ -371,15 +372,16 @@ def dp_star(instance: Instance):
     weighted = list(zip(instance.P, instance.mu))
 
     def bound(Z):
-        b = tau * sum(p * max(row[a] for a in Z) for p, row in weighted)
+        arms = arm_set(Z)
+        b = tau * sum(p * max(row[a] for a in arms) for p, row in weighted)
         return b + 1e-9 * max(1.0, abs(b))
 
     def evaluate(Z):
-        table = mer_table(Z, instance)
+        table = mer_table(arm_set(Z), instance)
         return table.root_value, table
 
     Z, table = best_subset(instance, bound, evaluate)
-    return frozenset(Z), table
+    return arm_set(Z), table
 
 
 def planned_total_value(instance: Instance, table: MerTable) -> float:

@@ -40,6 +40,8 @@ from .core import (
     Instance,
     InfeasibleError,
     ResourceGuardError,
+    arm_mask,
+    arm_set,
     best_subset,
 )
 from .env import LONGEST_EPISODE, CommittedPolicy
@@ -363,10 +365,6 @@ def _slack_sweep(types, units, worth) -> np.ndarray:
     return picked.T
 
 
-def _mask(Z) -> int:
-    return sum(1 << a for a in Z)
-
-
 def subset_value_oracle(instance: Instance):
     """f(Z) = value of the optimal matching of the shaved aggregate
     committed to Z, or NEG_INF.
@@ -382,7 +380,7 @@ def subset_value_oracle(instance: Instance):
     prices = SubsetPrices(aggregate, instance)
 
     def f(Z):
-        mask = _mask(Z)
+        mask = arm_mask(Z)
         exact = prices.exact(mask, mask)
         return exact if exact is NEG_INF else exact / prices.scale
 
@@ -395,7 +393,7 @@ def lcb_star(instance: Instance):
     """Exhaustive committed-subset search against the shaved aggregate.
 
     Returns (Z*, template matching); ties prefer smaller subsets, then
-    lexicographic order.  The search is
+    the lowest mask.  The search is
     :func:`~exposure_bandits.core.best_subset` over the pairs' exact
     integer values (:meth:`~exposure_bandits.matching.SubsetPrices.exact`),
     with the bound U(Z), the most any matching on Z is worth, on the same
@@ -406,17 +404,14 @@ def lcb_star(instance: Instance):
     others, and the winner's matching, are solved, each once.
     """
     prices = SubsetPrices(build_lcb_aggregate(instance.P, instance.tau), instance)
-    Z, _ = best_subset(instance, lambda Z: prices.free(_mask(Z)),
-                       lambda Z: (prices.exact(_mask(Z), _mask(Z)), None))
-    return frozenset(Z), prices.matching(_mask(Z), _mask(Z))
+    Z, _ = best_subset(instance, prices.free, lambda Z: (prices.exact(Z, Z), None))
+    return arm_set(Z), prices.matching(Z, Z)
 
 
 @dataclass(frozen=True)
 class GreedyTrace:
     """Record of one greedy subset-selection run."""
 
-    order: tuple[int, ...]  # arms in the order added
-    prefix_values: tuple  # f of each prefix, starting with f(empty)=0
     chosen: frozenset  # best prefix
     oracle_call_count: int
 
@@ -437,7 +432,6 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
     k = instance.k
     calls = 0
     chosen: list[int] = []
-    prefix_values: list = [0.0]
     best_len = 0
     best_value = None
     remaining = list(range(k))
@@ -455,16 +449,10 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
             break
         chosen.append(best_arm)
         remaining.remove(best_arm)
-        prefix_values.append(best_v)
         if best_value is None or best_v > best_value:
             best_value = best_v
             best_len = len(chosen)
-    return GreedyTrace(
-        order=tuple(chosen),
-        prefix_values=tuple(prefix_values),
-        chosen=frozenset(chosen[:best_len]),
-        oracle_call_count=calls,
-    )
+    return GreedyTrace(chosen=frozenset(chosen[:best_len]), oracle_call_count=calls)
 
 
 class LcbPolicy(CommittedPolicy):
@@ -531,7 +519,7 @@ class AlcbPolicy(LcbPolicy):
         trace = greedy_subset(instance, oracle)
         if not trace.chosen:
             raise InfeasibleError("no viable commitment")
-        mask = _mask(trace.chosen)
+        mask = arm_mask(trace.chosen)
         template = oracle.matching(mask, mask)
         if template is NEG_INF:
             raise ContractError("the greedy commitment has no feasible matching")

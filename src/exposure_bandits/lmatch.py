@@ -69,15 +69,11 @@ matching, with the thresholds of the arms the segment keeps.
 
 from __future__ import annotations
 
-from .core import ContractError, Instance, best_subset, subset_count
+from .core import ContractError, Instance, arm_set, best_subset, subset_masks
 from .lcb import LcbPolicy, Plan, PlanSegment
 from .matching import Aggregate, SubsetPrices, build_lcb_aggregate
 
 __all__ = ["lmatch", "LlcbPolicy"]
-
-
-def _mask_set(mask: int, k: int) -> frozenset:
-    return frozenset(a for a in range(k) if mask & (1 << a))
 
 
 def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
@@ -95,10 +91,8 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
     if aggregate.total != instance.tau:
         raise ValueError("the phase aggregate must sum to tau")
     k, N = instance.k, instance.phases
-    subset_count(k)
+    order = subset_masks(k)
     full = (1 << k) - 1
-    # nonempty sets, fewest arms first, then lowest mask: the tie order
-    order = sorted(range(1, full + 1), key=lambda m: (m.bit_count(), m))
     prices = SubsetPrices(aggregate, instance)
     top = prices.free(full)
 
@@ -106,17 +100,14 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
         X = next(m for m in order if prices.free(m) == top)
         runs = [(X, 0, 1)]
     else:
-        masks = {_mask_set(m, k): m for m in order}  # the candidates, in tie order
-
-        def evaluate(Z):
-            D = masks[Z]
+        def evaluate(D):
             head, loop = prices.exact(full, D), prices.exact(D, D)
             if head < loop:
-                raise ContractError(f"allowing every arm lowered the value of keeping {Z}")
-            return head + (N - 2) * loop + prices.free(D), (D, head, loop)
+                raise ContractError(f"allowing every arm lowered the value of keeping {arm_set(D)}")
+            return head + (N - 2) * loop + prices.free(D), (head, loop)
 
-        _, (D, head, loop) = best_subset(instance, lambda Z: top + (N - 1) * prices.free(masks[Z]),
-                                         evaluate, masks)
+        D, (head, loop) = best_subset(instance, lambda D: top + (N - 1) * prices.free(D),
+                                      evaluate)
         if loop == head:
             runs = [(D, D, N - 1)]
         else:
@@ -129,7 +120,7 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
 
     segments = tuple(
         PlanSegment(phases=c, matching=prices.matching(m1, m2),
-                    available=_mask_set(m1, k), kept=_mask_set(m2, k))
+                    available=arm_set(m1), kept=arm_set(m2))
         for m1, m2, c in runs if c
     )
     return Plan(segments)

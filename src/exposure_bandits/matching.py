@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, ContractError, Instance, ResourceGuardError
+from .core import NEG_INF, ContractError, Instance, ResourceGuardError, arm_set
 
 __all__ = [
     "Aggregate",
@@ -242,8 +242,7 @@ class SubsetPrices:
         price the solve does not reach."""
         m = self._solves.get((A, K))
         if m is None:
-            arms = [frozenset(a for a in range(self._instance.k) if S >> a & 1)
-                    for S in (A, K)]
+            arms = [arm_set(A), arm_set(K)]
             m = doalg(self._aggregate, *arms, self._instance)
             v = self.value(A, K)
             if v is not None and (m is NEG_INF or m.exact != v):

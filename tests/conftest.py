@@ -77,12 +77,12 @@ def random_counts(rng: np.random.Generator, n: int, tau: int) -> tuple:
 
 
 @st.composite
-def tie_prone_instances(draw, taus=st.integers(2, 7)):
+def tie_prone_instances(draw, taus=st.integers(2, 7), ks=st.integers(1, 3)):
     """Small instances whose utilities come from a four-value grid, so
     equal scores (and the tie rule) are common, with a phase length
-    from ``taus``."""
+    from ``taus`` and an arm count from ``ks``."""
     n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 3))
+    k = draw(ks)
     tau = draw(taus)
     weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     delta = []

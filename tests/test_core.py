@@ -15,7 +15,7 @@ from exposure_bandits import (
     iter_subsets,
     validate,
 )
-from exposure_bandits.core import best_subset
+from exposure_bandits.core import arm_mask, arm_set, best_subset, subset_masks
 from conftest import IDENTITY2, make_instance
 
 
@@ -149,66 +149,79 @@ def test_iter_subsets_cardinality_then_lex():
     assert got == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
-def _search(instance, values, bounds, tried, candidates=None):
-    """best_subset over ``candidates`` (by default every subset) with the
-    given per-subset values and bounds, appending each subset it
-    evaluates to ``tried``; asking for a subset that has neither raises
-    KeyError."""
+def test_iter_subsets_breaks_size_ties_by_lowest_mask():
+    # from four arms on, (size, mask) order is not lexicographic: {0, 3}
+    # (mask 9) comes after {1, 2} (mask 6)
+    pairs = [Z for Z in iter_subsets(4) if len(Z) == 2]
+    assert pairs == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+
+
+def test_subset_masks_are_iter_subsets_in_the_same_order():
+    for k in range(1, 7):
+        masks = subset_masks(k)
+        assert [arm_set(m) for m in masks] == [frozenset(Z) for Z in iter_subsets(k)]
+        assert [arm_mask(Z) for Z in iter_subsets(k)] == masks
+    assert arm_set(0) == frozenset() and arm_mask(()) == 0
+    assert len(subset_masks(16)) == 2**16 - 1
+    with pytest.raises(ResourceGuardError):
+        subset_masks(17)
+
+
+def _search(instance, values, bounds, tried):
+    """best_subset with the given per-mask values and bounds, appending
+    each mask it evaluates to ``tried``; asking for a mask that has
+    neither raises KeyError."""
 
     def evaluate(Z):
         tried.append(Z)
         return values[Z], f"payload {Z}"
 
-    return best_subset(instance, bounds.__getitem__, evaluate, candidates)
+    return best_subset(instance, bounds.__getitem__, evaluate)
 
 
 TWO_FREE_ARMS = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(0, 0))
+# the masks of {0}, {1} and {0, 1}, in tie order
+A0, A1, BOTH = 0b01, 0b10, 0b11
 
 
 def test_best_subset_keeps_a_subset_better_by_a_hair():
     # {0, 1} has the highest bound and is tried first; {0} then beats it
     # by far less than the pruning margin, with its bound equal to its
     # value, so only a margin on the safe side keeps it
-    values = {(0,): 1.0 + 1e-13, (1,): 0.5, (0, 1): 1.0}
-    bounds = {(0,): 1.0 + 1e-13, (1,): 0.5, (0, 1): 2.0}
+    values = {A0: 1.0 + 1e-13, A1: 0.5, BOTH: 1.0}
+    bounds = {A0: 1.0 + 1e-13, A1: 0.5, BOTH: 2.0}
     tried = []
-    assert _search(TWO_FREE_ARMS, values, bounds, tried) == ((0,), "payload (0,)")
-    assert tried == [(0, 1), (0,)]  # {1} is pruned
+    assert _search(TWO_FREE_ARMS, values, bounds, tried) == (A0, f"payload {A0}")
+    assert tried == [BOTH, A0]  # {1} is pruned
 
 
-@pytest.mark.parametrize("candidates, winner, tried_order", [
-    # iter_subsets order: {1} has the highest bound and is tried first,
-    # and {0}, the earliest, takes the tie last
-    (None, (0,), [(1,), (0, 1), (0,)]),
-    # {1} is the earliest of this list, so it keeps the tie; {0, 1}'s
-    # bound 2 could still beat it, {0}'s bound 1 only tie it
-    ([(1,), (0,), (0, 1)], (1,), [(1,), (0, 1)]),
-], ids=["iter_subsets_order", "given_order"])
-def test_best_subset_gives_ties_to_the_earliest_subset(candidates, winner, tried_order):
-    values = {(0,): 1.0, (1,): 1.0, (0, 1): 1.0}
-    bounds = {(0,): 1.0, (1,): 3.0, (0, 1): 2.0}
+def test_best_subset_gives_ties_to_the_earliest_subset():
+    # {1} has the highest bound and is tried first, and {0}, the
+    # earliest, takes the tie last
+    values = {A0: 1.0, A1: 1.0, BOTH: 1.0}
+    bounds = {A0: 1.0, A1: 3.0, BOTH: 2.0}
     tried = []
-    assert _search(TWO_FREE_ARMS, values, bounds, tried, candidates)[0] == winner
-    assert tried == tried_order
+    assert _search(TWO_FREE_ARMS, values, bounds, tried)[0] == A0
+    assert tried == [A1, BOTH, A0]
 
 
 def test_best_subset_never_solves_a_later_subset_that_can_only_tie():
     # after {1}, worth 1, the bound 1 of {0} and {0, 1} allows at most a
-    # tie: {0} comes before {1} in iter_subsets order, so it is evaluated
-    # and takes the tie; {0, 1} comes after {0}, so it never is
-    values = {(0,): 1, (1,): 1, (0, 1): 1}
-    bounds = {(0,): 1, (1,): 3, (0, 1): 1}
+    # tie: {0} comes before {1} in tie order, so it is evaluated and
+    # takes the tie; {0, 1} comes after {0}, so it never is
+    values = {A0: 1, A1: 1, BOTH: 1}
+    bounds = {A0: 1, A1: 3, BOTH: 1}
     tried = []
-    assert _search(TWO_FREE_ARMS, values, bounds, tried)[0] == (0,)
-    assert tried == [(1,), (0,)]
+    assert _search(TWO_FREE_ARMS, values, bounds, tried)[0] == A0
+    assert tried == [A1, A0]
 
 
 def test_best_subset_never_tries_thresholds_that_overflow_the_phase():
     inst = make_instance(n=1, k=2, tau=4, phases=1, P=(1.0,), delta=(3, 3))
     tried = []
-    Z, _ = _search(inst, {(0,): 1.0, (1,): 2.0}, {(0,): 1.0, (1,): 2.0}, tried)
-    assert Z == (1,)
-    assert tried == [(1,)]
+    Z, _ = _search(inst, {A0: 1.0, A1: 2.0}, {A0: 1.0, A1: 2.0}, tried)
+    assert Z == A1
+    assert tried == [A1]
     with pytest.raises(ResourceGuardError):
         best_subset(make_instance(n=1, k=17, tau=4, phases=1, P=(1.0,)),
                     lambda Z: 0.0, lambda Z: (0.0, None))

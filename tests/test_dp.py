@@ -366,8 +366,10 @@ def _assert_same_search(inst, expected):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tie_prone_instances())
+@given(tie_prone_instances(ks=st.integers(1, 5)))
 def test_pruned_dp_star_matches_the_unpruned_search_on_tie_prone_instances(inst):
+    # from four arms on, subsets of one size tie in mask order, which is
+    # not lexicographic
     _assert_same_search(inst, _unpruned_dp_star(inst))
 
 

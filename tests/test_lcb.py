@@ -18,6 +18,7 @@ from exposure_bandits import (
     PlanSegment,
     build_lcb_aggregate,
     doalg,
+    dp_star,
     greedy_subset,
     iter_subsets,
     lcb_policy_step,
@@ -180,6 +181,23 @@ def test_ties_prefer_smaller_subsets_on_exact_values():
     plan = LlcbPolicy(inst).plan
     assert [(s.phases, s.available, s.kept) for s in plan.segments] == [
         (4, {1}, {1}), (1, {1}, set())]
+
+
+def test_ties_between_sets_of_one_size_go_to_the_lowest_mask():
+    # {0, 3} (mask 9) and {1, 2} (mask 6) each give every type a utility
+    # of 1, and no single arm does; the lowest mask wins the tie, where
+    # lexicographic order would pick {0, 3}
+    mu = ((1.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0))
+
+    def four_types(tau):
+        return Instance(n=4, k=4, tau=tau, T=tau, P=(0.25,) * 4, delta=(0,) * 4, mu=mu)
+
+    Z, template = lcb_star(four_types(100))
+    assert Z == {1, 2}
+    assert template.value == 12.0
+    Z, table = dp_star(four_types(4))
+    assert Z == {1, 2}
+    assert table.root_value == 4.0
 
 
 @pytest.mark.parametrize("cls", [LcbPolicy, AlcbPolicy])
@@ -370,10 +388,12 @@ def _assert_same_lcb_search(inst, expected):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tie_prone_instances(taus=st.integers(2, 40)))
+@given(tie_prone_instances(taus=st.integers(2, 40), ks=st.integers(1, 5)))
 def test_pruned_lcb_star_matches_the_unpruned_search_on_tie_prone_instances(inst):
     # up to tau = 40, so that the LCB aggregate of most draws has a pull:
-    # below tau = 8 the shave sqrt(tau ln tau) takes most types' pulls
+    # below tau = 8 the shave sqrt(tau ln tau) takes most types' pulls;
+    # up to five arms, so that sets of one size tie in mask order, which
+    # from four arms on is not lexicographic
     _assert_same_lcb_search(inst, _unpruned_lcb_star(inst))
 
 

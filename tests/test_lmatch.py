@@ -158,12 +158,8 @@ def assert_plan_shape(plan):
 
 
 def assert_same_plan(inst, agg):
-    try:
-        chain, matchings, total = per_phase_plan(inst, agg)
-    except InfeasibleError:
-        with pytest.raises(InfeasibleError):
-            lmatch(inst, agg)
-        return
+    # every single arm fits a phase, so the reference always finds a chain
+    chain, matchings, total = per_phase_plan(inst, agg)
     plan = lmatch(inst, agg)
     assert plan.chain == chain
     assert phase_matchings(plan) == matchings

@@ -173,6 +173,30 @@ def test_the_subset_planners_search_only_through_best_subset():
     assert missing == []
 
 
+def test_the_subset_tie_order_is_built_only_in_core():
+    # core.subset_masks builds the one tie order (fewest arms, then
+    # lowest mask) and best_subset walks it with none of its own to take;
+    # a module that enumerates combinations or sorts masks by their bit
+    # count has grown a second order
+    params = inspect.signature(exposure_bandits.core.best_subset).parameters
+    assert list(params) == ["instance", "bound", "evaluate"]
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and (
+            name(node) == "combinations"
+            or name(node) in ("sorted", "sort") and any(
+                kw.arg == "key" and "bit_count" in ast.dump(kw.value) for kw in node.keywords))
+    ]
+    assert found == []
+
+
 def test_a_plans_value_is_summed_only_by_the_plan():
     # lcb.Plan holds the one exact sum over a plan's segments; the
     # command line formats it and lmatch returns the plan
