@@ -39,7 +39,6 @@ from .lcb import (
     greedy_subset,
     lcb_policy_step,
     lcb_star,
-    subset_value_oracle,
 )
 from .learn import (
     EesPolicy,
@@ -110,7 +109,6 @@ __all__ = [
     "relaxed_exploration_phases",
     "run_episode",
     "sample_arrivals",
-    "subset_value_oracle",
     "validate",
 ]
 

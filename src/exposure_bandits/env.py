@@ -255,14 +255,21 @@ def _cells(arrivals, pulls, k: int) -> np.ndarray:
     return cell
 
 
+def _cell_sums(cell, n: int, k: int, weights=None) -> np.ndarray:
+    """The rounds' ``weights`` (one each by default) summed per (type,
+    arm) cell of their :func:`_cells`, as an ``(n, k)`` array; a declined
+    round's cell heads its type's row, which is dropped."""
+    return np.bincount(cell, weights=weights, minlength=n * (k + 1)).reshape(n, k + 1)[:, 1:]
+
+
 def _live_counts(cell, dead, n: int, k: int) -> np.ndarray:
     """The live pulls (neither declined nor dead) of each (type, arm)
     cell, as an ``(n, k)`` array, from the rounds' :func:`_cells` and
     dead-pull flags."""
-    counts = np.bincount(cell, minlength=n * (k + 1))
+    counts = _cell_sums(cell, n, k)
     if dead.any():
-        counts -= np.bincount(cell[dead], minlength=n * (k + 1))
-    return counts.reshape(n, k + 1)[:, 1:]
+        counts -= _cell_sums(cell[dead], n, k)
+    return counts
 
 
 def _departures(counts, bar: list, phase: int) -> list[tuple[int, int]]:
@@ -404,8 +411,7 @@ def _play_segments(instance: Instance, policy: Policy, record: RunRecord,
         # pulls per arm in each phase, after a column of declined rounds
         index = seg.astype(np.intp)
         index += (np.arange(len(seg)) * (k + 1) + 1)[:, None]
-        counts = np.bincount(index.ravel(), minlength=len(seg) * (k + 1))
-        counts = counts.reshape(len(seg), k + 1)[:, 1:]
+        counts = _cell_sums(index.ravel(), len(seg), k)
         short = (counts < np.array(bar)).any(axis=1)
         gone = []
         if short.any():

@@ -11,12 +11,13 @@ The three matching planners share one replay (:class:`LcbPolicy`) of a
 :class:`Plan` of segments (:class:`PlanSegment`): a matching replayed
 for some phases under the thresholds of the arms it keeps.  LCB
 (exhaustive search over all 2^k - 1 subsets) and A-LCB (the k-step
-greedy, O(k^2) oracle calls and a (1 - 1/e) guarantee from
+greedy, O(k^2) value calls and a (1 - 1/e) guarantee from
 submodularity) keep one subset for every phase, one segment; L-LCB
 (:class:`~exposure_bandits.lmatch.LlcbPolicy`) replays its multi-phase plan.
-All three value their arm sets, and solve the matchings they replay,
-through one :class:`~exposure_bandits.matching.SubsetPrices` of the
-shaved aggregate, which prices or solves each pair once.
+All three value their arm sets, as bit masks, and solve the matchings
+they replay, through one :class:`~exposure_bandits.matching.SubsetPrices`
+of the shaved aggregate, which prices or solves each pair once; their
+searches compare its exact integer values, never floats.
 
 :func:`lcb_replay` plays every phase at once.  A phase in which no type
 is short of its own row's mass, under a matching whose rows have no tied
@@ -40,7 +41,6 @@ from .core import (
     Instance,
     InfeasibleError,
     ResourceGuardError,
-    arm_mask,
     arm_set,
     best_subset,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "greedy_subset",
     "LcbPolicy",
     "AlcbPolicy",
-    "subset_value_oracle",
 ]
 
 
@@ -365,30 +364,6 @@ def _slack_sweep(types, units, worth) -> np.ndarray:
     return picked.T
 
 
-def subset_value_oracle(instance: Instance):
-    """f(Z) = value of the optimal matching of the shaved aggregate
-    committed to Z, or NEG_INF.
-
-    f reads the value from the aggregate's
-    :class:`~exposure_bandits.matching.SubsetPrices`: in closed form
-    where the slack row covers Z's floors, else solved.
-    ``f.matching`` is that object's ``matching``, taking Z's bit mask as
-    both arm sets: a caller that commits to a queried Z solves only that
-    one, at most once, and the solve must agree with f(Z).
-    """
-    aggregate = build_lcb_aggregate(instance.P, instance.tau)
-    prices = SubsetPrices(aggregate, instance)
-
-    def f(Z):
-        mask = arm_mask(Z)
-        exact = prices.exact(mask, mask)
-        return exact if exact is NEG_INF else exact / prices.scale
-
-    f.aggregate = aggregate
-    f.matching = prices.matching
-    return f
-
-
 def lcb_star(instance: Instance):
     """Exhaustive committed-subset search against the shaved aggregate.
 
@@ -410,36 +385,38 @@ def lcb_star(instance: Instance):
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """Record of one greedy subset-selection run."""
+    """Record of one greedy subset-selection run: the best prefix, as a
+    bit mask (0 when no commitment is feasible), and the number of
+    values the greedy read."""
 
-    chosen: frozenset  # best prefix
+    chosen: int
     oracle_call_count: int
 
 
-def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
+def greedy_subset(instance: Instance, value) -> GreedyTrace:
     """k rounds of marginal-gain greedy over arms, returning the best
-    feasible nonempty prefix seen, ties toward the shorter prefix (the
-    value function is not monotone: committing to an expensive arm can
-    hurt, so the full-size set may not be the best).  A prefix worth 0
-    still counts, so the greedy commits wherever some commitment is
-    feasible, as :func:`lcb_star` does.
+    feasible nonempty prefix seen as a bit mask, ties toward the shorter
+    prefix (the value function is not monotone: committing to an
+    expensive arm can hurt, so the full-size set may not be the best).
+    A prefix worth 0 still counts, so the greedy commits wherever some
+    commitment is feasible, as :func:`lcb_star` does.
 
-    Uses at most k(k+1)/2 <= k^2 + k oracle calls.  Candidates valued
-    at the sentinel are treated as marginal -inf; once every remaining
-    candidate is infeasible the scan stops early (supersets of an
-    infeasible commitment stay infeasible).
+    ``value(mask)`` is the set's exact integer value, or NEG_INF, and
+    the values compare exactly; a round's marginal ties go to the
+    lowest arm.  Uses at most k(k+1)/2 <= k^2 + k value calls.
+    Candidates valued at the sentinel are treated as marginal -inf;
+    once every remaining candidate is infeasible the scan stops early
+    (supersets of an infeasible commitment stay infeasible).
     """
-    k = instance.k
     calls = 0
-    chosen: list[int] = []
-    best_len = 0
+    chosen = best = 0
     best_value = None
-    remaining = list(range(k))
+    remaining = list(range(instance.k))
     while remaining:
         best_arm = None
         best_v = None
         for a in remaining:
-            v = oracle(frozenset(chosen + [a]))
+            v = value(chosen | 1 << a)
             calls += 1
             if v is NEG_INF:
                 continue
@@ -447,12 +424,11 @@ def greedy_subset(instance: Instance, oracle) -> GreedyTrace:
                 best_arm, best_v = a, v
         if best_arm is None:
             break
-        chosen.append(best_arm)
+        chosen |= 1 << best_arm
         remaining.remove(best_arm)
         if best_value is None or best_v > best_value:
-            best_value = best_v
-            best_len = len(chosen)
-    return GreedyTrace(chosen=frozenset(chosen[:best_len]), oracle_call_count=calls)
+            best_value, best = best_v, chosen
+    return GreedyTrace(chosen=best, oracle_call_count=calls)
 
 
 class LcbPolicy(CommittedPolicy):
@@ -511,18 +487,18 @@ class LcbPolicy(CommittedPolicy):
 
 class AlcbPolicy(LcbPolicy):
     """Same replay as LcbPolicy, but the subset comes from the greedy
-    search instead of exhaustive enumeration; keeps the trace around
-    for diagnostics."""
+    search, over the exact prices of the shaved aggregate's
+    :class:`~exposure_bandits.matching.SubsetPrices`, instead of
+    exhaustive enumeration; keeps the trace around for diagnostics."""
 
     def __init__(self, instance: Instance):
-        oracle = subset_value_oracle(instance)
-        trace = greedy_subset(instance, oracle)
+        prices = SubsetPrices(build_lcb_aggregate(instance.P, instance.tau), instance)
+        trace = greedy_subset(instance, lambda Z: prices.exact(Z, Z))
         if not trace.chosen:
             raise InfeasibleError("no viable commitment")
-        mask = arm_mask(trace.chosen)
-        template = oracle.matching(mask, mask)
+        template = prices.matching(trace.chosen, trace.chosen)
         if template is NEG_INF:
             raise ContractError("the greedy commitment has no feasible matching")
-        self.Z, self.template, self.trace = trace.chosen, template, trace
+        self.Z, self.template, self.trace = arm_set(trace.chosen), template, trace
         segment = PlanSegment(instance.phases, template, self.Z, self.Z)
         self._commit(instance, Plan((segment,)))

@@ -31,7 +31,7 @@ from .core import (
     subset_count,
 )
 from .dp import DpPolicy, largest_commitment, table_cells
-from .env import NO_PULL, Policy, RunRecord, _cells, _live_counts
+from .env import NO_PULL, Policy, RunRecord, _cell_sums, _cells, _live_counts
 from .lcb import LcbPolicy
 from .lmatch import LlcbPolicy
 
@@ -143,10 +143,7 @@ def estimate(record: RunRecord, T0: int, n: int, k: int) -> Estimates:
     cell = _cells(record.arrivals[:T0], record.pulls[:T0], k)
     dead = record.dead_pulls[:T0]
     obs_counts = _live_counts(cell, dead, n, k).tolist()
-    # a declined round's cell heads its type's row, which is dropped
-    reward_sums = np.bincount(
-        cell[~dead], weights=record.realized_rewards[:T0][~dead], minlength=n * (k + 1)
-    ).reshape(n, k + 1)[:, 1:].tolist()
+    reward_sums = _cell_sums(cell[~dead], n, k, record.realized_rewards[:T0][~dead]).tolist()
     arrival_counts = np.bincount(record.arrivals[:T0], minlength=n).tolist()
     P_hat = [c / T0 for c in arrival_counts]
     # a type that never arrived would make the estimated instance
@@ -186,9 +183,7 @@ def concentration_radii(instance: Instance, estimates: Estimates) -> Estimates:
     for p in instance.P:
         base = p * t23 - math.sqrt(p * t23 * logT)
         eps1.append(math.sqrt(logT / base) if base > 0 else math.inf)
-    from .core import compute_gamma
-
-    gamma = compute_gamma(instance)
+    gamma = gamma_from_parts(instance.delta, instance.tau, instance.k)
     if gamma.gamma is None:
         eps2 = math.inf
     else:
@@ -599,12 +594,8 @@ class GreedyBanditPolicy(Policy):
         would have made of them."""
         n, k = self._n, self._k
         cell = _cells(past.arrivals, past.pulls, k)
-        # a declined round's cell heads its type's row, which is dropped
-        self._counts = np.bincount(cell, minlength=n * (k + 1)).reshape(
-            n, k + 1)[:, 1:].tolist()
-        self._sums = np.bincount(
-            cell, weights=past.realized_rewards, minlength=n * (k + 1)
-        ).reshape(n, k + 1)[:, 1:].tolist()
+        self._counts = _cell_sums(cell, n, k).tolist()
+        self._sums = _cell_sums(cell, n, k, past.realized_rewards).tolist()
         self._type_rounds = np.bincount(past.arrivals, minlength=n).tolist()
 
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from exposure_bandits import Aggregate, Instance, lcb
+from exposure_bandits import NEG_INF, Aggregate, Instance, build_lcb_aggregate, lcb
+from exposure_bandits.matching import SubsetPrices
 
 IDENTITY2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -21,6 +22,19 @@ def make_instance(n=2, k=2, tau=100, phases=10, P=None, delta=None, mu=None,
         mu = tuple(tuple(1.0 if a == u else 0.0 for a in range(k)) for u in range(n))
     return Instance(n=n, k=k, tau=tau, T=tau * phases, P=P, delta=delta,
                     mu=mu, reward_kind=reward_kind)
+
+
+def commitment_values(inst: Instance):
+    """A-LCB's value source, the SubsetPrices of the instance's shaved
+    aggregate, and f(Z) of a bit mask Z read from it: the exact price of
+    keeping Z over the prices' scale, or NEG_INF."""
+    prices = SubsetPrices(build_lcb_aggregate(inst.P, inst.tau), inst)
+
+    def f(Z):
+        v = prices.exact(Z, Z)
+        return v if v is NEG_INF else v / prices.scale
+
+    return prices, f
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> tuple:

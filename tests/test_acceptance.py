@@ -37,9 +37,9 @@ from exposure_bandits import (
     planned_total_value,
     run_episode,
     sample_arrivals,
-    subset_value_oracle,
 )
 from exposure_bandits.cli import main as cli_main, save_instance
+from exposure_bandits.core import arm_mask, arm_set, subset_masks
 from exposure_bandits.learn import Observables
 from exposure_bandits.lmatch import lmatch
 from exposure_bandits.presets import (
@@ -49,7 +49,7 @@ from exposure_bandits.presets import (
     subsidy_worthwhile,
     symmetric_tight,
 )
-from conftest import make_instance, random_instance, random_counts
+from conftest import commitment_values, make_instance, random_instance, random_counts
 from test_lmatch import brute_chain_value
 
 EXAMPLES = {
@@ -249,35 +249,35 @@ def test_09_greedy_subset_selection_earns_its_guarantee():
     rng = np.random.default_rng(1009)
     for _ in range(100):
         inst = random_instance(rng, n_max=3, k_max=10, tau_max=20)
-        oracle = subset_value_oracle(inst)
+        prices, f = commitment_values(inst)
         calls = [0]
 
-        def counted(Z, oracle=oracle, calls=calls):
+        def counted(Z, prices=prices, calls=calls):
             calls[0] += 1
-            return oracle(Z)
+            return prices.exact(Z, Z)
 
         trace = greedy_subset(inst, counted)
         assert calls[0] <= inst.k**2 + inst.k
-        greedy_val = oracle(trace.chosen) if trace.chosen else 0.0
-        values = {frozenset(): 0.0}
+        greedy_val = f(trace.chosen) if trace.chosen else 0.0
+        values = {0: 0.0}
         best = 0.0
-        for Z in iter_subsets(inst.k):
-            v = oracle(frozenset(Z))
-            values[frozenset(Z)] = -math.inf if v is NEG_INF else v
+        for Z in subset_masks(inst.k):
+            v = f(Z)
+            values[Z] = -math.inf if v is NEG_INF else v
             if v is not NEG_INF and v > best:
                 best = v
         assert greedy_val >= (1 - 1 / math.e) * best - 1e-9
         arms = list(range(inst.k))
         for _ in range(20):
-            B = frozenset(a for a in arms if rng.random() < 0.5)
-            if len(B) == inst.k:
+            B = arm_mask(a for a in arms if rng.random() < 0.5)
+            if B == (1 << inst.k) - 1:
                 continue
-            A = frozenset(a for a in B if rng.random() < 0.5)
+            A = arm_mask(a for a in arm_set(B) if rng.random() < 0.5)
             a = arms[int(rng.integers(inst.k))]
-            if a in B:
+            if B >> a & 1:
                 continue
             fA, fB = values[A], values[B]
-            fAa, fBa = values[A | {a}], values[B | {a}]
+            fAa, fBa = values[A | 1 << a], values[B | 1 << a]
             if math.isinf(fA) or math.isinf(fB) or math.isinf(fAa) or math.isinf(fBa):
                 continue
             assert fAa - fA >= fBa - fB - 1e-9

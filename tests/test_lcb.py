@@ -24,12 +24,13 @@ from exposure_bandits import (
     lcb_policy_step,
     lcb_star,
     run_episode,
-    subset_value_oracle,
 )
 from exposure_bandits import matching
+from exposure_bandits.core import subset_masks
 from exposure_bandits.lcb import LcbState, lcb_replay
 from exposure_bandits.presets import PRESETS
 from conftest import (
+    commitment_values,
     make_instance,
     random_instance,
     scaled_mu,
@@ -105,13 +106,13 @@ def test_fallback_fires_exactly_when_arrivals_undershoot_a_floor():
     assert short == set(policy.bad_event_phases)
 
 
-def test_subset_oracle_caches_and_carries_the_aggregate():
+def test_subset_prices_of_the_lcb_aggregate_cache_each_solve():
     inst = make_instance(tau=100, phases=10, delta=(10, 60))
-    f = subset_value_oracle(inst)
-    v1 = f(frozenset({0, 1}))
-    v2 = f(frozenset({0, 1}))
-    assert v1 == v2 == 56.0
-    assert f.aggregate.counts == (28, 28, 44)
+    prices, f = commitment_values(inst)
+    assert f(0b11) == f(0b11) == 56.0
+    assert prices.matching(0b11, 0b11) is prices.matching(0b11, 0b11)
+    assert prices.matching(0b11, 0b11).value == 56.0
+    assert build_lcb_aggregate(inst.P, inst.tau).counts == (28, 28, 44)
 
 
 def test_adaptive_policy_solves_each_queried_commitment_once(monkeypatch):
@@ -220,13 +221,12 @@ def test_greedy_stays_within_its_call_budget():
     for _ in range(20):
         inst = random_instance(rng, n_max=3, k_max=6, tau_max=8,
                                delta_sum_within_tau=False)
-        oracle = subset_value_oracle(inst)
+        prices, _ = commitment_values(inst)
         calls = {"count": 0}
-        inner = oracle
 
-        def counted(Z, inner=inner, calls=calls):
+        def counted(Z, prices=prices, calls=calls):
             calls["count"] += 1
-            return inner(Z)
+            return prices.exact(Z, Z)
 
         trace = greedy_subset(inst, counted)
         k = inst.k
@@ -241,12 +241,12 @@ def test_greedy_matches_exhaustive_search_on_easy_instances():
     for _ in range(25):
         inst = random_instance(rng, n_max=3, k_max=5, tau_max=8,
                                delta_sum_within_tau=False)
-        oracle = subset_value_oracle(inst)
-        trace = greedy_subset(inst, oracle)
-        greedy_val = oracle(trace.chosen) if trace.chosen else 0.0
+        prices, f = commitment_values(inst)
+        trace = greedy_subset(inst, lambda Z: prices.exact(Z, Z))
+        greedy_val = f(trace.chosen) if trace.chosen else 0.0
         best = 0.0
-        for Z in iter_subsets(inst.k):
-            v = oracle(frozenset(Z))
+        for Z in subset_masks(inst.k):
+            v = f(Z)
             if v is not NEG_INF and v > best:
                 best = v
         total += 1
@@ -261,9 +261,9 @@ def test_greedy_keeps_only_the_best_prefix():
     # second arm has a crushing threshold: adding it can only hurt
     inst = make_instance(n=1, k=2, tau=10, phases=1, P=(1.0,),
                          delta=(0, 9), mu=((1.0, 0.1),))
-    oracle = subset_value_oracle(inst)
-    trace = greedy_subset(inst, oracle)
-    assert trace.chosen == frozenset({0})
+    prices, _ = commitment_values(inst)
+    trace = greedy_subset(inst, lambda Z: prices.exact(Z, Z))
+    assert trace.chosen == 0b01
 
 
 def test_adaptive_policy_commits_where_lcb_star_does_on_worthless_instances():
@@ -285,6 +285,17 @@ def test_adaptive_policy_commits_where_lcb_star_does_on_worthless_instances():
         assert policy.template.value == 0.0
         rec = run_episode(inst, policy, 0, reward_mode="expected")
         assert not any(arm in policy.Z for _, arm in rec.departure_events)
+
+
+def test_adaptive_policy_compares_exact_values_where_their_floats_tie():
+    # 3 * mu_0 and 3 * mu_1 round to one float, but the shaved aggregate's
+    # exact prices tell them apart: arm 1 is strictly worth more
+    mu = ((0.666866, math.nextafter(0.666866, 1)),)
+    inst = make_instance(n=1, k=2, tau=7, phases=1, P=(1.0,), delta=(0, 0), mu=mu)
+    prices, f = commitment_values(inst)
+    assert prices.exact(0b10, 0b10) > prices.exact(0b01, 0b01)
+    assert f(0b10) == f(0b01)
+    assert AlcbPolicy(inst).Z == lcb_star(inst)[0] == frozenset({1})
 
 
 def test_adaptive_policy_matches_the_exhaustive_commitment_here():

@@ -118,14 +118,16 @@ def test_algorithm_ids_and_planners_are_named_in_one_place():
 
 
 def test_the_subset_searches_of_exact_values_keep_no_tolerance():
-    # lcb_star, lmatch, the closed-form prices and the flow solve under
-    # them compare integers, and best_subset compares what it is given as
-    # it stands: a float literal in any of them is a margin creeping
-    # back, which would make a bound unable to settle a tie, a price
-    # differ from its solve or the solve tie unequal costs
+    # lcb_star, A-LCB's greedy, lmatch, the closed-form prices and the
+    # flow solve under them compare integers, and best_subset compares
+    # what it is given as it stands: a float literal in any of them is a
+    # margin creeping back, which would make a bound unable to settle a
+    # tie, a price differ from its solve or the solve tie unequal costs
     functions = (
         exposure_bandits.core.best_subset,
         exposure_bandits.lcb.lcb_star,
+        exposure_bandits.lcb.greedy_subset,
+        exposure_bandits.lcb.AlcbPolicy.__init__,
         exposure_bandits.matching.SubsetPrices,
         exposure_bandits.matching._FlowGraph.solve_from_supplies,
         exposure_bandits.matching.doalg,
@@ -138,6 +140,39 @@ def test_the_subset_searches_of_exact_values_keep_no_tolerance():
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert found == []
+
+
+def divisions_by_scale(path):
+    """(function, line) of each division by a ``scale`` in a module, the
+    function named by its qualified name ("" at module level)."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div)
+                    and any(getattr(n, "id", None) == "scale" or getattr(n, "attr", None) == "scale"
+                            for n in ast.walk(child.right if isinstance(child, ast.BinOp)
+                                              else child.value))):
+                found.append((name, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_the_matching_planners_divide_by_the_scale_only_in_the_plan():
+    # the planners compare SubsetPrices' exact integers; a float made by
+    # dividing one by its scale can merge two values that differ, so
+    # only Plan._value, which reports the plan's value, divides
+    found = [
+        (module.__name__, name, line)
+        for module in (exposure_bandits.lcb, exposure_bandits.lmatch)
+        for name, line in divisions_by_scale(Path(module.__file__))
+    ]
+    assert {name for _, name, _ in found} == {"Plan._value"}, found
 
 
 def test_the_lcb_planners_reach_the_flow_solve_only_through_subset_prices():
