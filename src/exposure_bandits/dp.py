@@ -37,6 +37,7 @@ from .core import (
     ResourceGuardError,
     arm_set,
     best_subset,
+    subset_count,
 )
 from .env import CommittedPolicy
 
@@ -317,12 +318,21 @@ class DpPolicy(CommittedPolicy):
     horizon_free = True
 
     def __init__(self, instance: Instance):
-        Z, table = dp_star(instance)
+        Z, table = dp_star(instance)  # runs DpPolicy.check first
         self.instance = instance
         self.Z = Z
         self.table = table
         self._acts = _action_table(table)
         self._arms = np.array(table.Z, dtype=np.int16)
+
+    @classmethod
+    def check(cls, sizes) -> None:
+        """Raise what building would from the sizes alone (an Instance or
+        Observables): ResourceGuardError when the largest feasible
+        commitment's table (:func:`largest_commitment`) or the subsets
+        searched exceed their caps."""
+        table_cells(sizes.tau, largest_commitment(sizes.delta, sizes.tau))
+        subset_count(sizes.k)
 
     def plan_phases(self, arrivals: np.ndarray, first: int) -> np.ndarray:
         """Every phase's pulls as a C-ordered int16 ``(phases, tau)``
@@ -363,12 +373,10 @@ def dp_star(instance: Instance):
     more than the best arm of Z for each arriving type.  The table is in
     floats, so the bound is b + 1e-9 * max(1, |b|), a margin far wider
     than the rounding in either number, and the result is that of trying
-    every subset.  Raises
-    ResourceGuardError up front when the table of the largest feasible
-    commitment (see :func:`largest_commitment`) exceeds the cap.
+    every subset.  Raises what :meth:`DpPolicy.check` refuses, up front.
     """
+    DpPolicy.check(instance)
     tau = instance.tau
-    table_cells(tau, largest_commitment(instance.delta, tau))
     weighted = list(zip(instance.P, instance.mu))
 
     def bound(Z):

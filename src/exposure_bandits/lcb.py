@@ -43,9 +43,10 @@ from .core import (
     ResourceGuardError,
     arm_set,
     best_subset,
+    subset_count,
 )
 from .env import LONGEST_EPISODE, CommittedPolicy
-from .matching import Matching, SubsetPrices, build_lcb_aggregate
+from .matching import Matching, SubsetPrices, build_lcb_aggregate, confidence_width
 
 __all__ = [
     "PlanSegment",
@@ -447,9 +448,18 @@ class LcbPolicy(CommittedPolicy):
     horizon_free = True
 
     def __init__(self, instance: Instance):
+        self.check(instance)
         self.Z, self.template = lcb_star(instance)
         segment = PlanSegment(instance.phases, self.template, self.Z, self.Z)
         self._commit(instance, Plan((segment,)))
+
+    @classmethod
+    def check(cls, sizes) -> None:
+        """Raise what building would from the sizes alone (an Instance or
+        Observables): ValueError for tau < 2 (:func:`confidence_width`),
+        then ResourceGuardError past the subset cap (``subset_count``)."""
+        confidence_width(sizes.tau)
+        subset_count(sizes.k)
 
     def _commit(self, instance: Instance, plan: Plan) -> None:
         """Replay ``plan``, kept as ``self.plan``, over the instance."""
@@ -492,6 +502,7 @@ class AlcbPolicy(LcbPolicy):
     exhaustive enumeration; keeps the trace around for diagnostics."""
 
     def __init__(self, instance: Instance):
+        self.check(instance)
         prices = SubsetPrices(build_lcb_aggregate(instance.P, instance.tau), instance)
         trace = greedy_subset(instance, lambda Z: prices.exact(Z, Z))
         if not trace.chosen:
@@ -502,3 +513,9 @@ class AlcbPolicy(LcbPolicy):
         self.Z, self.template, self.trace = arm_set(trace.chosen), template, trace
         segment = PlanSegment(instance.phases, template, self.Z, self.Z)
         self._commit(instance, Plan((segment,)))
+
+    @classmethod
+    def check(cls, sizes) -> None:
+        """Only LCB's tau >= 2: the greedy tries no family of subsets, so
+        it has no arm cap."""
+        confidence_width(sizes.tau)

@@ -17,7 +17,7 @@ a structural fact rather than a runtime check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,12 +28,9 @@ from .core import (
     GammaResult,
     Observables,
     gamma_from_parts,
-    subset_count,
 )
-from .dp import DpPolicy, largest_commitment, table_cells
+from .dp import DpPolicy
 from .env import NO_PULL, Policy, RunRecord, _cell_sums, _cells, _live_counts
-from .lcb import LcbPolicy
-from .lmatch import LlcbPolicy
 
 __all__ = [
     "Observables",
@@ -202,11 +199,10 @@ class EesPolicy(Policy):
     Construction fails with ValueError for fewer than one phase, with
     InfeasibleError if no positive quota exists (the exploration
     schedule relies on it to keep every arm viable) or exploration
-    fills the horizon, and with ResourceGuardError if the DpPolicy
-    planner's largest table, or the subsets it, LcbPolicy and
-    LlcbPolicy search, would exceed their cap, rather than after
-    exploring.  The length of exploration grows with the
-    horizon, so the play depends on it.
+    fills the horizon, and with whatever ``planner.check`` refuses on
+    the observables of the rest of the horizon, rather than after
+    exploring.  The length of exploration grows with the horizon, so
+    the play depends on it.
     """
 
     horizon_free = False
@@ -231,11 +227,7 @@ class EesPolicy(Policy):
             raise InfeasibleError(
                 f"exploration of {phases} phases does not fit the horizon"
             )
-        # by identity: AlcbPolicy subclasses LcbPolicy but searches no subset family
-        if planner is DpPolicy:
-            table_cells(o.tau, largest_commitment(o.delta, o.tau))
-        if planner in (DpPolicy, LcbPolicy, LlcbPolicy):
-            subset_count(o.k)
+        planner.check(replace(o, T=o.T - self.T0))
         self.estimates: Estimates | None = None
         self.planner: Policy | None = None
 

@@ -84,9 +84,9 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
     value, kept for the phases between, and dropped in the last phase
     (see the module docstring for why no other chain does better).
 
-    Raises ResourceGuardError for more arms than the subset searches
-    allow (:func:`~exposure_bandits.core.subset_count`); every single
-    arm fits a phase, so a plan always exists.
+    Its search of D refuses more arms than the subset searches allow,
+    as :meth:`LlcbPolicy.check` states up front; every single arm fits
+    a phase, so a plan always exists.
     """
     if aggregate.total != instance.tau:
         raise ValueError("the phase aggregate must sum to tau")
@@ -129,9 +129,11 @@ def lmatch(instance: Instance, aggregate: Aggregate) -> Plan:
 class LlcbPolicy(LcbPolicy):
     """The committed replay of the :func:`lmatch` plan, each segment
     with its own matching and kept set.  The plan looks ahead to the
-    last phase, so the play depends on the horizon."""
+    last phase, so the play depends on the horizon.  It refuses what
+    :meth:`LcbPolicy.check` does."""
 
     horizon_free = False
 
     def __init__(self, instance: Instance):
+        self.check(instance)
         self._commit(instance, lmatch(instance, build_lcb_aggregate(instance.P, instance.tau)))

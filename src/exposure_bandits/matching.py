@@ -39,6 +39,7 @@ __all__ = [
     "Matching",
     "SubsetPrices",
     "build_lcb_aggregate",
+    "confidence_width",
     "doalg",
     "doalg_graph_reference",
 ]
@@ -114,6 +115,14 @@ def _scaled(mu_eff) -> tuple[int, list[list[int]]]:
     return scale, [[p * (scale // q) for p, q in row] for row in ratios]
 
 
+def confidence_width(tau: int) -> float:
+    """sqrt(tau*ln tau), the shave of the confidence floors; raises
+    ValueError for tau < 2, where it is not positive."""
+    if tau < 2:
+        raise ValueError("tau must be >= 2 so the confidence width is positive")
+    return math.sqrt(tau * math.log(tau))
+
+
 def build_lcb_aggregate(P, tau: int) -> Aggregate:
     """Lower-confidence per-type counts: floor(P_u*tau - sqrt(tau*ln tau)),
     clamped at 0, with the remainder going to the slack type.
@@ -121,9 +130,7 @@ def build_lcb_aggregate(P, tau: int) -> Aggregate:
     The shave guarantees that with probability >= 1 - 2n/tau^2 every real
     type actually arrives at least counts[u] times in a tau-round phase.
     """
-    if tau < 2:
-        raise ValueError("tau must be >= 2 so the confidence width is positive")
-    width = math.sqrt(tau * math.log(tau))
+    width = confidence_width(tau)
     counts = [max(0, math.floor(p * tau - width)) for p in P]
     slack = tau - sum(counts)
     if slack < 0:

@@ -242,15 +242,25 @@ def test_oversized_oracle_requests_exit_four(tmp_path):
     assert main(["oracle", "--instance", str(path)]) == 4
 
 
-def test_an_oversized_subset_search_exits_four_before_exploring(tmp_path, capsys):
-    # 17 arms are past the subset cap of lcb_star; the learner is refused
-    # when it is built, not after exploring 68,400 rounds
-    path = tmp_path / "wide.txt"
-    save_instance(make_instance(n=1, k=17, tau=100, phases=2000, P=(1.0,)), path)
-    assert main(["learn", "--instance", str(path), "--algo", "ees-lcb-star"]) == 4
+@pytest.mark.parametrize("inst, algo, code, word", [
+    # 17 arms are past the subset cap of lcb_star (T0 = 68,400)
+    pytest.param(make_instance(n=1, k=17, tau=100, phases=2000, P=(1.0,)), "ees-lcb-star",
+                 4, "subset", id="wide-ees-lcb-star"),
+    # one-round phases have no confidence floors (T0 = 159)
+    *(pytest.param(make_instance(n=1, k=1, tau=1, phases=2000, delta=(1,)), algo,
+                   2, "tau", id=f"one-round-{algo}")
+      for algo in ("ees-lcb-star", "ees-a-lcb-star", "ees-l-lcb")),
+])
+def test_a_learner_its_planner_refuses_exits_before_exploring(inst, algo, code, word,
+                                                              tmp_path, capsys):
+    # the learner is refused when it is built, not after exploring T0
+    # rounds, so it prints no exploration schedule
+    path = tmp_path / "refused.txt"
+    save_instance(inst, path)
+    assert main(["learn", "--instance", str(path), "--algo", algo]) == code
     out, err = capsys.readouterr()
     assert out == ""
-    assert "subset" in err
+    assert word in err
 
 
 def test_experiment_writes_a_deterministic_csv(tiny_path, tmp_path, capsys):

@@ -34,7 +34,7 @@ from exposure_bandits import (
 from exposure_bandits.core import gamma_from_parts
 from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy, GreedyBanditPolicy
 from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
-from conftest import make_instance
+from conftest import make_instance, simplex, utility_rows
 from test_env import assert_same_record, no_reward, past_of, scalar_run
 from test_lmatch import assert_plan_shape
 
@@ -319,15 +319,88 @@ def test_ees_dp_star_plans_and_plays_four_arms_at_tau_100():
     assert (played == rec.arrivals[policy.T0:]).mean() > 0.9
 
 
-def test_an_oversized_dp_star_plan_still_fails_before_exploring():
-    # five arms at tau=100 need C(105, 5) = 96,560,646 states, over the
-    # cap; refuse them at construction, not after exploring
-    obs = Observables(n=5, k=5, tau=100, T=200_000, delta=(10,) * 5)
-    with pytest.raises(ResourceGuardError):
-        EesPolicy(obs, DpPolicy)
-    EesPolicy(obs, LcbPolicy)  # no table, no guard
-    with pytest.raises(ResourceGuardError):
-        DpPolicy(make_instance(n=5, k=5, tau=100, phases=2, delta=(10,) * 5))
+# five arms at tau=100 need C(105, 5) = 96,560,646 states, over the DP's
+# cap (T0 = 17,100)
+FIVE_ARMS = Observables(n=5, k=5, tau=100, T=200_000, delta=(10,) * 5)
+# 17 arms exceed the subset cap of the exhaustive searches (T0 = 68,400)
+WIDE = Observables(n=2, k=17, tau=100, T=200_000, delta=(0,) * 17)
+WIDE_THRESHOLDS = Observables(n=2, k=17, tau=100, T=200_000, delta=(5,) * 17)
+# one-round phases have no confidence floors (T0 = 159)
+ONE_ROUND = Observables(n=1, k=1, tau=1, T=2000, delta=(1,))
+
+
+@pytest.mark.parametrize("planner, obs, outcome", [
+    pytest.param(DpPolicy, FIVE_ARMS, ResourceGuardError, id="dp-five-arms"),
+    pytest.param(LcbPolicy, FIVE_ARMS, 17_100, id="lcb-five-arms"),  # no table, no guard
+    pytest.param(LcbPolicy, WIDE, ResourceGuardError, id="lcb-wide"),
+    pytest.param(DpPolicy, WIDE, ResourceGuardError, id="dp-wide"),
+    # the greedy tries no subset family, so it has no cap, although its
+    # class derives from LcbPolicy's
+    pytest.param(AlcbPolicy, WIDE, 68_400, id="alcb-wide"),
+    # the plan searches the same subsets as LCB, at any horizon
+    pytest.param(LlcbPolicy, WIDE_THRESHOLDS, ResourceGuardError, id="llcb-wide"),
+    pytest.param(LcbPolicy, ONE_ROUND, ValueError, id="lcb-one-round"),
+    pytest.param(AlcbPolicy, ONE_ROUND, ValueError, id="alcb-one-round"),
+    pytest.param(LlcbPolicy, ONE_ROUND, ValueError, id="llcb-one-round"),
+])
+def test_a_learner_refuses_before_exploring_what_its_planner_refuses(planner, obs, outcome):
+    # refused at construction, as the planner itself is, not after
+    # exploring; a learner that builds explores for its T0 rounds
+    if isinstance(outcome, int):
+        assert EesPolicy(obs, planner).T0 == outcome
+        return
+    with pytest.raises(outcome):
+        EesPolicy(obs, planner)
+    with pytest.raises(outcome):
+        planner(make_instance(n=obs.n, k=obs.k, tau=obs.tau, phases=2, delta=obs.delta))
+
+
+# what a planner may still raise on the estimates, from P and mu alone,
+# when its learner was built: nothing
+RAISED_BY_THE_ESTIMATES = ()
+
+
+@st.composite
+def learner_cases(draw):
+    """Observables of at most 3 types, 6 arms and 8 rounds a phase, with
+    P and mu for them.  Three draws in four fit EES's own refusals: at
+    most tau arms, whose thresholds leave each a round of the phase (a
+    quota of at least 1), and a horizon of more than 2 tau^2 phases, so
+    that exploration is shorter; the fourth draws any thresholds and
+    horizon."""
+    n, tau = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    if draw(st.sampled_from((True, True, True, False))):
+        k = draw(st.integers(1, min(6, tau)))
+        delta, left = [], tau
+        for a in range(k):
+            delta.append(draw(st.integers(0, left - (k - 1 - a))))
+            left -= max(delta[-1], 1)
+        phases = draw(st.integers(2 * tau * tau + 2, 2000))
+    else:
+        k = draw(st.integers(1, 6))
+        delta = draw(st.lists(st.integers(0, tau), min_size=k, max_size=k))
+        phases = draw(st.integers(1, 2000))
+    obs = Observables(n=n, k=k, tau=tau, T=tau * phases, delta=tuple(delta))
+    return obs, draw(simplex(n)), draw(utility_rows(n, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=learner_cases(), planner=st.sampled_from((DpPolicy, LcbPolicy, AlcbPolicy, LlcbPolicy)))
+@example(case=(ONE_ROUND, (1.0,), ((0.5,),)), planner=LcbPolicy)
+@example(case=(ONE_ROUND, (1.0,), ((0.5,),)), planner=AlcbPolicy)
+@example(case=(ONE_ROUND, (1.0,), ((0.5,),)), planner=LlcbPolicy)
+def test_a_learner_that_builds_hands_its_planner_an_instance_it_builds(case, planner):
+    obs, P, mu = case
+    try:
+        policy = EesPolicy(obs, planner)
+    except (InfeasibleError, ResourceGuardError, ValueError):
+        return
+    rest = Instance(n=obs.n, k=obs.k, tau=obs.tau, T=obs.T - policy.T0, P=P,
+                    delta=obs.delta, mu=mu)
+    try:
+        planner(rest)
+    except RAISED_BY_THE_ESTIMATES:
+        pass
 
 
 def test_an_llcb_plan_over_any_horizon_builds_and_plays():
@@ -347,28 +420,6 @@ def test_an_llcb_plan_over_any_horizon_builds_and_plays():
     for phase, arm in rec.departure_events:
         assert phase > policy.exploration_phases
         assert arm not in chain[phase - policy.exploration_phases]
-
-
-def test_an_oversized_subset_search_still_fails_before_exploring():
-    # 17 arms exceed the subset cap of the exhaustive searches; refuse
-    # them at construction, not at T0=68,400
-    obs = Observables(n=2, k=17, tau=100, T=200_000, delta=(0,) * 17)
-    for planner in (LcbPolicy, DpPolicy):
-        with pytest.raises(ResourceGuardError):
-            EesPolicy(obs, planner)
-    # the greedy tries no subset family, so it has no cap, although its
-    # class derives from LcbPolicy's
-    assert EesPolicy(obs, AlcbPolicy).T0 == 68_400
-
-
-def test_an_oversized_llcb_plan_still_fails_before_exploring():
-    # the plan searches the same subsets as LCB, so 17 arms exceed the
-    # same cap at any horizon; refuse them at construction, not at T0
-    obs = Observables(n=2, k=17, tau=100, T=200_000, delta=(5,) * 17)
-    with pytest.raises(ResourceGuardError):
-        EesPolicy(obs, LlcbPolicy)
-    with pytest.raises(ResourceGuardError):
-        LlcbPolicy(make_instance(n=2, k=17, tau=100, phases=2, delta=(5,) * 17))
 
 
 def test_a_budget_selects_the_relaxed_exploration_schedule():

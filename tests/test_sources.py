@@ -237,3 +237,53 @@ def test_a_plans_value_is_summed_only_by_the_plan():
     # command line formats it and lmatch returns the plan
     for module in (exposure_bandits.cli, exposure_bandits.lmatch):
         assert "matching.exact" not in Path(module.__file__).read_text(), module.__name__
+
+
+PLANNERS = {"DpPolicy", "LcbPolicy", "AlcbPolicy", "LlcbPolicy"}
+GUARDS = {"subset_count", "table_cells", "largest_commitment"}
+
+
+def test_the_learner_asks_its_planner_what_it_refuses():
+    # each planner states its up-front refusals once, in its check, and
+    # EesPolicy runs planner.check: a guard named in learn.py, an import
+    # of another planner module or a planner class compared by identity
+    # would be a second statement of some planner's rules
+    tree = ast.parse(Path(exposure_bandits.learn.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("lcb", "lmatch"):
+                found.append(f"{node.lineno}: imports .{node.module}")
+            found += [f"{node.lineno}: imports {a.name}" for a in node.names if a.name in GUARDS]
+        elif isinstance(node, ast.Name) and node.id in GUARDS:
+            found.append(f"{node.lineno}: names {node.id}")
+        elif isinstance(node, ast.Compare):
+            found += [f"{node.lineno}: compares {n.id}" for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and n.id in PLANNERS]
+    assert found == []
+
+
+def states_tau_at_least_two(node) -> bool:
+    """Whether ``node`` compares a ``tau`` with 1 or 2: the test that the
+    confidence floors are defined, in one of its forms."""
+    if not isinstance(node, ast.Compare) or len(node.comparators) != 1:
+        return False
+    sides = (node.left, node.comparators[0])
+    return (any(getattr(n, "id", None) == "tau" or getattr(n, "attr", None) == "tau"
+                for n in sides)
+            and any(isinstance(n, ast.Constant) and n.value in (1, 2) for n in sides))
+
+
+def test_tau_at_least_two_is_stated_only_by_the_confidence_width():
+    # matching.confidence_width refuses tau < 2 for build_lcb_aggregate
+    # and the LCB planners' checks alike
+    found = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if states_tau_at_least_two(node)
+    ]
+    assert [name for name, _ in found] == ["matching.py"], found
+    fn = exposure_bandits.matching.confidence_width
+    lines, first = inspect.getsourcelines(fn)
+    assert first <= found[0][1] < first + len(lines)
