@@ -16,8 +16,6 @@ from .core import (
     Observables,
     ResourceGuardError,
     compute_gamma,
-    gamma_from_parts,
-    iter_subsets,
     validate,
 )
 from .dp import DpPolicy, MerTable, dp_star, mer_table, planned_total_value
@@ -58,7 +56,7 @@ from .matching import (
     doalg,
     doalg_graph_reference,
 )
-from .oracle import OptResult, brute_matching, enumerate_phase_policies, exact_opt
+from .oracle import brute_matching, enumerate_phase_policies, exact_opt
 
 __all__ = [
     "NEG_INF",
@@ -79,7 +77,6 @@ __all__ = [
     "Matching",
     "MerTable",
     "Observables",
-    "OptResult",
     "Plan",
     "PlanSegment",
     "Policy",
@@ -98,9 +95,7 @@ __all__ = [
     "estimate",
     "exact_opt",
     "explore_phase_step",
-    "gamma_from_parts",
     "greedy_subset",
-    "iter_subsets",
     "lcb_policy_step",
     "lcb_star",
     "mer_table",

@@ -293,7 +293,7 @@ def _benchmark_values(kind: str, horizons) -> list[float]:
     if kind == "oracle-opt":
         from .oracle import exact_opt
 
-        return [exact_opt(instance).value for instance in horizons]
+        return [exact_opt(instance) for instance in horizons]
     raise ValueError(f"unknown benchmark {kind!r}")
 
 
@@ -390,9 +390,9 @@ def cmd_oracle(args) -> int:
     opt = exact_opt(instance)
     Z, table = dp_star(instance)
     committed = planned_total_value(instance, table)
-    print(f"exact optimum: {_fmt(opt.value)}")
+    print(f"exact optimum: {_fmt(opt)}")
     print(f"committed planner: {_fmt(committed)} (commitment {sorted(Z)})")
-    gap = opt.value - committed
+    gap = opt - committed
     print(f"gap: {_fmt(gap)} (bound {instance.k * instance.tau})")
     return 0
 

@@ -20,7 +20,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 __all__ = [
     "NEG_INF",
@@ -33,12 +33,9 @@ __all__ = [
     "thresholds",
     "validate",
     "validate_sizes",
-    "gamma_from_parts",
     "compute_gamma",
     "subset_masks",
-    "iter_subsets",
     "arm_set",
-    "arm_mask",
     "subset_count",
     "best_subset",
 ]
@@ -262,33 +259,25 @@ def validate_sizes(n, k, tau, T, delta) -> None:
         raise ValueError(f"T={T} is not a multiple of tau={tau}")
 
 
-def gamma_from_parts(delta, tau: int, k: int) -> GammaResult:
-    """Exploration rate from thresholds alone (arrival law not needed).
+def compute_gamma(sizes) -> GammaResult:
+    """Largest feasible exploration rate, from the thresholds of
+    ``sizes`` (an Instance or Observables) alone.
 
     Largest integer quota ``g`` with ``g/tau <= 1/k`` and
     ``sum_a max(delta[a], g) <= tau``; the left side is nondecreasing in
     ``g``, so a downward scan from ``floor(tau/k)`` finds the maximum.
+    ``feasible`` is ``False`` iff ``sum(delta) > tau``, and enlarging
+    any ``delta[a]`` never increases the returned ``gamma``.
     """
-    delta = tuple(int(d) for d in delta)
+    delta, tau = sizes.delta, sizes.tau
     if sum(delta) > tau:
         return GammaResult(gamma=None, feasible=False)
-    g = tau // k
+    g = tau // len(delta)
     while g > 0 and sum(max(d, g) for d in delta) > tau:
         g -= 1
     if g == 0:
         return GammaResult(gamma=None, feasible=True, quota=0)
     return GammaResult(gamma=Fraction(g, tau), feasible=True, quota=g)
-
-
-def compute_gamma(instance: Instance) -> GammaResult:
-    """Largest feasible exploration rate, from the instance's thresholds.
-
-    ``feasible`` is ``False`` iff ``sum(instance.delta) > instance.tau``.
-    When a rate exists, ``sum_a max(delta[a], floor(gamma*tau)) <= tau``
-    holds exactly, and enlarging any ``delta[a]`` never increases the
-    returned ``gamma``.
-    """
-    return gamma_from_parts(instance.delta, instance.tau, instance.k)
 
 
 def subset_masks(k: int) -> list[int]:
@@ -299,20 +288,9 @@ def subset_masks(k: int) -> list[int]:
     return sorted(range(1, 1 << k), key=int.bit_count)  # stable: masks ascend within a size
 
 
-def iter_subsets(k: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of ``range(k)`` as arm tuples, fewest arms first, then lowest mask."""
-    for mask in subset_masks(k):
-        yield tuple(a for a in range(k) if mask >> a & 1)
-
-
 def arm_set(mask: int) -> frozenset:
     """The arms of bit mask ``mask``."""
     return frozenset(a for a in range(mask.bit_length()) if mask >> a & 1)
-
-
-def arm_mask(arms) -> int:
-    """The bit mask of the arms ``arms``."""
-    return sum(1 << a for a in arms)
 
 
 def subset_count(k: int) -> int:

@@ -158,22 +158,6 @@ class MerTable:
         hops = self.next[:, rows] if isinstance(rows, slice) else self.next.take(rows, axis=1)
         return self.values[self.starts[s + 1] + hops]
 
-    def index_of(self, counts) -> int:
-        """The rank of a count vector over Z."""
-        if len(counts) != len(self.Z):
-            raise ValueError("counts must align with Z")
-        if any(c < 0 for c in counts) or sum(counts) > self.tau:
-            raise ValueError("counts must be nonnegative with total <= tau")
-        rank, S = 0, 0
-        for j, c in enumerate(counts, 1):
-            S += c
-            rank += math.comb(S + j - 1, j)
-        return rank
-
-    def lookup(self, counts):
-        v = self.values[self.index_of(counts)]
-        return NEG_INF if v == -np.inf else float(v)
-
     @property
     def root_value(self):
         v = self.values[0]

@@ -186,10 +186,6 @@ class RunRecord:
     seed: int
     dead_pulls: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def realized_total(self) -> float:
-        return float(self.realized_rewards.sum())
-
     def prefix(self, rounds: int, tau: int) -> RunRecord:
         """The record of the first ``rounds`` rounds, a multiple of
         ``tau``: views of the arrays and the departures up to phase

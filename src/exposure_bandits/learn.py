@@ -27,7 +27,7 @@ from .core import (
     InfeasibleError,
     GammaResult,
     Observables,
-    gamma_from_parts,
+    compute_gamma,
 )
 from .dp import DpPolicy
 from .env import NO_PULL, Policy, RunRecord, _cell_sums, _cells, _live_counts
@@ -180,7 +180,7 @@ def concentration_radii(instance: Instance, estimates: Estimates) -> Estimates:
     for p in instance.P:
         base = p * t23 - math.sqrt(p * t23 * logT)
         eps1.append(math.sqrt(logT / base) if base > 0 else math.inf)
-    gamma = gamma_from_parts(instance.delta, instance.tau, instance.k)
+    gamma = compute_gamma(instance)
     if gamma.gamma is None:
         eps2 = math.inf
     else:
@@ -213,7 +213,7 @@ class EesPolicy(Policy):
         self.planner_class = planner
         if exploration_phases is not None and exploration_phases < 1:
             raise ValueError(f"exploration needs at least one phase, not {exploration_phases}")
-        self.gamma = gamma_from_parts(o.delta, o.tau, o.k)
+        self.gamma = compute_gamma(o)
         if not self.gamma.feasible or self.gamma.quota <= 0:
             raise InfeasibleError(
                 "exploration requires a positive feasibility margin"

@@ -83,15 +83,12 @@ class Matching:
     aggregate row (slack row last when present).
 
     ``exact`` is the utility sum, an integer on the utilities' one scale
-    ``scale`` (:func:`_scaled`), and ``value`` that sum correctly rounded;
-    ``pull_column_sums`` holds the pulls per arm: at least its threshold
-    for a committed arm, 0 for an arm outside the allowed set.
+    ``scale`` (:func:`_scaled`), and ``value`` that sum correctly rounded.
     """
 
     M: tuple[tuple[int, ...], ...]
     exact: int
     scale: int
-    pull_column_sums: tuple[int, ...]
 
     @property
     def value(self) -> float:
@@ -101,10 +98,9 @@ class Matching:
     def from_matrix(M, scaled) -> "Matching":
         """M valued by ``scaled``, the (scale, rows) pair of :func:`_scaled`."""
         rows = tuple(tuple(int(x) for x in row) for row in M)
-        cols = tuple(map(sum, zip(*rows)))
         scale, weights = scaled
         exact = sum(m * w for row, w_row in zip(rows, weights) for m, w in zip(row, w_row))
-        return Matching(M=rows, exact=exact, scale=scale, pull_column_sums=cols)
+        return Matching(M=rows, exact=exact, scale=scale)
 
 
 def _scaled(mu_eff) -> tuple[int, list[list[int]]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .core import NEG_INF, Instance, ResourceGuardError
 from .matching import Aggregate
 
 __all__ = [
-    "OptResult",
     "exact_opt",
     "enumerate_phase_policies",
     "brute_matching",
@@ -30,21 +28,10 @@ POLICY_CAP = 10**6
 ASSIGNMENT_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class OptResult:
-    """Exact optimum of the stochastic optimization task.
-
-    ``policy`` maps (round, viable_mask, capped within-phase counts) to
-    the optimal arm (or None for a no-op); ``value`` is V at the initial
-    state.
-    """
-
-    value: float
-    policy: dict
-
-
-def exact_opt(instance: Instance) -> OptResult:
-    """Backward induction over (round, viable set, capped counts).
+def exact_opt(instance: Instance) -> float:
+    """The exact optimum of the stochastic optimization task, V at the
+    initial state, by backward induction over (round, viable set, capped
+    counts).
 
     Counts are capped at delta_a: extra pulls beyond the threshold do not
     change any future transition, so the capped chain is value-equivalent.
@@ -96,7 +83,6 @@ def exact_opt(instance: Instance) -> OptResult:
             raise ResourceGuardError("state cap exceeded during induction")
         layers.append(nxt)
 
-    policy: dict[tuple, int | None] = {}
     vals = {state: 0.0 for state in layers[T]}
     for t in range(T - 1, -1, -1):
         boundary = (t + 1) % tau == 0
@@ -106,19 +92,17 @@ def exact_opt(instance: Instance) -> OptResult:
             per_type = []
             for u in range(n):
                 best = vals[_advance(mask, counts, None, boundary)]
-                best_arm = None
                 for a in range(k):
                     if not mask & (1 << a):
                         continue
                     cand = mu[u][a] + vals[_advance(mask, counts, a, boundary)]
                     if cand > best:
-                        best, best_arm = cand, a
+                        best = cand
                 per_type.append(P[u] * best)
-                policy[(t, mask, counts, u)] = best_arm
             cur[state] = math.fsum(per_type)
         vals = cur
 
-    return OptResult(value=vals[(full_mask, zeros)], policy=policy)
+    return vals[(full_mask, zeros)]
 
 
 def enumerate_phase_policies(Z, instance: Instance):

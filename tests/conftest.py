@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from exposure_bandits import NEG_INF, Aggregate, Instance, build_lcb_aggregate, lcb
+from exposure_bandits import NEG_INF, Aggregate, Instance, Observables, build_lcb_aggregate, lcb
+from exposure_bandits.core import arm_set, subset_masks
 from exposure_bandits.matching import SubsetPrices
 
 IDENTITY2 = ((1.0, 0.0), (0.0, 1.0))
@@ -22,6 +23,17 @@ def make_instance(n=2, k=2, tau=100, phases=10, P=None, delta=None, mu=None,
         mu = tuple(tuple(1.0 if a == u else 0.0 for a in range(k)) for u in range(n))
     return Instance(n=n, k=k, tau=tau, T=tau * phases, P=P, delta=delta,
                     mu=mu, reward_kind=reward_kind)
+
+
+def one_phase(delta, tau) -> Observables:
+    """The observables of one phase of ``tau`` rounds with thresholds
+    ``delta``: all that ``compute_gamma`` reads."""
+    return Observables(n=1, k=len(delta), tau=tau, T=tau, delta=delta)
+
+
+def subsets(k) -> list[frozenset]:
+    """The nonempty arm sets of ``k`` arms in the search order."""
+    return [arm_set(Z) for Z in subset_masks(k)]
 
 
 def commitment_values(inst: Instance):

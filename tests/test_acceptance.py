@@ -31,7 +31,6 @@ from exposure_bandits import (
     enumerate_phase_policies,
     exact_opt,
     greedy_subset,
-    iter_subsets,
     lcb_star,
     mer_table,
     planned_total_value,
@@ -39,7 +38,7 @@ from exposure_bandits import (
     sample_arrivals,
 )
 from exposure_bandits.cli import main as cli_main, save_instance
-from exposure_bandits.core import arm_mask, arm_set, subset_masks
+from exposure_bandits.core import arm_set, subset_masks
 from exposure_bandits.learn import Observables
 from exposure_bandits.lmatch import lmatch
 from exposure_bandits.presets import (
@@ -49,7 +48,7 @@ from exposure_bandits.presets import (
     subsidy_worthwhile,
     symmetric_tight,
 )
-from conftest import commitment_values, make_instance, random_instance, random_counts
+from conftest import commitment_values, make_instance, random_counts, random_instance, subsets
 from test_lmatch import brute_chain_value
 
 EXAMPLES = {
@@ -122,8 +121,8 @@ def test_02_matching_agrees_with_both_references():
         else:
             agg = Aggregate(counts=random_counts(rng, inst.n, inst.tau),
                             has_slack=False)
-        subsets = [frozenset(s) for s in iter_subsets(inst.k)]
-        allowed = subsets[int(rng.integers(len(subsets)))]
+        arm_sets = subsets(inst.k)
+        allowed = arm_sets[int(rng.integers(len(arm_sets)))]
         committed = frozenset(a for a in allowed if rng.random() < 0.5)
         fast = doalg(agg, allowed, committed, inst)
         slow = brute_matching(agg, allowed, committed, inst)
@@ -135,8 +134,8 @@ def test_02_matching_agrees_with_both_references():
         inst = random_instance(rng, n_max=3, k_max=3, tau_max=8, dyadic=True,
                                delta_sum_within_tau=False)
         agg = build_lcb_aggregate(inst.P, inst.tau)
-        subsets = [frozenset(s) for s in iter_subsets(inst.k)]
-        allowed = subsets[int(rng.integers(len(subsets)))]
+        arm_sets = subsets(inst.k)
+        allowed = arm_sets[int(rng.integers(len(arm_sets)))]
         fast = doalg(agg, allowed, allowed, inst)
         ref = doalg_graph_reference(agg, allowed, inst)
         if fast is NEG_INF or ref is NEG_INF:
@@ -152,7 +151,7 @@ def test_03_committed_plan_sandwiches_the_exact_optimum():
     rng = np.random.default_rng(1003)
     for _ in range(50):
         inst = random_instance(rng, n_max=3, k_max=3, tau_max=6, phases_max=4)
-        opt = exact_opt(inst).value
+        opt = exact_opt(inst)
         _, table = dp_star(inst)
         planned = planned_total_value(inst, table)
         assert planned <= opt + 1e-9
@@ -269,10 +268,10 @@ def test_09_greedy_subset_selection_earns_its_guarantee():
         assert greedy_val >= (1 - 1 / math.e) * best - 1e-9
         arms = list(range(inst.k))
         for _ in range(20):
-            B = arm_mask(a for a in arms if rng.random() < 0.5)
+            B = sum(1 << a for a in arms if rng.random() < 0.5)
             if B == (1 << inst.k) - 1:
                 continue
-            A = arm_mask(a for a in arm_set(B) if rng.random() < 0.5)
+            A = sum(1 << a for a in arm_set(B) if rng.random() < 0.5)
             a = arms[int(rng.integers(inst.k))]
             if B >> a & 1:
                 continue

@@ -11,12 +11,10 @@ from exposure_bandits import (
     Observables,
     ResourceGuardError,
     compute_gamma,
-    gamma_from_parts,
-    iter_subsets,
     validate,
 )
-from exposure_bandits.core import arm_mask, arm_set, best_subset, subset_masks
-from conftest import IDENTITY2, make_instance
+from exposure_bandits.core import arm_set, best_subset, subset_masks
+from conftest import IDENTITY2, make_instance, one_phase, subsets
 
 
 def test_gamma_symmetric_tight():
@@ -33,17 +31,17 @@ def test_gamma_zero_thresholds_capped_by_arm_count():
 
 
 def test_gamma_infeasible_when_thresholds_exceed_phase():
-    g = gamma_from_parts((60, 60), 100, 2)
+    g = compute_gamma(one_phase((60, 60), 100))
     assert not g.feasible
     assert g.gamma is None
 
 
 def test_gamma_zero_quota_when_no_exploration_slack():
     # thresholds fill the phase exactly: no room for a uniform quota
-    g = gamma_from_parts((1, 1, 1), 3, 3)
+    g = compute_gamma(one_phase((1, 1, 1), 3))
     assert g.feasible
     assert g.gamma == Fraction(1, 3)
-    g = gamma_from_parts((2, 1), 3, 2)
+    g = compute_gamma(one_phase((2, 1), 3))
     assert g.feasible
     assert g.quota == 1
 
@@ -54,7 +52,7 @@ def test_gamma_quota_is_maximal():
         k = int(rng.integers(1, 6))
         tau = int(rng.integers(k, 40))
         delta = tuple(int(d) for d in rng.integers(0, tau + 1, size=k))
-        g = gamma_from_parts(delta, tau, k)
+        g = compute_gamma(one_phase(delta, tau))
         if not g.feasible:
             assert sum(delta) > tau
             continue
@@ -76,8 +74,8 @@ def test_gamma_never_increases_when_a_threshold_grows():
         a = int(rng.integers(k))
         bumped = list(delta)
         bumped[a] = min(tau, bumped[a] + int(rng.integers(1, 5)))
-        g0 = gamma_from_parts(tuple(delta), tau, k)
-        g1 = gamma_from_parts(tuple(bumped), tau, k)
+        g0 = compute_gamma(one_phase(delta, tau))
+        g1 = compute_gamma(one_phase(bumped, tau))
         if not g0.feasible:
             assert not g1.feasible
         elif g1.feasible:
@@ -144,24 +142,25 @@ def test_instance_normalizes_sequences_to_tuples():
     assert all(type(d) is int for d in inst.delta)
 
 
-def test_iter_subsets_cardinality_then_lex():
-    got = list(iter_subsets(3))
+def test_subset_masks_cardinality_then_lex():
+    assert subset_masks(3) == [0b1, 0b10, 0b100, 0b11, 0b101, 0b110, 0b111]
+    got = [tuple(sorted(Z)) for Z in subsets(3)]
     assert got == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
-def test_iter_subsets_breaks_size_ties_by_lowest_mask():
+def test_subset_masks_break_size_ties_by_lowest_mask():
     # from four arms on, (size, mask) order is not lexicographic: {0, 3}
     # (mask 9) comes after {1, 2} (mask 6)
-    pairs = [Z for Z in iter_subsets(4) if len(Z) == 2]
+    pairs = [tuple(sorted(Z)) for Z in subsets(4) if len(Z) == 2]
     assert pairs == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
-def test_subset_masks_are_iter_subsets_in_the_same_order():
+def test_arm_set_inverts_the_bit_mask():
     for k in range(1, 7):
         masks = subset_masks(k)
-        assert [arm_set(m) for m in masks] == [frozenset(Z) for Z in iter_subsets(k)]
-        assert [arm_mask(Z) for Z in iter_subsets(k)] == masks
-    assert arm_set(0) == frozenset() and arm_mask(()) == 0
+        assert sorted(masks) == list(range(1, 1 << k))
+        assert [sum(1 << a for a in arm_set(m)) for m in masks] == masks
+    assert arm_set(0) == frozenset()
     assert len(subset_masks(16)) == 2**16 - 1
     with pytest.raises(ResourceGuardError):
         subset_masks(17)

@@ -13,7 +13,6 @@ from exposure_bandits import (
     Instance,
     InfeasibleError,
     dp_star,
-    iter_subsets,
     mer_table,
     planned_total_value,
     run_episode,
@@ -26,6 +25,7 @@ from conftest import (
     random_instance,
     scaled_mu,
     simplex,
+    subsets,
     tie_prone_instances,
     utility_rows,
 )
@@ -55,10 +55,18 @@ def test_state_count_respects_the_analytic_bound():
         assert table.state_count <= inst.tau * (inst.tau + m) ** (m - 1)
 
 
+def rank(counts) -> int:
+    """The rank of a count vector by the formula of the dp module's
+    docstring, sum over j = 1..m of C(S_j + j - 1, j) with S_j the sum of
+    the first j counts; stated here, so the tests check the table's own
+    ranking."""
+    return sum(math.comb(S + j - 1, j) for j, S in enumerate(itertools.accumulate(counts), 1))
+
+
 def best_move(table, counts, u):
     """The arm :func:`_best_moves` pulls at within-phase ``counts`` over Z."""
     s = sum(counts)
-    row = np.array([table.index_of(counts) - table.starts[s]])
+    row = np.array([rank(counts) - table.starts[s]])
     return table.Z[int(_best_moves(table, s, row)[0, u])]
 
 
@@ -155,8 +163,8 @@ def _expected_pull(table, counts, u, mu_u):
     feasible successors, then the larger deficit, then the smaller index."""
     best = None
     for j, a in enumerate(table.Z):
-        succ = table.lookup([c + (i == j) for i, c in enumerate(counts)])
-        if succ is NEG_INF:
+        succ = float(table.values[rank([c + (i == j) for i, c in enumerate(counts)])])
+        if succ == -math.inf:
             continue
         key = (mu_u[a] + succ, max(0, table.deltas[j] - counts[j]), -j)
         if best is None or key > best[0]:
@@ -169,8 +177,8 @@ def _deficit_decides(table, counts, u, mu_u):
     ``u`` and the deficit, not the arm order, picks among them."""
     scores = {}
     for j, a in enumerate(table.Z):
-        succ = table.lookup([c + (i == j) for i, c in enumerate(counts)])
-        if succ is not NEG_INF:
+        succ = float(table.values[rank([c + (i == j) for i, c in enumerate(counts)])])
+        if succ != -math.inf:
             scores[j] = mu_u[a] + succ
     top = [j for j, v in scores.items() if v == max(scores.values())]
     return len(top) > 1 and _expected_pull(table, counts, u, mu_u) != table.Z[top[0]]
@@ -189,11 +197,11 @@ def test_the_action_table_breaks_score_ties_by_deficit_in_every_chunking(monkeyp
     assert table.state_count == 816
     decided = 0
     for counts in itertools.product(range(inst.tau), repeat=3):
-        if sum(counts) >= inst.tau or table.values[table.index_of(counts)] == -np.inf:
+        if sum(counts) >= inst.tau or table.values[rank(counts)] == -np.inf:
             continue
         for u in range(inst.n):
             expected = _expected_pull(table, counts, u, inst.mu[u])
-            assert table.Z[policy._acts[table.index_of(counts), u]] == expected
+            assert table.Z[policy._acts[rank(counts), u]] == expected
             decided += _deficit_decides(table, counts, u, inst.mu[u])
     assert decided > 0
     # chunks of 1 and 7 ranks split layers and hold sentinels alone
@@ -208,7 +216,7 @@ def test_dp_step_follows_the_tie_rule_and_the_policy_follows_dp_step(inst):
     table = mer_table(range(inst.k), inst)
     m = len(table.Z)
     for counts in itertools.product(range(inst.tau), repeat=m):
-        if sum(counts) >= inst.tau or table.values[table.index_of(counts)] == -np.inf:
+        if sum(counts) >= inst.tau or table.values[rank(counts)] == -np.inf:
             continue
         for u in range(inst.n):
             expected = _expected_pull(table, counts, u, inst.mu[u])
@@ -232,7 +240,7 @@ def _walk(policy, arrivals):
     for phase in arrivals.tolist():
         counts, row = [0] * len(table.Z), []
         for u in phase:
-            j = int(policy._acts[table.index_of(counts), u])
+            j = int(policy._acts[rank(counts), u])
             counts[j] += 1
             row.append(table.Z[j])
         pulls.append(row)
@@ -302,21 +310,21 @@ def _grid_reference(Z, inst):
 
 
 def _check_against_the_grid(inst):
-    for Z in iter_subsets(inst.k):
+    for Z in subsets(inst.k):
         table = mer_table(Z, inst)
-        ref_values, states, ref_acts = _grid_reference(Z, inst)
+        ref_values, states, ref_acts = _grid_reference(table.Z, inst)
         assert table.values.size == len(states)
-        ranked = [float(table.values[table.index_of(c)]).hex() for c in states]
+        ranked = [float(table.values[rank(c)]).hex() for c in states]
         assert ranked == [v.hex() for v in ref_values]
         acts = _action_table(table)
         for (c, u), j in ref_acts.items():
-            assert best_move(table, c, u) == Z[j]
-            assert acts[table.index_of(c), u] == j
+            assert best_move(table, c, u) == table.Z[j]
+            assert acts[rank(c), u] == j
     policy = DpPolicy(inst)
     table = policy.table
     _, _, ref_acts = _grid_reference(table.Z, inst)
     for (c, u), j in ref_acts.items():
-        assert policy._acts[table.index_of(c), u] == j
+        assert policy._acts[rank(c), u] == j
 
 
 @settings(max_examples=120, deadline=None)
@@ -339,7 +347,7 @@ def test_ranked_table_counts_states_not_grid_cells():
     assert table.values.size == len(states) == math.comb(6 + 3, 3)
     assert table.state_count == math.comb(5 + 3, 3)
     # ranks are a bijection onto the table, layer by layer of equal total
-    ranked = sorted((table.index_of(c), sum(c)) for c in states)
+    ranked = sorted((rank(c), sum(c)) for c in states)
     assert [r for r, _ in ranked] == list(range(len(states)))
     totals = [s for _, s in ranked]
     assert totals == sorted(totals)
@@ -349,12 +357,12 @@ def _unpruned_dp_star(inst):
     """dp_star without the bound: every subset's table, the first strict
     maximum of the root value wins."""
     best = None
-    for Z in iter_subsets(inst.k):
+    for Z in subsets(inst.k):
         table = mer_table(Z, inst)
         if table.root_value is NEG_INF:
             continue
         if best is None or table.root_value > best[1].root_value:
-            best = (frozenset(Z), table)
+            best = (Z, table)
     return best
 
 

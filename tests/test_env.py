@@ -164,14 +164,14 @@ def test_expected_reward_matches_recomputation():
 def test_expected_mode_realizes_the_means():
     inst = make_instance(tau=10, phases=5, delta=(0, 0))
     rec = run_episode(inst, OwnArmPolicy(), 0, reward_mode="expected")
-    assert rec.realized_total == rec.expected_reward
+    assert rec.realized_rewards.sum() == rec.expected_reward
 
 
 def test_deterministic_kind_realizes_the_means_even_when_sampled():
     inst = make_instance(tau=10, phases=5, delta=(0, 0),
                          mu=((0.7, 0.1), (0.2, 0.6)), reward_kind="deterministic")
     rec = run_episode(inst, OwnArmPolicy(), 0, reward_mode="sampled")
-    assert rec.realized_total == pytest.approx(rec.expected_reward, abs=1e-9)
+    assert rec.realized_rewards.sum() == pytest.approx(rec.expected_reward, abs=1e-9)
 
 
 def test_sampled_rewards_agree_with_means_within_noise():
@@ -180,7 +180,7 @@ def test_sampled_rewards_agree_with_means_within_noise():
     rec = run_episode(inst, OwnArmPolicy(), 7, reward_mode="sampled")
     # Bernoulli sum vs its mean: 4 sigma with the worst-case variance bound
     slack = 4 * math.sqrt(0.25 * inst.T)
-    assert abs(rec.realized_total - rec.expected_reward) < slack
+    assert abs(rec.realized_rewards.sum() - rec.expected_reward) < slack
 
 
 def test_neglected_arm_departs_and_later_pulls_are_dead():

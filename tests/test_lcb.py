@@ -20,7 +20,6 @@ from exposure_bandits import (
     doalg,
     dp_star,
     greedy_subset,
-    iter_subsets,
     lcb_policy_step,
     lcb_star,
     run_episode,
@@ -36,6 +35,7 @@ from conftest import (
     scaled_mu,
     simplex,
     stepped_phases,
+    subsets,
     tie_prone_instances,
     utility_rows,
 )
@@ -46,7 +46,7 @@ def test_symmetric_template_protects_both_arms():
     Z, template = lcb_star(inst)
     assert Z == frozenset({0, 1})
     assert template.value == 56.0
-    assert all(c >= 40 for c in template.pull_column_sums)
+    assert all(sum(col) >= 40 for col in zip(*template.M))
 
 
 def test_subsidy_is_chosen_when_the_floors_cover_it():
@@ -379,15 +379,37 @@ def test_a_matching_without_the_slack_row_is_refused():
     LcbState(rows + [[0, 0]], mu, deltas)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 4))
+def test_lcb_state_conserves_row_mass(data, n, k):
+    # n type rows, then the slack row; as many arrivals as pulls in them
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                              min_size=n + 1, max_size=n + 1))
+    mu = data.draw(utility_rows(n, k))
+    deltas = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    total = sum(map(sum, rows))
+    arrivals = data.draw(st.lists(st.integers(0, n - 1), min_size=total, max_size=total))
+    state = LcbState(rows, mu, deltas)
+    starved = False  # some arrival found its own row and the slack row empty
+    for played, u in enumerate(arrivals, 1):
+        starved |= state.row_mass[u] == 0 and state.row_mass[-1] == 0
+        lcb_policy_step(state, u)
+        assert state.row_mass == [sum(row) for row in state.M_live]
+        assert all(c >= 0 for row in state.M_live for c in row)
+        assert sum(state.row_mass) == total - played
+        assert sum(state.phase_pulls) == played
+        assert state.bad_event_flag == starved
+
+
 def _unpruned_lcb_star(inst):
     """lcb_star without the bound: one solve per subset, the first strict
     maximum of the matching value wins."""
     aggregate = build_lcb_aggregate(inst.P, inst.tau)
     best = None
-    for Z in iter_subsets(inst.k):
-        m = doalg(aggregate, frozenset(Z), frozenset(Z), inst)
+    for Z in subsets(inst.k):
+        m = doalg(aggregate, Z, Z, inst)
         if m is not NEG_INF and (best is None or m.value > best[1].value):
-            best = (frozenset(Z), m)
+            best = (Z, m)
     return best
 
 

@@ -31,15 +31,15 @@ from exposure_bandits import (
     relaxed_exploration_phases,
     run_episode,
 )
-from exposure_bandits.core import gamma_from_parts
+from exposure_bandits.core import compute_gamma
 from exposure_bandits.learn import UNOBSERVED_MU, BlindSubsidizePolicy, GreedyBanditPolicy
 from exposure_bandits.presets import one_type_two_arms, subsidy_worthwhile
-from conftest import make_instance, simplex, utility_rows
+from conftest import make_instance, one_phase, simplex, utility_rows
 from test_env import assert_same_record, no_reward, past_of, scalar_run
 from test_lmatch import assert_plan_shape
 
 
-G_EX2 = gamma_from_parts((10, 60), 100, 2)  # quota 40
+G_EX2 = compute_gamma(one_phase((10, 60), 100))  # quota 40
 
 
 def test_exploration_phase_counts_for_the_reference_horizons():
@@ -51,7 +51,7 @@ def test_exploration_phase_counts_for_the_reference_horizons():
 def test_exploration_phase_count_is_exact_on_perfect_cubes():
     # T = 8000 gives T^(2/3) = 400 exactly; quota 40 divides it
     assert default_exploration_phases(8_000, G_EX2) == 10
-    g7 = gamma_from_parts((0, 0), 35, 5)  # quota 7
+    g7 = compute_gamma(one_phase((0, 0, 0, 0, 0), 35))  # quota 7
     assert default_exploration_phases(8_000, g7) == math.ceil(400 / 7)
 
 
@@ -68,7 +68,7 @@ def test_exploration_phase_count_never_undershoots():
     for _ in range(100):
         T = int(rng.integers(100, 10**7))
         q = int(rng.integers(1, 50))
-        g = gamma_from_parts((0,), q, 1)  # one unconstrained arm: quota q
+        g = compute_gamma(one_phase((0,), q))  # one unconstrained arm: quota q
         assert g.quota == q
         phases = default_exploration_phases(T, g)
         target = T ** (2 / 3) / q
@@ -116,7 +116,7 @@ def test_the_exploration_block_is_the_per_round_walk(data, k, tau, count, seed):
     # and k = 1 (a draw with one outcome) are both drawn
     delta = tuple(data.draw(st.lists(st.integers(0, tau + 2), min_size=k, max_size=k)))
     quota = data.draw(st.integers(1, tau + 2))
-    gamma = replace(gamma_from_parts((0,), tau, 1), quota=quota)
+    gamma = replace(compute_gamma(one_phase((0,), tau)), quota=quota)
     walk_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = per_round_exploration(count, quota, delta, tau, walk_rng)
     block = explore_phase_step(count, gamma, delta, tau, block_rng)

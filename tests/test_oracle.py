@@ -18,11 +18,11 @@ from conftest import make_instance, random_instance
 def test_single_arm_instances_have_obvious_optima():
     inst = make_instance(n=1, k=1, tau=2, phases=1, P=(1.0,), delta=(1,),
                          mu=((1.0,),))
-    assert exact_opt(inst).value == pytest.approx(2.0, abs=1e-12)
+    assert exact_opt(inst) == pytest.approx(2.0, abs=1e-12)
     # worthless arm: the optimum is to do nothing
     inst0 = make_instance(n=1, k=1, tau=2, phases=1, P=(1.0,), delta=(1,),
                           mu=((0.0,),))
-    assert exact_opt(inst0).value == pytest.approx(0.0, abs=1e-12)
+    assert exact_opt(inst0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_keeping_an_arm_alive_for_later_phases_pays():
@@ -30,7 +30,7 @@ def test_keeping_an_arm_alive_for_later_phases_pays():
     inst = make_instance(n=1, k=2, tau=2, phases=2, P=(1.0,), delta=(0, 1),
                          mu=((0.4, 1.0),))
     opt = exact_opt(inst)
-    assert opt.value == pytest.approx(4.0, abs=1e-12)
+    assert opt == pytest.approx(4.0, abs=1e-12)
 
 
 def test_harvesting_beats_pure_commitment_under_skewed_arrivals():
@@ -42,7 +42,7 @@ def test_harvesting_beats_pure_commitment_under_skewed_arrivals():
     Z, table = dp_star(inst)
     committed = planned_total_value(inst, table)
     assert Z == frozenset({0})
-    assert opt.value > committed + 0.5
+    assert opt > committed + 0.5
 
 
 def test_exact_optimum_sandwiches_the_committed_planner():
@@ -55,15 +55,8 @@ def test_exact_optimum_sandwiches_the_committed_planner():
         except Exception:
             continue
         committed = planned_total_value(inst, table)
-        assert committed <= opt.value + 1e-9
-        assert opt.value - committed <= inst.k * inst.tau + 1e-9
-
-
-def test_policy_lookup_table_is_returned():
-    inst = make_instance(n=1, k=1, tau=2, phases=1, P=(1.0,), delta=(1,),
-                         mu=((1.0,),))
-    opt = exact_opt(inst)
-    assert opt.policy  # at least the root state is recorded
+        assert committed <= opt + 1e-9
+        assert opt - committed <= inst.k * inst.tau + 1e-9
 
 
 def test_exact_opt_guards_against_state_blowup():

@@ -287,3 +287,25 @@ def test_tau_at_least_two_is_stated_only_by_the_confidence_width():
     fn = exposure_bandits.matching.confidence_width
     lines, first = inspect.getsourcelines(fn)
     assert first <= found[0][1] < first + len(lines)
+
+
+def imports_scipy(node) -> bool:
+    """Whether ``node`` is an import statement of SciPy or a submodule."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy")
+
+
+def test_scipy_is_imported_only_inside_the_graph_reference():
+    # SciPy is a test dependency: the runtime needs NumPy only, and the
+    # one cross-check that solves with SciPy imports it when called
+    found = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if imports_scipy(node)
+    ]
+    assert [name for name, _ in found] == ["matching.py"], found
+    lines, first = inspect.getsourcelines(exposure_bandits.matching.doalg_graph_reference)
+    assert first < found[0][1] < first + len(lines)
