@@ -263,8 +263,8 @@ def compute_gamma(sizes) -> GammaResult:
     """Largest feasible exploration rate, from the thresholds of
     ``sizes`` (an Instance or Observables) alone.
 
-    Largest integer quota ``g`` with ``g/tau <= 1/k`` and
-    ``sum_a max(delta[a], g) <= tau``; the left side is nondecreasing in
+    Largest integer quota ``g`` with ``g/tau <= 1/k``, k the number of
+    thresholds, and ``sum_a max(delta[a], g) <= tau``; the left side is nondecreasing in
     ``g``, so a downward scan from ``floor(tau/k)`` finds the maximum.
     ``feasible`` is ``False`` iff ``sum(delta) > tau``, and enlarging
     any ``delta[a]`` never increases the returned ``gamma``.
